@@ -19,6 +19,9 @@ remainder can always be completed to a bijection and is never recorded.
 A useful consequence of clause 1 is that the per-agent multiset of node
 terms of B1 reappears in B2, so the event of a step does not depend on
 which witness f is found.
+
+`step_graph` is cached per process, and a hit charges the budget what the
+graph cost to build.  `translate` runs `systems.explore` over its edges.
 """
 
 from __future__ import annotations
@@ -36,7 +39,7 @@ from .bundles import (
 )
 from .core import Event, GlobalState, History, Node, StrandSpace, term_to_event
 from .errors import InputError
-from .systems import RunPrefix
+from .systems import RunPrefix, explore
 
 
 @dataclass(frozen=True)
@@ -269,6 +272,7 @@ class StepGraph:
         return self.successors[b]
 
 
+# (space, conf, max_nodes) -> (graph, budget ticks its construction cost)
 _GRAPH_CACHE: dict = {}
 
 
@@ -278,10 +282,15 @@ def step_graph(
     max_nodes: int = 8,
     budget: StateBudget | None = None,
 ) -> StepGraph:
+    """All bundles within max_nodes with their step successors.  A cache
+    hit charges the budget what the graph cost, as a cold call would."""
+    budget = ensure(budget)
     key = (space, conf, max_nodes)
     if key in _GRAPH_CACHE:
-        return _GRAPH_CACHE[key]
-    budget = ensure(budget)
+        graph, cost = _GRAPH_CACHE[key]
+        budget.tick(cost)
+        return graph
+    used_before = budget.used
     bundles = enumerate_bundles(space, conf, max_nodes, budget=budget)
     successors: dict[Bundle, tuple] = {}
     if space.is_identity_assigned():
@@ -300,7 +309,7 @@ def step_graph(
                     succ.append((b2, witness))
             successors[b1] = tuple(succ)
     graph = StepGraph(bundles=bundles, successors=successors)
-    _GRAPH_CACHE[key] = graph
+    _GRAPH_CACHE[key] = (graph, budget.used - used_before)
     return graph
 
 
@@ -382,29 +391,23 @@ def translate(
 ) -> frozenset[RunPrefix]:
     """The run prefixes of all chains of the space, at the given horizon.
 
-    Rather than materializing every chain, the search tracks, per distinct
-    run prefix, the set of bundles its chains can currently be at; each
-    run prefix is therefore produced exactly once.
+    Rather than materializing every chain, the search tracks, per run
+    prefix, the set of bundles its chains can currently be at.  A prefix's
+    next states are the step edges out of that set, grouped by the event
+    map they perform; each group's targets form the next bundle set.
     """
     if horizon < 0:
         raise InputError("horizon must be non-negative")
     budget = ensure(budget)
     graph = step_graph(space, conf, max_nodes, budget)
-    start = (GlobalState.empty(space.agents),)
-    level: dict[tuple[GlobalState, ...], frozenset[Bundle]] = {
-        start: frozenset({EMPTY_BUNDLE})
-    }
-    for _ in range(horizon):
-        nxt: dict[tuple[GlobalState, ...], set[Bundle]] = {}
-        for states, bundle_set in level.items():
-            groups: dict[tuple[tuple[str, Event], ...], set[Bundle]] = {}
-            for b in bundle_set:
-                for b2, witness in graph.succ(b):
-                    key = tuple(sorted(witness.event_map().items()))
-                    groups.setdefault(key, set()).add(b2)
-            for key, targets in groups.items():
-                budget.tick()
-                g2 = states[-1].extend(dict(key))
-                nxt.setdefault(states + (g2,), set()).update(targets)
-        level = {states: frozenset(bs) for states, bs in nxt.items()}
-    return frozenset(RunPrefix.of(states) for states in level)
+
+    def successors(g: GlobalState, bundle_set: frozenset[Bundle]):
+        groups: dict[tuple[tuple[str, Event], ...], set[Bundle]] = {}
+        for b in bundle_set:
+            for b2, witness in graph.succ(b):
+                key = tuple(sorted(witness.event_map().items()))
+                groups.setdefault(key, set()).add(b2)
+        return [(g.extend(dict(key)), frozenset(bs)) for key, bs in groups.items()]
+
+    start = (GlobalState.empty(space.agents), frozenset({EMPTY_BUNDLE}))
+    return explore(start, successors, horizon, budget)

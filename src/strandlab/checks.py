@@ -23,12 +23,14 @@ detail lines.  The numbered entry points (used by the command line) are:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Iterable
 
 from .budget import StateBudget, ensure
 from .bundles import ConflictRelation, bundle_height, enumerate_bundles, message_equivalent
 from .chains import bundle_distances, translate
 from .constructions import extended_space_from_system, space_from_monotone
 from .core import StrandSpace
+from .errors import InputError
 from .protocols import JointProtocol, generate_runs
 from .systems import (
     HistorySet,
@@ -59,21 +61,24 @@ def _describe_run(run: RunPrefix) -> str:
     return "; ".join(parts)
 
 
+def node_cap(space: StrandSpace, max_nodes: int | None) -> int:
+    """The bundle size a check enumerates: by default the whole space,
+    since a truncated enumeration proves nothing."""
+    return space.node_count() if max_nodes is None else max_nodes
+
+
 def strand_system_property(
-    space: StrandSpace,
-    conf: ConflictRelation | None,
+    runs: frozenset[RunPrefix],
+    universe: Iterable[str],
+    agents: Iterable[str],
     horizon: int,
-    max_nodes: int,
     name: str,
     budget: StateBudget | None = None,
 ) -> CheckResult:
-    """Runs of the space's chains pass MP1-MP3 and are regenerated exactly
-    by the system of their own extracted histories."""
-    budget = ensure(budget)
-    runs = translate(space, conf, horizon, max_nodes, budget=budget)
+    """The runs pass MP1-MP3 and are regenerated exactly by the system of
+    their own extracted histories."""
     lines = [f"{len(runs)} run prefixes at horizon {horizon}"]
-    universe = space.messages()
-    bad = [r for r in runs if not check_mp(universe, space.agents, r).ok]
+    bad = [r for r in runs if not check_mp(universe, agents, r).ok]
     if bad:
         lines.append(f"{len(bad)} runs violate MP1-MP3, e.g. {_describe_run(bad[0])}")
         return CheckResult(name, False, tuple(lines))
@@ -83,32 +88,36 @@ def strand_system_property(
     if eq.equal:
         lines.append("regeneration from extracted histories is exact")
     else:
-        witness = eq.witness()
-        lines.append(f"regeneration differs, e.g. {_describe_run(witness)}")
+        lines.append(f"regeneration differs, e.g. {_describe_run(eq.witness())}")
     return CheckResult(name, eq.equal, tuple(lines))
 
 
 def theorem_1(
     space: StrandSpace,
     horizon: int = 6,
-    max_nodes: int = 8,
+    max_nodes: int | None = None,
     budget: StateBudget | None = None,
 ) -> CheckResult:
+    """Translating a strand space yields a strand system."""
+    budget = ensure(budget)
+    runs = translate(space, None, horizon, node_cap(space, max_nodes), budget=budget)
     return strand_system_property(
-        space, None, horizon, max_nodes, "translation is a strand system", budget
+        runs, space.messages(), space.agents, horizon,
+        "translation is a strand system", budget,
     )
 
 
 def theorem_2(
     space: StrandSpace,
     horizon: int = 4,
-    max_nodes: int = 8,
+    max_nodes: int | None = None,
     budget: StateBudget | None = None,
 ) -> CheckResult:
     """Occurring global states and enumerated bundles correspond exactly
     under message-equivalence (identity assignment)."""
     name = "global states and bundles are message-equivalent"
     ident = space.with_identity_assignment()
+    max_nodes = node_cap(ident, max_nodes)
     budget = ensure(budget)
     runs = translate(ident, None, horizon, max_nodes, budget=budget)
     states = {g for run in runs for g in run.states}
@@ -139,12 +148,13 @@ def theorem_2(
 def theorem_3(
     space: StrandSpace,
     hs: HistorySet,
-    max_nodes: int = 8,
+    max_nodes: int | None = None,
     budget: StateBudget | None = None,
 ) -> CheckResult:
     """The natural relay space fails history preservation for the relay
     system, and its translation strictly exceeds the system."""
     name = "no space preserves the relay system's histories"
+    max_nodes = node_cap(space, max_nodes)
     budget = ensure(budget)
     lines = []
     ok = True
@@ -194,19 +204,34 @@ def theorem_3(
 
 def theorem_4(
     space: StrandSpace,
-    conf: ConflictRelation,
+    conf: ConflictRelation | None,
     horizon: int = 6,
-    max_nodes: int = 8,
+    max_nodes: int | None = None,
     budget: StateBudget | None = None,
 ) -> CheckResult:
+    """Translating a space with a conflict relation yields a strand system."""
+    if conf is None:
+        raise InputError("theorem 4 needs an extended space (with conflicts)")
+    budget = ensure(budget)
+    runs = translate(space, conf, horizon, node_cap(space, max_nodes), budget=budget)
     return strand_system_property(
-        space,
-        conf,
-        horizon,
-        max_nodes,
-        "translation with conflicts is a strand system",
-        budget,
+        runs, space.messages(), space.agents, horizon,
+        "translation with conflicts is a strand system", budget,
     )
+
+
+def _round_trip(name, header, translated, generated, source) -> CheckResult:
+    """A construction's translation must be exactly the runs it realizes."""
+    eq = systems_equal(translated, generated)
+    lines = [
+        header,
+        f"{len(translated)} translated vs {len(generated)} {source} run prefixes",
+    ]
+    if eq.equal:
+        lines.append("round trip is exact")
+    else:
+        lines.append(f"difference, e.g. {_describe_run(eq.witness())}")
+    return CheckResult(name, eq.equal, tuple(lines))
 
 
 def theorem_5(
@@ -219,19 +244,12 @@ def theorem_5(
     name = "history sets are realizable as conflict spaces"
     budget = ensure(budget)
     ext = extended_space_from_system(hs)
-    max_nodes = ext.space.node_count()
-    translated = translate(ext.space, ext.conf, horizon, max_nodes, budget=budget)
+    translated = translate(
+        ext.space, ext.conf, horizon, node_cap(ext.space, None), budget=budget
+    )
     generated = generate_system(hs, horizon, budget=budget)
-    eq = systems_equal(translated, generated)
-    lines = [
-        f"{len(ext.space.strands)} strands, {len(ext.conf)} conflict pairs",
-        f"{len(translated)} translated vs {len(generated)} generated run prefixes",
-    ]
-    if eq.equal:
-        lines.append("round trip is exact")
-    else:
-        lines.append(f"difference, e.g. {_describe_run(eq.witness())}")
-    return CheckResult(name, eq.equal, tuple(lines))
+    header = f"{len(ext.space.strands)} strands, {len(ext.conf)} conflict pairs"
+    return _round_trip(name, header, translated, generated, "generated")
 
 
 def theorem_6(
@@ -240,28 +258,18 @@ def theorem_6(
     budget: StateBudget | None = None,
 ) -> CheckResult:
     """A joint protocol's runs form a strand system."""
-    name = "protocol runs form a strand system"
     budget = ensure(budget)
     runs = generate_runs(jp, horizon, budget=budget)
-    lines = [f"{len(runs)} run prefixes at horizon {horizon}"]
-    bad = [r for r in runs if not check_mp(jp.messages, jp.agents, r).ok]
-    if bad:
-        lines.append(f"{len(bad)} runs violate MP1-MP3, e.g. {_describe_run(bad[0])}")
-        return CheckResult(name, False, tuple(lines))
-    lines.append("all runs satisfy MP1-MP3")
-    regen = generate_system(extract_histories(runs), horizon, budget=budget)
-    eq = systems_equal(runs, regen)
-    if eq.equal:
-        lines.append("regeneration from extracted histories is exact")
-    else:
-        lines.append(f"regeneration differs, e.g. {_describe_run(eq.witness())}")
-    return CheckResult(name, eq.equal, tuple(lines))
+    return strand_system_property(
+        runs, jp.messages, jp.agents, horizon,
+        "protocol runs form a strand system", budget,
+    )
 
 
 def theorem_7(
     jp: JointProtocol,
     horizon: int = 6,
-    max_nodes: int = 8,
+    max_nodes: int | None = None,
     budget: StateBudget | None = None,
 ) -> CheckResult:
     """A monotone joint protocol's derived space translates to exactly
@@ -269,24 +277,18 @@ def theorem_7(
     name = "monotone protocols are realizable as strand spaces"
     budget = ensure(budget)
     space = space_from_monotone(jp)  # raises InputError when not monotone
-    translated = translate(space, None, horizon, max_nodes, budget=budget)
+    translated = translate(
+        space, None, horizon, node_cap(space, max_nodes), budget=budget
+    )
     generated = generate_runs(jp, horizon, budget=budget)
-    eq = systems_equal(translated, generated)
-    lines = [
-        f"{len(space.strands)} strands derived from the protocol",
-        f"{len(translated)} translated vs {len(generated)} protocol run prefixes",
-    ]
-    if eq.equal:
-        lines.append("round trip is exact")
-    else:
-        lines.append(f"difference, e.g. {_describe_run(eq.witness())}")
-    return CheckResult(name, eq.equal, tuple(lines))
+    header = f"{len(space.strands)} strands derived from the protocol"
+    return _round_trip(name, header, translated, generated, "protocol")
 
 
 def lemma_1(
     space: StrandSpace,
     conf: ConflictRelation | None = None,
-    max_nodes: int = 8,
+    max_nodes: int | None = None,
     budget: StateBudget | None = None,
 ) -> CheckResult:
     """Bundle height is at most twice the number of chain steps.
@@ -297,7 +299,7 @@ def lemma_1(
     """
     name = "height grows at most two per chain step"
     budget = ensure(budget)
-    dist = bundle_distances(space, conf, max_nodes, budget=budget)
+    dist = bundle_distances(space, conf, node_cap(space, max_nodes), budget=budget)
     violations = [
         (b, d)
         for b, d in dist.items()
@@ -317,7 +319,7 @@ def lemma_1(
 
 def lemma_2(
     space: StrandSpace,
-    max_nodes: int = 8,
+    max_nodes: int | None = None,
     budget: StateBudget | None = None,
 ) -> CheckResult:
     """With the identity assignment, every bundle is the end of a chain
@@ -325,6 +327,7 @@ def lemma_2(
     name = "every bundle is reachable within its node count"
     budget = ensure(budget)
     ident = space.with_identity_assignment()
+    max_nodes = node_cap(ident, max_nodes)
     bundles = enumerate_bundles(ident, None, max_nodes, budget=budget)
     dist = bundle_distances(ident, None, max_nodes, budget=budget)
     misses = [
@@ -339,7 +342,3 @@ def lemma_2(
         lines.append("all bundles reached within their node counts")
     return CheckResult(name, not misses, tuple(lines))
 
-
-THEOREMS = {1: theorem_1, 2: theorem_2, 3: theorem_3, 4: theorem_4,
-            5: theorem_5, 6: theorem_6, 7: theorem_7}
-LEMMAS = {1: lemma_1, 2: lemma_2}

@@ -18,7 +18,10 @@ import sys
 
 from .bundles import enumerate_bundles, validate_conflicts
 from .chains import enumerate_chain_prefixes, translate
-from .checks import LEMMAS, theorem_1, theorem_2, theorem_3, theorem_4, theorem_5, theorem_6, theorem_7
+from .checks import (
+    lemma_1, lemma_2, node_cap,
+    theorem_1, theorem_2, theorem_3, theorem_4, theorem_5, theorem_6, theorem_7,
+)
 from .core import validate_space
 from .errors import BudgetExceededError, InputError, SchemaError
 from .documents import (
@@ -70,13 +73,15 @@ def _build_parser() -> argparse.ArgumentParser:
     what.add_argument("--lemma", type=int, choices=[1, 2])
     p_check.add_argument("paths", nargs="+")
     p_check.add_argument("--horizon", type=int)
-    p_check.add_argument("--max-nodes", type=int, default=8)
+    # default: the node count of the space the check enumerates
+    p_check.add_argument("--max-nodes", type=int)
     return parser
 
 
-def _require(doc: Document, cls, what: str):
+def _require(doc: Document, cls):
     if not isinstance(doc, cls):
-        raise InputError(f"{what} required, got a {type(doc).__name__}")
+        kind = cls.__name__.removesuffix("Document").lower()
+        raise InputError(f"a {kind} file required, got a {type(doc).__name__}")
     return doc
 
 
@@ -117,28 +122,28 @@ def _cmd_enumerate(args) -> int:
     if args.horizon < 0 or args.max_nodes < 0:
         raise InputError("--horizon and --max-nodes must be non-negative")
     if args.bundles:
-        src = _require(doc, SpaceDocument, "a space file")
+        src = _require(doc, SpaceDocument)
         out = BundlesDocument(
             bundles=enumerate_bundles(src.space, src.conf, args.max_nodes)
         )
     elif args.chains:
-        src = _require(doc, SpaceDocument, "a space file")
+        src = _require(doc, SpaceDocument)
         chains = enumerate_chain_prefixes(
             src.space, src.conf, args.horizon, args.max_nodes
         )
         out = ChainsDocument(agents=src.space.agents, chains=chains)
     elif args.translate:
-        src = _require(doc, SpaceDocument, "a space file")
+        src = _require(doc, SpaceDocument)
         runs = translate(src.space, src.conf, args.horizon, args.max_nodes)
         out = RunsDocument(agents=src.space.agents, horizon=args.horizon, runs=runs)
     elif args.gen_system:
-        src = _require(doc, SystemDocument, "a system file")
+        src = _require(doc, SystemDocument)
         runs = generate_system(src.histories, args.horizon)
         out = RunsDocument(
             agents=src.histories.agents, horizon=args.horizon, runs=runs
         )
     else:
-        src = _require(doc, ProtocolDocument, "a protocol file")
+        src = _require(doc, ProtocolDocument)
         runs = generate_runs(src.protocol, args.horizon)
         out = RunsDocument(agents=src.protocol.agents, horizon=args.horizon, runs=runs)
     text = dump_document(out)
@@ -156,11 +161,29 @@ def _paths(args, n: int) -> list[Document]:
     return [load_document(p) for p in args.paths]
 
 
+# check -> (kinds of its input files, the check on the loaded documents,
+# then the --horizon keyword when given and --max-nodes or None)
+_CHECKS = {
+    "theorem 1": ((SpaceDocument,), lambda s, h, n: theorem_1(s.space, max_nodes=n, **h)),
+    "theorem 2": ((SpaceDocument,), lambda s, h, n: theorem_2(s.space, max_nodes=n, **h)),
+    "theorem 3": (
+        (SpaceDocument, SystemDocument),
+        lambda s, y, h, n: theorem_3(s.space, y.histories, max_nodes=n),
+    ),
+    "theorem 4": ((SpaceDocument,), lambda s, h, n: theorem_4(s.space, s.conf, max_nodes=n, **h)),
+    "theorem 5": ((SystemDocument,), lambda y, h, n: theorem_5(y.histories, **h)),
+    "theorem 6": ((ProtocolDocument,), lambda p, h, n: theorem_6(p.protocol, **h)),
+    "theorem 7": ((ProtocolDocument,), lambda p, h, n: theorem_7(p.protocol, max_nodes=n, **h)),
+    "lemma 1": ((SpaceDocument,), lambda s, h, n: lemma_1(s.space, s.conf, max_nodes=n)),
+    "lemma 2": ((SpaceDocument,), lambda s, h, n: lemma_2(s.space, max_nodes=n)),
+}
+
+
 def _cmd_check(args) -> int:
     if args.equal:
         a, b = _paths(args, 2)
-        a = _require(a, RunsDocument, "a runs file")
-        b = _require(b, RunsDocument, "a runs file")
+        a = _require(a, RunsDocument)
+        b = _require(b, RunsDocument)
         report = systems_equal(a.runs, b.runs)
         if report.equal:
             print("PASS the two run sets are equal")
@@ -174,10 +197,13 @@ def _cmd_check(args) -> int:
 
     if args.history_preserving:
         space_doc, runs_doc = _paths(args, 2)
-        space_doc = _require(space_doc, SpaceDocument, "a space file")
-        runs_doc = _require(runs_doc, RunsDocument, "a runs file")
+        space_doc = _require(space_doc, SpaceDocument)
+        runs_doc = _require(runs_doc, RunsDocument)
         report = check_history_preserving(
-            space_doc.space, runs_doc.runs, args.max_nodes, conf=space_doc.conf
+            space_doc.space,
+            runs_doc.runs,
+            node_cap(space_doc.space, args.max_nodes),
+            conf=space_doc.conf,
         )
         if report.ok:
             print("PASS histories are preserved in both directions")
@@ -192,54 +218,10 @@ def _cmd_check(args) -> int:
         print("FAIL history preservation is violated")
         return EXIT_PROPERTY_FAILED
 
-    kwargs = {}
-    if args.horizon is not None:
-        kwargs["horizon"] = args.horizon
-
-    if args.lemma:
-        (doc,) = _paths(args, 1)
-        doc = _require(doc, SpaceDocument, "a space file")
-        if args.lemma == 1:
-            result = LEMMAS[1](doc.space, doc.conf, max_nodes=args.max_nodes)
-        else:
-            result = LEMMAS[2](doc.space, max_nodes=args.max_nodes)
-        print(result.render())
-        return EXIT_OK if result.ok else EXIT_PROPERTY_FAILED
-
-    n = args.theorem
-    if n == 1:
-        (doc,) = _paths(args, 1)
-        doc = _require(doc, SpaceDocument, "a space file")
-        result = theorem_1(doc.space, max_nodes=args.max_nodes, **kwargs)
-    elif n == 2:
-        (doc,) = _paths(args, 1)
-        doc = _require(doc, SpaceDocument, "a space file")
-        result = theorem_2(doc.space, max_nodes=args.max_nodes, **kwargs)
-    elif n == 3:
-        space_doc, system_doc = _paths(args, 2)
-        space_doc = _require(space_doc, SpaceDocument, "a space file")
-        system_doc = _require(system_doc, SystemDocument, "a system file")
-        result = theorem_3(
-            space_doc.space, system_doc.histories, max_nodes=args.max_nodes
-        )
-    elif n == 4:
-        (doc,) = _paths(args, 1)
-        doc = _require(doc, SpaceDocument, "a space file")
-        if doc.conf is None:
-            raise InputError("theorem 4 needs an extended space (with conflicts)")
-        result = theorem_4(doc.space, doc.conf, max_nodes=args.max_nodes, **kwargs)
-    elif n == 5:
-        (doc,) = _paths(args, 1)
-        doc = _require(doc, SystemDocument, "a system file")
-        result = theorem_5(doc.histories, **kwargs)
-    elif n == 6:
-        (doc,) = _paths(args, 1)
-        doc = _require(doc, ProtocolDocument, "a protocol file")
-        result = theorem_6(doc.protocol, **kwargs)
-    else:
-        (doc,) = _paths(args, 1)
-        doc = _require(doc, ProtocolDocument, "a protocol file")
-        result = theorem_7(doc.protocol, max_nodes=args.max_nodes, **kwargs)
+    kinds, run = _CHECKS[f"lemma {args.lemma}" if args.lemma else f"theorem {args.theorem}"]
+    docs = [_require(doc, cls) for doc, cls in zip(_paths(args, len(kinds)), kinds)]
+    horizon = {} if args.horizon is None else {"horizon": args.horizon}
+    result = run(*docs, horizon, args.max_nodes)
     print(result.render())
     return EXIT_OK if result.ok else EXIT_PROPERTY_FAILED
 

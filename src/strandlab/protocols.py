@@ -15,7 +15,9 @@ The round semantics is nondeterministic: each agent picks an action from
 its protocol and then either stutters, records its send, or records a
 receive that the round's cumulative send counts can justify.  Receives
 are available in every round regardless of the chosen action — delivery
-is the environment's move, not the agent's.
+is the environment's move, not the agent's.  A round (`tau_step`) is
+`systems.joint_round` over those per-agent options, and `generate_runs`
+is `systems.explore` over rounds.
 """
 
 from __future__ import annotations
@@ -25,10 +27,10 @@ from dataclasses import dataclass
 from itertools import product
 from typing import Iterable, Mapping
 
-from .budget import StateBudget, ensure
+from .budget import StateBudget
 from .core import Event, GlobalState, History, recv, sent
 from .errors import InputError
-from .systems import MP2_STRONG, RunPrefix, mp2_problem
+from .systems import RunPrefix, explore, joint_round
 
 
 @dataclass(frozen=True, order=True)
@@ -170,54 +172,33 @@ class JointProtocol:
         raise InputError(f"unknown agent: {agent!r}")
 
 
-def tau_step(
-    jp: JointProtocol, g: GlobalState, mp2: str = MP2_STRONG
-) -> frozenset[GlobalState]:
+def tau_step(jp: JointProtocol, g: GlobalState) -> frozenset[GlobalState]:
     """All global states one protocol round can produce.
 
     Per agent: keep the history, append sent(u) when the chosen action is
     send(u), or append recv(u); the joint outcome stands only if its
     receives remain justified by its sends (same-round sends count).
     """
-    choices = []
+    options = {}
     for a, h in g.items():
-        actions = eval_protocol(jp.spec(a), h)
-        opts: list[tuple[str, Event] | None] = [None]
-        for action in sorted(actions):
-            if action.kind == "send":
-                opts.append((a, sent(action.message)))
-        for u in jp.messages:
-            opts.append((a, recv(u)))
-        choices.append(opts)
-    out = set()
-    for combo in product(*choices):
-        g2 = g.extend({a: e for pick in combo if pick for a, e in [pick]})
-        if mp2_problem(g2, mp2) is None:
-            out.add(g2)
-    return frozenset(out)
+        actions = sorted(eval_protocol(jp.spec(a), h))
+        options[a] = [sent(x.message) for x in actions if x.kind == "send"]
+        options[a] += [recv(u) for u in jp.messages]
+    return frozenset(joint_round(g, options))
 
 
 def generate_runs(
     jp: JointProtocol,
     horizon: int,
-    mp2: str = MP2_STRONG,
     budget: StateBudget | None = None,
 ) -> frozenset[RunPrefix]:
     """All run prefixes the joint protocol can generate from empty start."""
-    if horizon < 0:
-        raise InputError("horizon must be non-negative")
-    budget = ensure(budget)
-    start = RunPrefix.of([GlobalState.empty(jp.agents)])
-    frontier = [start]
-    budget.tick()
-    for _ in range(horizon):
-        nxt = []
-        for run in frontier:
-            for g2 in tau_step(jp, run.final(), mp2):
-                budget.tick()
-                nxt.append(RunPrefix(run.states + (g2,)))
-        frontier = nxt
-    return frozenset(frontier)
+    return explore(
+        (GlobalState.empty(jp.agents), None),
+        lambda g, _: [(g2, None) for g2 in tau_step(jp, g)],
+        horizon,
+        budget,
+    )
 
 
 def all_histories(messages: Iterable[str], bound: int) -> Iterable[History]:

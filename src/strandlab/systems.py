@@ -17,7 +17,13 @@ as sends have occurred.  The "literal" reading only requires that some
 send of the message has occurred by the time of each receive, allowing
 one send to justify many receives.  The strong reading is what makes
 runs correspond to bundles, whose receive nodes each have a unique
-sender; the literal reading is kept available for comparison.
+sender; run generation uses it, and `check_mp` also offers the literal
+reading for comparison.
+
+Every run set is built by `explore`, which extends run prefixes level by
+level from the all-empty state.  History sets (`generate_system`) and
+protocols (`protocols.generate_runs`) feed it `joint_round`: each agent
+stutters or appends one of its options, and MP2 filters the outcome.
 """
 
 from __future__ import annotations
@@ -25,7 +31,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from itertools import product
-from typing import Iterable, Mapping
+from typing import Callable, Iterable, Mapping
 
 from .budget import StateBudget, ensure
 from .core import Event, GlobalState, History
@@ -202,54 +208,76 @@ def check_mp(
     return MPReport(mp1=mp1, mp2=mp2_failure, mp3=mp3)
 
 
+def joint_round(
+    g: GlobalState, options: Mapping[str, Iterable[Event]]
+) -> list[GlobalState]:
+    """All global states one round can produce from g.
+
+    Each agent stutters or appends one of its options; the joint outcome
+    stands only if its receives stay justified (strong MP2), same-round
+    sends included.  Distinct choices give distinct states.
+    """
+    choices = [[None] + [(a, e) for e in options[a]] for a in g.agents]
+    out = []
+    for combo in product(*choices):
+        g2 = g.extend(dict(pick for pick in combo if pick))
+        if mp2_problem(g2, MP2_STRONG) is None:
+            out.append(g2)
+    return out
+
+
+def explore(
+    start: tuple[GlobalState, object],
+    successors: Callable[[GlobalState, object], Iterable[tuple[GlobalState, object]]],
+    horizon: int,
+    budget: StateBudget | None = None,
+) -> frozenset[RunPrefix]:
+    """All run prefixes of exactly `horizon` rounds from the pair `start`
+    of initial global state and search state.  ``successors(g, search)``
+    lists distinct (next state, next search state) pairs, so distinct
+    prefixes stay distinct and the frontier needs no deduplication."""
+    if horizon < 0:
+        raise InputError("horizon must be non-negative")
+    budget = ensure(budget)
+    frontier = [((start[0],), start[1])]
+    budget.tick()
+    for _ in range(horizon):
+        nxt = []
+        for states, search in frontier:
+            for g2, search2 in successors(states[-1], search):
+                budget.tick()
+                nxt.append((states + (g2,), search2))
+        frontier = nxt
+    return frozenset(RunPrefix(states) for states, _ in frontier)
+
+
 def generate_system(
     hs: HistorySet,
     horizon: int,
-    mp2: str = MP2_STRONG,
     budget: StateBudget | None = None,
 ) -> frozenset[RunPrefix]:
     """All run prefixes of the given length whose local states stay in hs.
 
-    Exhaustive per-round extension: each agent stutters or appends one
-    event keeping its history admissible; the round's joint outcome must
-    keep receives justified under the chosen MP2 reading.
+    Each round every agent stutters or appends an event keeping its history
+    admissible, and the round's receives stay justified (strong MP2).
     """
-    if horizon < 0:
-        raise InputError("horizon must be non-negative")
     problems = hs.problems()
     if problems:
         raise InputError(problems[0])
-    budget = ensure(budget)
 
-    agents = hs.agents
-    options: dict[str, dict[History, list[Event]]] = {}
-    for a in agents:
+    nexts: dict[str, dict[History, list[Event]]] = {}
+    for a in hs.agents:
         pool = set(hs.histories(a))
-        per_history: dict[History, list[Event]] = {}
-        for h in pool:
-            per_history[h] = sorted(
-                h2[-1] for h2 in pool if len(h2) == len(h) + 1 and h2[: len(h)] == h
-            )
-        options[a] = per_history
+        nexts[a] = {
+            h: sorted(h2[-1] for h2 in pool if len(h2) == len(h) + 1 and h2[: len(h)] == h)
+            for h in pool
+        }
 
-    start = RunPrefix.of([GlobalState.empty(agents)])
-    frontier: list[RunPrefix] = [start]
-    budget.tick()
-    for _ in range(horizon):
-        next_frontier: list[RunPrefix] = []
-        for run in frontier:
-            g = run.final()
-            choices = []
-            for a, h in g.items():
-                choices.append([None] + [(a, e) for e in options[a][h]])
-            for combo in product(*choices):
-                g2 = g.extend({a: e for pick in combo if pick for a, e in [pick]})
-                if mp2_problem(g2, mp2) is not None:
-                    continue
-                budget.tick()
-                next_frontier.append(RunPrefix(run.states + (g2,)))
-        frontier = next_frontier
-    return frozenset(frontier)
+    def successors(g: GlobalState, _):
+        options = {a: nexts[a][h] for a, h in g.items()}
+        return [(g2, None) for g2 in joint_round(g, options)]
+
+    return explore((GlobalState.empty(hs.agents), None), successors, horizon, budget)
 
 
 def extract_histories(runs: Iterable[RunPrefix]) -> HistorySet:

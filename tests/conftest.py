@@ -1,16 +1,42 @@
 from __future__ import annotations
 
 import pathlib
+from itertools import product
 
 import pytest
 
+from strandlab.core import GlobalState, recv, sent
 from strandlab.documents import load_document
+from strandlab.systems import RunPrefix, check_mp
 
 FIXTURES = pathlib.Path(__file__).resolve().parent.parent / "fixtures"
 
 
 def fixture_path(name: str) -> pathlib.Path:
     return FIXTURES / f"{name}.json"
+
+
+def brute_force_runs(agents, universe, horizon, admissible):
+    """Reference run enumeration, slow and independent of `explore`.
+
+    Every run is extended by every per-agent stutter or one-event append
+    over the whole universe, and kept when ``admissible(g, g2)`` accepts
+    its last round and the run passes MP1-MP3.  Both filters are closed
+    under prefixes, so pruning level by level drops no complete run.
+    """
+    events = [e for u in sorted(universe) for e in (sent(u), recv(u))]
+    runs = [RunPrefix.of([GlobalState.empty(agents)])]
+    for _ in range(horizon):
+        extended = []
+        for run in runs:
+            g = run.final()
+            for combo in product([None, *events], repeat=len(g.agents)):
+                g2 = g.extend({a: e for a, e in zip(g.agents, combo) if e is not None})
+                longer = RunPrefix(run.states + (g2,))
+                if admissible(g, g2) and check_mp(universe, agents, longer).ok:
+                    extended.append(longer)
+        runs = extended
+    return frozenset(runs)
 
 
 @pytest.fixture(scope="session")

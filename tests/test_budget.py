@@ -1,0 +1,82 @@
+"""Every enumerator honours the state budget, whether or not its step graph
+is already cached."""
+
+from __future__ import annotations
+
+import pytest
+
+from strandlab import chains
+from strandlab.budget import StateBudget
+from strandlab.bundles import enumerate_bundles
+from strandlab.chains import enumerate_chain_prefixes, step_graph, translate
+from strandlab.cli import main
+from strandlab.errors import BudgetExceededError
+from strandlab.protocols import generate_runs
+from strandlab.systems import generate_system
+
+from conftest import fixture_path
+
+
+@pytest.fixture
+def cold_cache(monkeypatch):
+    monkeypatch.setattr(chains, "_GRAPH_CACHE", {})
+
+
+def graph_cost(space, conf, max_nodes) -> int:
+    budget = StateBudget()
+    step_graph(space, conf, max_nodes, budget)
+    return budget.used
+
+
+def test_enumerate_bundles(r1_space):
+    with pytest.raises(BudgetExceededError):
+        enumerate_bundles(r1_space.space, None, 8, budget=StateBudget(5))
+
+
+def test_step_graph_cold(r1_space, cold_cache):
+    with pytest.raises(BudgetExceededError):
+        step_graph(r1_space.space, None, 8, StateBudget(5))
+
+
+def test_step_graph_cache_hit_is_charged(r1_space, cold_cache):
+    cold = StateBudget()
+    step_graph(r1_space.space, None, 8, cold)
+    warm = StateBudget()
+    graph = step_graph(r1_space.space, None, 8, warm)
+    assert len(graph.bundles) == 25
+    assert warm.used == cold.used > 0
+    with pytest.raises(BudgetExceededError):
+        step_graph(r1_space.space, None, 8, StateBudget(5))
+
+
+def test_translate(r1_space):
+    # enough for the step graph, not for the runs at horizon 4
+    budget = StateBudget(graph_cost(r1_space.space, None, 8) + 10)
+    with pytest.raises(BudgetExceededError):
+        translate(r1_space.space, None, 4, 8, budget=budget)
+
+
+def test_enumerate_chain_prefixes(r1_space):
+    budget = StateBudget(graph_cost(r1_space.space, None, 8) + 10)
+    with pytest.raises(BudgetExceededError):
+        enumerate_chain_prefixes(r1_space.space, None, 4, 8, budget=budget)
+
+
+def test_generate_system(r1_system):
+    with pytest.raises(BudgetExceededError):
+        generate_system(r1_system.histories, 6, budget=StateBudget(10))
+
+
+def test_generate_runs(nack_protocol):
+    with pytest.raises(BudgetExceededError):
+        generate_runs(nack_protocol.protocol, 6, budget=StateBudget(10))
+
+
+def test_cli_budget_error_is_a_usage_error(monkeypatch, capsys):
+    monkeypatch.setenv("STRANDLAB_MAX_STATES", "10")
+    space, system = fixture_path("r1_space"), fixture_path("r1_system")
+    code = main(["check", "--theorem", "3", str(space), str(system)])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("error:")
+    assert "Traceback" not in err

@@ -204,12 +204,17 @@ class TestTranslate:
         for run in translate(space, None, 5, 6):
             assert check_mp(space.messages(), space.agents, run).ok
 
-    def test_translate_agrees_with_chain_enumeration(self, nack_space):
-        space = nack_space.space
-        via_chains = {
-            run_from_chain(c) for c in enumerate_chain_prefixes(space, None, 3, 6)
-        }
-        assert translate(space, None, 3, 6) == frozenset(via_chains)
+    def test_translate_agrees_with_chain_enumeration(
+        self, nack_space, r1_space, r1_t5_space
+    ):
+        # the explorer against reading off every chain, conflicts included
+        for doc in (nack_space, r1_space, r1_t5_space):
+            space, conf = doc.space, doc.conf
+            n = space.node_count()
+            via_chains = {
+                run_from_chain(c) for c in enumerate_chain_prefixes(space, conf, 3, n)
+            }
+            assert translate(space, conf, 3, n) == frozenset(via_chains)
 
 
 class TestLemmaBounds:

@@ -216,9 +216,38 @@ class TestCheck:
         assert run_cli("check", "--lemma", n, fixture_path(fixture)) == 0
         assert capsys.readouterr().out.startswith("PASS")
 
+    def test_default_max_nodes_covers_the_whole_space(self, tmp_path, capsys):
+        # a 3-spoke relay has 12 nodes; a smaller default cap would truncate
+        # the enumeration and turn theorem 1 into a false FAIL
+        strands = []
+        for i in range(1, 4):
+            strands.append({"id": f"h{i}", "agent": "hub", "trace": [f"+q{i}", f"-r{i}"]})
+            strands.append(
+                {"id": f"s{i}", "agent": f"spoke{i}", "trace": [f"-q{i}", f"+r{i}"]}
+            )
+        relay3 = {
+            "kind": "space",
+            "messages": [f"{m}{i}" for m in "qr" for i in range(1, 4)],
+            "agents": ["hub", "spoke1", "spoke2", "spoke3"],
+            "strands": strands,
+        }
+        path = tmp_path / "relay3.json"
+        path.write_text(json.dumps(relay3))
+        assert run_cli("check", "--theorem", 1, path, "--horizon", 4) == 0
+        assert capsys.readouterr().out.startswith("PASS")
+
     def test_theorem_4_needs_conflicts(self, capsys):
         assert run_cli("check", "--theorem", 4, fixture_path("r1_space")) == 2
-        assert "extended space" in capsys.readouterr().err
+        assert capsys.readouterr().err == (
+            "error: theorem 4 needs an extended space (with conflicts)\n"
+        )
+
+    def test_wrong_document_kind_is_usage_error(self, capsys):
+        swapped = (fixture_path("r1_system"), fixture_path("r1_space"))
+        assert run_cli("check", "--theorem", 3, *swapped) == 2
+        assert capsys.readouterr().err == (
+            "error: a space file required, got a SystemDocument\n"
+        )
 
     def test_theorem_7_rejects_non_monotone(self, capsys):
         assert run_cli("check", "--theorem", 7, fixture_path("nack_protocol")) == 2

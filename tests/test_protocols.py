@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from conftest import brute_force_runs
 from strandlab.core import GlobalState, recv, sent
 from strandlab.errors import InputError
 from strandlab.protocols import (
@@ -173,6 +174,24 @@ class TestGenerateRuns:
     def test_horizon_zero(self, nack_protocol):
         # [TRIVIAL]
         assert len(generate_runs(nack_protocol.protocol, 0)) == 1
+
+    @pytest.mark.parametrize("name", ["nack_protocol", "u1u2u3_protocol"])
+    def test_matches_brute_force(self, request, name):
+        # the explorer against the slow reference: every appended send is
+        # one the protocol allows, receives are free, MP1-MP3 hold
+        jp = request.getfixturevalue(name).protocol
+
+        def admissible(g, g2):
+            return all(
+                h2 == h
+                or h2[-1].kind == "recv"
+                or send(h2[-1].message) in eval_protocol(jp.spec(a), h)
+                for (a, h), (_, h2) in zip(g.items(), g2.items())
+            )
+
+        for horizon in range(5):
+            expected = brute_force_runs(jp.agents, jp.messages, horizon, admissible)
+            assert generate_runs(jp, horizon) == expected
 
     def test_runs_satisfy_mp(self, nack_protocol):
         jp = nack_protocol.protocol

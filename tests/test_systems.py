@@ -6,6 +6,7 @@ import pytest
 
 from strandlab.core import GlobalState, Strand, StrandSpace, positive, recv, sent
 from strandlab.errors import InputError
+from conftest import brute_force_runs
 from strandlab.systems import (
     MP2_LITERAL,
     MP2_STRONG,
@@ -133,6 +134,19 @@ class TestGenerateSystem:
                 run.states[: at + 1] + (run.states[at],) + run.states[at + 1 :]
             )
             assert padded in longer
+
+    @pytest.mark.parametrize("name", ["r1_system", "nack_system"])
+    def test_matches_brute_force(self, request, name):
+        # the explorer against the slow reference: all histories in hs, MP1-MP3
+        hs = request.getfixturevalue(name).histories
+        admitted = {a: set(hs.histories(a)) for a in hs.agents}
+
+        def admissible(g, g2):
+            return all(h in admitted[a] for a, h in g2.items())
+
+        for horizon in range(5):
+            expected = brute_force_runs(hs.agents, hs.messages(), horizon, admissible)
+            assert generate_system(hs, horizon) == expected
 
 
 class TestExtractHistories:
