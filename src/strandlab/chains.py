@@ -20,8 +20,13 @@ A useful consequence of clause 1 is that the per-agent multiset of node
 terms of B1 reappears in B2, so the event of a step does not depend on
 which witness f is found.
 
-`step_graph` is cached per process, and a hit charges the budget what the
-graph cost to build.  `translate` runs `systems.explore` over its edges.
+`check_step` is the one definition of a step.  `step_graph` builds the
+whole step relation with it, trying each bundle only against the bundles
+whose per-agent node counts are its own plus at most one per agent (the
+pairs clause 3 allows), so its edges and witnesses are those of a scan
+over every pair.  It is cached per process, and a hit charges the budget
+what the graph cost to build.  `translate` runs `systems.explore` over
+its edges.
 """
 
 from __future__ import annotations
@@ -107,17 +112,8 @@ def _injections(sources: list, targets_per_source: list[list]) -> list[dict]:
     return out
 
 
-def check_step(
-    space: StrandSpace,
-    b1: Bundle,
-    b2: Bundle,
-    force_identity: bool = False,
-) -> StepWitness | None:
-    """Search for a witness that b1 steps to b2; None when there is none.
-
-    ``force_identity`` restricts the search to f = identity, for spaces
-    where moving a prefix between strands is not wanted.
-    """
+def check_step(space: StrandSpace, b1: Bundle, b2: Bundle) -> StepWitness | None:
+    """Search for a witness that b1 steps to b2; None when there is none."""
     h1, h2 = b1.height_map, b2.height_map
     counts1 = _agent_node_counts(space, b1)
     counts2 = _agent_node_counts(space, b2)
@@ -135,14 +131,10 @@ def check_step(
         targets: list[list[str]] = []
         for sid in sources:
             prefix = space.strand(sid).trace[: h1[sid]]
-            if force_identity:
-                pool = [space.strand(sid)]
-            else:
-                pool = space.strands_of(agent)
             targets.append(
                 [
                     t.id
-                    for t in pool
+                    for t in space.strands_of(agent)
                     if h2.get(t.id, 0) >= h1[sid] and t.trace[: h1[sid]] == prefix
                 ]
             )
@@ -167,7 +159,6 @@ def check_step(
                 for t in space.strands_of(agent):
                     height = h2.get(t.id, 0)
                     if height > covered.get(t.id, 0):
-                        node = Node(t.id, height)
                         event = term_to_event(t.trace[height - 1])
                         extensions.append((agent, t.id, event))
                         break
@@ -175,90 +166,6 @@ def check_step(
                 f=tuple(sorted(f.items())), extensions=tuple(extensions)
             )
     return None
-
-
-def _identity_successors(
-    space: StrandSpace,
-    conf: ConflictRelation | None,
-    b: Bundle,
-    max_nodes: int,
-) -> list[tuple[Bundle, StepWitness]]:
-    """Constructive successor generation for identity-assigned spaces.
-
-    With each strand its own agent, the witnessing bijection is forced to
-    be the identity, so every successor extends the bundle in place: a
-    subset of strands each grows by one node, and each new receive node is
-    matched to a previously unmatched (or same-round new) send.
-    """
-    heights = b.height_map
-    active = set(b.active_strands())
-    used_senders = {sender for sender, _ in b.edges}
-    growable = [s for s in space.strands if heights.get(s.id, 0) < len(s)]
-    out: list[tuple[Bundle, StepWitness]] = []
-
-    f = tuple((sid, sid) for sid in b.active_strands())
-    for k in range(len(growable) + 1):
-        for subset in itertools.combinations(growable, k):
-            if b.node_count() + k > max_nodes:
-                continue
-            newly_active = [s.id for s in subset if s.id not in active]
-            if conf is not None:
-                pool = active | set(newly_active)
-                if any(
-                    conf.conflicts(s1, s2)
-                    for s1 in newly_active
-                    for s2 in pool
-                    if s1 != s2
-                ):
-                    continue
-            new_heights = dict(heights)
-            new_nodes: list[tuple[Node, str, bool]] = []  # node, message, is_send
-            for s in subset:
-                i = heights.get(s.id, 0) + 1
-                new_heights[s.id] = i
-                term = s.trace[i - 1]
-                new_nodes.append((Node(s.id, i), term.message, term.positive))
-
-            free_sends: dict[str, list[Node]] = {}
-            for sid, h in new_heights.items():
-                for i in range(1, h + 1):
-                    node = Node(sid, i)
-                    term = space.strand(sid).trace[i - 1]
-                    if term.positive and node not in used_senders:
-                        free_sends.setdefault(term.message, []).append(node)
-            recvs_by_msg: dict[str, list[Node]] = {}
-            for node, msg, is_send in new_nodes:
-                if not is_send:
-                    recvs_by_msg.setdefault(msg, []).append(node)
-
-            per_message = []
-            feasible = True
-            for msg in sorted(recvs_by_msg):
-                receivers = recvs_by_msg[msg]
-                senders = sorted(free_sends.get(msg, []))
-                if len(senders) < len(receivers):
-                    feasible = False
-                    break
-                per_message.append(
-                    [
-                        tuple(zip(chosen, receivers))
-                        for chosen in itertools.permutations(senders, len(receivers))
-                    ]
-                )
-            if not feasible:
-                continue
-
-            extensions = tuple(
-                sorted(
-                    (s.id, s.id, term_to_event(s.trace[new_heights[s.id] - 1]))
-                    for s in subset
-                )
-            )
-            witness = StepWitness(f=f, extensions=extensions)
-            for combo in itertools.product(*per_message):
-                edges = b.edges | {e for group in combo for e in group}
-                out.append((Bundle.of(new_heights, edges), witness))
-    return out
 
 
 @dataclass(frozen=True)
@@ -282,7 +189,12 @@ def step_graph(
     max_nodes: int = 8,
     budget: StateBudget | None = None,
 ) -> StepGraph:
-    """All bundles within max_nodes with their step successors.  A cache
+    """All bundles within max_nodes with their step successors.
+
+    `check_step` alone decides each edge.  It is asked only about pairs it
+    would not reject at clause 3: bundles are bucketed by their per-agent
+    node counts, and each b1 is tried against the buckets of its counts
+    plus a 0/1 vector over the agents, one budget tick per call.  A cache
     hit charges the budget what the graph cost, as a cold call would."""
     budget = ensure(budget)
     key = (space, conf, max_nodes)
@@ -292,22 +204,21 @@ def step_graph(
         return graph
     used_before = budget.used
     bundles = enumerate_bundles(space, conf, max_nodes, budget=budget)
+    counts = {b: tuple(_agent_node_counts(space, b).values()) for b in bundles}
+    by_counts: dict[tuple[int, ...], list[Bundle]] = {}
+    for b, c in counts.items():
+        by_counts.setdefault(c, []).append(b)
     successors: dict[Bundle, tuple] = {}
-    if space.is_identity_assigned():
-        for b in bundles:
-            succ = _identity_successors(space, conf, b, max_nodes)
-            budget.tick(len(succ) or 1)
-            succ.sort(key=lambda pair: pair[0].sort_key())
-            successors[b] = tuple(succ)
-    else:
-        for b1 in bundles:
-            succ = []
-            for b2 in bundles:
+    for b1 in bundles:
+        succ = []
+        for grown in itertools.product(*((c, c + 1) for c in counts[b1])):
+            for b2 in by_counts.get(grown, ()):
                 budget.tick()
                 witness = check_step(space, b1, b2)
                 if witness is not None:
                     succ.append((b2, witness))
-            successors[b1] = tuple(succ)
+        succ.sort(key=lambda pair: pair[0].sort_key())
+        successors[b1] = tuple(succ)
     graph = StepGraph(bundles=bundles, successors=successors)
     _GRAPH_CACHE[key] = (graph, budget.used - used_before)
     return graph

@@ -145,9 +145,24 @@ class StrandSpace:
     _by_id: Mapping[str, Strand] = field(
         init=False, repr=False, compare=False, hash=False, default=None
     )
+    _agent_by_id: Mapping[str, str] = field(
+        init=False, repr=False, compare=False, hash=False, default=None
+    )
+    _by_agent: Mapping[str, tuple[Strand, ...]] = field(
+        init=False, repr=False, compare=False, hash=False, default=None
+    )
 
     def __post_init__(self):
+        amap = dict(self.assignment)
+        by_agent: dict[str, list[Strand]] = {}
+        for s in self.strands:
+            if s.id in amap:
+                by_agent.setdefault(amap[s.id], []).append(s)
         object.__setattr__(self, "_by_id", {s.id: s for s in self.strands})
+        object.__setattr__(self, "_agent_by_id", amap)
+        object.__setattr__(
+            self, "_by_agent", {a: tuple(ss) for a, ss in by_agent.items()}
+        )
 
     @classmethod
     def of(
@@ -188,11 +203,10 @@ class StrandSpace:
 
     def agent_of(self, sid: str) -> str:
         self.strand(sid)
-        return self.assignment_map[sid]
+        return self._agent_by_id[sid]
 
-    def strands_of(self, agent: str) -> list[Strand]:
-        amap = self.assignment_map
-        return [s for s in self.strands if amap.get(s.id) == agent]
+    def strands_of(self, agent: str) -> tuple[Strand, ...]:
+        return self._by_agent.get(agent, ())
 
     def messages(self) -> frozenset[str]:
         return frozenset(t.message for s in self.strands for t in s.trace)

@@ -5,6 +5,9 @@ from itertools import product
 
 import pytest
 
+from strandlab import chains
+from strandlab.bundles import enumerate_bundles
+from strandlab.chains import check_step
 from strandlab.core import GlobalState, recv, sent
 from strandlab.documents import load_document
 from strandlab.systems import RunPrefix, check_mp
@@ -37,6 +40,26 @@ def brute_force_runs(agents, universe, horizon, admissible):
                     extended.append(longer)
         runs = extended
     return frozenset(runs)
+
+
+def pairwise_step_graph(space, conf, max_nodes):
+    """Reference step relation: `check_step` on every ordered pair of
+    enumerated bundles, successors kept in enumeration order."""
+    bundles = enumerate_bundles(space, conf, max_nodes)
+    successors = {}
+    for b1 in bundles:
+        succ = []
+        for b2 in bundles:
+            witness = check_step(space, b1, b2)
+            if witness is not None:
+                succ.append((b2, witness))
+        successors[b1] = tuple(succ)
+    return successors
+
+
+@pytest.fixture
+def cold_cache(monkeypatch):
+    monkeypatch.setattr(chains, "_GRAPH_CACHE", {})
 
 
 @pytest.fixture(scope="session")

@@ -8,18 +8,18 @@ import pytest
 from strandlab import chains
 from strandlab.budget import StateBudget
 from strandlab.bundles import enumerate_bundles
-from strandlab.chains import enumerate_chain_prefixes, step_graph, translate
+from strandlab.chains import (
+    check_step,
+    enumerate_chain_prefixes,
+    step_graph,
+    translate,
+)
 from strandlab.cli import main
 from strandlab.errors import BudgetExceededError
 from strandlab.protocols import generate_runs
 from strandlab.systems import generate_system
 
 from conftest import fixture_path
-
-
-@pytest.fixture
-def cold_cache(monkeypatch):
-    monkeypatch.setattr(chains, "_GRAPH_CACHE", {})
 
 
 def graph_cost(space, conf, max_nodes) -> int:
@@ -36,6 +36,23 @@ def test_enumerate_bundles(r1_space):
 def test_step_graph_cold(r1_space, cold_cache):
     with pytest.raises(BudgetExceededError):
         step_graph(r1_space.space, None, 8, StateBudget(5))
+
+
+def test_step_graph_successor_phase(r1_space, cold_cache, monkeypatch):
+    # enough for the bundles, then one tick per check_step call runs out
+    space = r1_space.space
+    limit = len(enumerate_bundles(space, None, 8)) + 3
+    enumerate_bundles(space, None, 8, budget=StateBudget(limit))
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return check_step(*args)
+
+    monkeypatch.setattr(chains, "check_step", counted)
+    with pytest.raises(BudgetExceededError):
+        step_graph(space, None, 8, StateBudget(limit))
+    assert len(calls) == 3
 
 
 def test_step_graph_cache_hit_is_charged(r1_space, cold_cache):

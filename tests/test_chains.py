@@ -10,11 +10,23 @@ from strandlab.chains import (
     enumerate_chain_prefixes,
     hist,
     run_from_chain,
+    step_graph,
     translate,
 )
 from strandlab.core import Node, Strand, StrandSpace, negative, positive, recv, sent
 from strandlab.errors import InputError
 from strandlab.systems import check_mp
+
+from conftest import pairwise_step_graph
+
+
+def prefix_jump_space() -> StrandSpace:
+    """One agent with strands +u and +u,+v: a step may move the +u prefix."""
+    return StrandSpace.of(
+        [Strand("s", (positive("u"),)), Strand("sp", (positive("u"), positive("v")))],
+        ["a"],
+        {"s": "a", "sp": "a"},
+    )
 
 
 def build_chain(space, bundles) -> ChainPrefix:
@@ -57,26 +69,11 @@ class TestCheckStep:
 
     def test_prefix_jump_between_same_agent_strands(self):
         # [PAPER] the witnessing bijection may move a prefix to a longer strand
-        space = StrandSpace.of(
-            [Strand("s", (positive("u"),)), Strand("sp", (positive("u"), positive("v")))],
-            ["a"],
-            {"s": "a", "sp": "a"},
-        )
+        space = prefix_jump_space()
         witness = check_step(space, Bundle.of({"s": 1}), Bundle.of({"sp": 2}))
         assert witness is not None
         assert dict(witness.f)["s"] == "sp"
         assert witness.extensions == (("a", "sp", sent("v")),)
-
-    def test_force_identity_blocks_the_jump(self):
-        space = StrandSpace.of(
-            [Strand("s", (positive("u"),)), Strand("sp", (positive("u"), positive("v")))],
-            ["a"],
-            {"s": "a", "sp": "a"},
-        )
-        assert (
-            check_step(space, Bundle.of({"s": 1}), Bundle.of({"sp": 2}), force_identity=True)
-            is None
-        )
 
     def test_two_node_jump_rejected(self, r1_space):
         # growing an agent by two nodes in one step is not a step
@@ -101,6 +98,32 @@ class TestCheckStep:
             {"w1": 1, "w2": 1, "r": 1}, [(Node("w2", 1), Node("r", 1))]
         )
         assert check_step(space, b1, b2) is None
+
+
+class TestStepGraph:
+    def test_matches_pairwise_check_step(
+        self, r1_space, r1_t5_space, nack_space, ping_space, cold_cache
+    ):
+        # the count-bucketed step graph against check_step on every pair:
+        # same successors, same order, same witnesses
+        ring3 = StrandSpace.identity(
+            Strand(f"a{i}", (positive(f"m{i}"), negative(f"m{(i - 1) % 3}")))
+            for i in range(3)
+        )
+        cases = [
+            (r1_space.space, None),
+            (r1_t5_space.space, r1_t5_space.conf),
+            (nack_space.space, None),
+            (ping_space.space, None),
+            (r1_space.space.with_identity_assignment(), None),
+            (nack_space.space.with_identity_assignment(), None),
+            (ring3, None),
+            (prefix_jump_space(), None),
+        ]
+        for space, conf in cases:
+            n = space.node_count()
+            graph = step_graph(space, conf, n)
+            assert graph.successors == pairwise_step_graph(space, conf, n)
 
 
 class TestChainEnumeration:
