@@ -26,7 +26,10 @@ whose per-agent node counts are its own plus at most one per agent (the
 pairs clause 3 allows), so its edges and witnesses are those of a scan
 over every pair.  It is cached per process, and a hit charges the budget
 what the graph cost to build.  `translate` runs `systems.explore` over
-its edges.
+its edges; the run automaton it returns has one node per global state
+and set of bundles that chains of the same run prefix can be at, so its
+size follows the distinct such pairs per round, not the number of
+prefixes.
 """
 
 from __future__ import annotations
@@ -44,7 +47,7 @@ from .bundles import (
 )
 from .core import Event, GlobalState, History, Node, StrandSpace, term_to_event
 from .errors import InputError
-from .systems import RunPrefix, explore
+from .systems import RunAutomaton, RunPrefix, explore
 
 
 @dataclass(frozen=True)
@@ -299,13 +302,15 @@ def translate(
     horizon: int = 0,
     max_nodes: int = 8,
     budget: StateBudget | None = None,
-) -> frozenset[RunPrefix]:
+) -> RunAutomaton:
     """The run prefixes of all chains of the space, at the given horizon.
 
     Rather than materializing every chain, the search tracks, per run
-    prefix, the set of bundles its chains can currently be at.  A prefix's
-    next states are the step edges out of that set, grouped by the event
-    map they perform; each group's targets form the next bundle set.
+    prefix, the set of bundles its chains can currently be at, and
+    prefixes that end in the same global state and bundle set share one
+    automaton node.  A node's next states are the step edges out of its
+    bundle set, grouped by the event map they perform; each group's
+    targets form the next bundle set.
     """
     if horizon < 0:
         raise InputError("horizon must be non-negative")
@@ -321,4 +326,4 @@ def translate(
         return [(g.extend(dict(key)), frozenset(bs)) for key, bs in groups.items()]
 
     start = (GlobalState.empty(space.agents), frozenset({EMPTY_BUNDLE}))
-    return explore(start, successors, horizon, budget)
+    return explore([start], successors, horizon, budget)

@@ -34,11 +34,12 @@ from .errors import InputError
 from .protocols import JointProtocol, generate_runs
 from .systems import (
     HistorySet,
+    RunAutomaton,
     RunPrefix,
     check_history_preserving,
-    check_mp,
     extract_histories,
     generate_system,
+    mp_violations,
     systems_equal,
 )
 
@@ -68,7 +69,7 @@ def node_cap(space: StrandSpace, max_nodes: int | None) -> int:
 
 
 def strand_system_property(
-    runs: frozenset[RunPrefix],
+    runs: Iterable[RunPrefix],
     universe: Iterable[str],
     agents: Iterable[str],
     horizon: int,
@@ -77,10 +78,11 @@ def strand_system_property(
 ) -> CheckResult:
     """The runs pass MP1-MP3 and are regenerated exactly by the system of
     their own extracted histories."""
+    runs = RunAutomaton.of(runs)
     lines = [f"{len(runs)} run prefixes at horizon {horizon}"]
-    bad = [r for r in runs if not check_mp(universe, agents, r).ok]
+    bad = mp_violations(universe, agents, runs)
     if bad:
-        lines.append(f"{len(bad)} runs violate MP1-MP3, e.g. {_describe_run(bad[0])}")
+        lines.append(f"{len(bad)} runs violate MP1-MP3, e.g. {_describe_run(bad.least())}")
         return CheckResult(name, False, tuple(lines))
     lines.append("all runs satisfy MP1-MP3")
     regen = generate_system(extract_histories(runs), horizon, budget=budget)
@@ -120,7 +122,7 @@ def theorem_2(
     max_nodes = node_cap(ident, max_nodes)
     budget = ensure(budget)
     runs = translate(ident, None, horizon, max_nodes, budget=budget)
-    states = {g for run in runs for g in run.states}
+    states = runs.occurring_states()
     bundles = enumerate_bundles(ident, None, max_nodes, budget=budget)
     lines = [f"{len(states)} occurring states, {len(bundles)} bundles"]
     orphan_states = [
@@ -187,15 +189,15 @@ def theorem_3(
         ok = False
         lines.append("translation is not a strict superset of the system")
     else:
-        witnesses = [
-            r
-            for r in eq.only_in_a
-            if any(len(h) == 4 for g in r.states for _, h in g.items())
-        ]
-        if witnesses:
-            lines.append(
-                f"translation adds runs, e.g. {_describe_run(witnesses[0])}"
-            )
+        # histories never shrink and grow by one event a round at most, so
+        # a run passes a four-event history exactly when its final state
+        # holds a history of four or more events
+        last = eq.only_in_a.horizon
+        witness = eq.only_in_a.restrict(
+            lambda d, g: d < last or any(len(h) >= 4 for _, h in g.items())
+        ).least()
+        if witness is not None:
+            lines.append(f"translation adds runs, e.g. {_describe_run(witness)}")
         else:
             ok = False
             lines.append("superset witness lacks a four-event history")

@@ -41,6 +41,7 @@ validators, which report rather than throw.
 from __future__ import annotations
 
 import json
+from collections.abc import Set as AbstractSet
 from dataclasses import dataclass
 from typing import Any
 
@@ -58,7 +59,7 @@ from .protocols import (
     UnionSpec,
     send,
 )
-from .systems import HistorySet, RunPrefix
+from .systems import HistorySet, RunAutomaton, RunPrefix
 
 KINDS = ("space", "extended-space", "system", "protocol", "runs", "bundles", "chains")
 
@@ -130,7 +131,7 @@ class ProtocolDocument:
 class RunsDocument:
     agents: tuple[str, ...]
     horizon: int
-    runs: frozenset[RunPrefix]
+    runs: AbstractSet[RunPrefix]
 
 
 @dataclass(frozen=True)
@@ -440,7 +441,7 @@ def dump_runs(doc: RunsDocument) -> str:
             "agents": list(doc.agents),
             "horizon": doc.horizon,
             "runs": [
-                [_state_body(g) for g in run.states] for run in sorted(doc.runs)
+                [_state_body(g) for g in run.states] for run in RunAutomaton.of(doc.runs)
             ],
         }
     )

@@ -30,7 +30,7 @@ from typing import Iterable, Mapping
 from .budget import StateBudget
 from .core import Event, GlobalState, History, recv, sent
 from .errors import InputError
-from .systems import RunPrefix, explore, joint_round
+from .systems import RunAutomaton, explore, joint_round
 
 
 @dataclass(frozen=True, order=True)
@@ -191,10 +191,10 @@ def generate_runs(
     jp: JointProtocol,
     horizon: int,
     budget: StateBudget | None = None,
-) -> frozenset[RunPrefix]:
+) -> RunAutomaton:
     """All run prefixes the joint protocol can generate from empty start."""
     return explore(
-        (GlobalState.empty(jp.agents), None),
+        [(GlobalState.empty(jp.agents), None)],
         lambda g, _: [(g2, None) for g2 in tau_step(jp, g)],
         horizon,
         budget,

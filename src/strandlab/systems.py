@@ -20,18 +20,27 @@ runs correspond to bundles, whose receive nodes each have a unique
 sender; run generation uses it, and `check_mp` also offers the literal
 reading for comparison.
 
-Every run set is built by `explore`, which extends run prefixes level by
-level from the all-empty state.  History sets (`generate_system`) and
+A run set is a `RunAutomaton`, a layered DAG whose level-d nodes are
+the distinct (global state, search state) pairs that prefixes reach in d
+rounds; its paths from level 0 to the horizon are the run prefixes.
+`explore` builds every one.  History sets (`generate_system`) and
 protocols (`protocols.generate_runs`) feed it `joint_round`: each agent
 stutters or appends one of its options, and MP2 filters the outcome.
+The prefix tree of a plain set of runs, the runs passing a per-state and
+per-round condition (`RunAutomaton.restrict`, which `mp_violations`
+uses) and the runs of one automaton missing from another
+(`systems_equal`) are explorations too.  Counts, membership, occurring
+states and least witnesses are read off nodes and edges; `RunPrefix`
+values are built only when a caller iterates a set.
 """
 
 from __future__ import annotations
 
 from collections import Counter
+from collections.abc import Set as AbstractSet
 from dataclasses import dataclass
 from itertools import product
-from typing import Callable, Iterable, Mapping
+from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 from .budget import StateBudget, ensure
 from .core import Event, GlobalState, History
@@ -70,6 +79,153 @@ class RunPrefix:
     @property
     def agents(self) -> tuple[str, ...]:
         return self.states[0].agents
+
+
+class RunAutomaton(AbstractSet):
+    """A set of run prefixes of one horizon, as a layered DAG.
+
+    Level d holds the nodes a prefix can be in after d rounds:
+    ``labels[d][i]`` is node i's global state and ``children[d][i]`` its
+    successors at level d + 1, in increasing label order and no two with
+    the same label.  ``accepts[i]`` says whether node i of the last level
+    ends a run.  Each path from a level-0 node to an accepting node
+    spells one run prefix and distinct paths spell distinct prefixes, so
+    the set is its paths: ``len`` counts them, ``in`` follows one, and
+    iteration yields them in increasing `RunPrefix` order, one budget
+    tick per run, holding one at a time.
+    """
+
+    def __init__(
+        self,
+        labels: Sequence[Sequence[GlobalState]],
+        children: Sequence[Sequence[Sequence[int]]],
+        accepts: Sequence[bool],
+        budget: StateBudget,
+    ):
+        self.labels = labels
+        self.children = children
+        self.accepts = accepts
+        self.budget = budget
+        # completions[d][i]: accepted paths from node i to the last level
+        completions = [[int(a) for a in self.accepts]]
+        for level in reversed(children):
+            below = completions[0]
+            completions.insert(0, [sum(below[c] for c in kids) for kids in level])
+        self._completions = completions
+        self._roots = sorted(range(len(labels[0])), key=labels[0].__getitem__)
+        self._maps: dict[tuple[int, int], dict[GlobalState, int]] = {}
+
+    @classmethod
+    def of(cls, runs: Iterable[RunPrefix]) -> "RunAutomaton":
+        """The prefix tree of a run set: `explore` with, as search state,
+        the runs that share the prefix.  An automaton is returned as is."""
+        if isinstance(runs, RunAutomaton):
+            return runs
+        runs = list(runs)
+        horizons = sorted({r.horizon for r in runs})
+        if len(horizons) > 1:
+            raise InputError(f"horizon mismatch: {horizons}")
+
+        def split(d: int, members: Iterable[int]):
+            groups: dict[GlobalState, list[int]] = {}
+            for n in members:
+                groups.setdefault(runs[n].states[d], []).append(n)
+            return [(g, (d, tuple(ns))) for g, ns in groups.items()]
+
+        return explore(
+            split(0, range(len(runs))),
+            lambda g, search: split(search[0] + 1, search[1]),
+            horizons[0] if horizons else 0,
+        )
+
+    @property
+    def horizon(self) -> int:
+        return len(self.labels) - 1
+
+    def __len__(self) -> int:
+        return sum(self._completions[0])
+
+    def __iter__(self) -> Iterator[RunPrefix]:
+        labels, completions, last = self.labels, self._completions, self.horizon
+        states: list[GlobalState] = [None] * (last + 1)  # type: ignore[list-item]
+        stack = [iter(self._roots)]
+        while stack:
+            d = len(stack) - 1
+            i = next((i for i in stack[-1] if completions[d][i]), None)
+            if i is None:
+                stack.pop()
+                continue
+            states[d] = labels[d][i]
+            if d == last:
+                self.budget.tick()
+                yield RunPrefix(tuple(states))
+            else:
+                stack.append(iter(self.children[d][i]))
+
+    def __contains__(self, run: object) -> bool:
+        if not isinstance(run, RunPrefix) or run.horizon != self.horizon:
+            return False
+        i = self._child_map(-1, 0).get(run.states[0])
+        for d, g in enumerate(run.states[1:]):
+            if i is None:
+                return False
+            i = self._child_map(d, i).get(g)
+        return i is not None and self.accepts[i]
+
+    @classmethod
+    def _from_iterable(cls, runs: Iterable[RunPrefix]) -> frozenset[RunPrefix]:
+        # what the Set mixins (&, |, -, ^) build: a plain set
+        return frozenset(runs)
+
+    def _child_map(self, d: int, i: int) -> dict[GlobalState, int]:
+        """Node i of level d's children by label; level -1 is a virtual
+        parent of the level-0 nodes."""
+        found = self._maps.get((d, i))
+        if found is None:
+            kids = self._roots if d < 0 else self.children[d][i]
+            found = self._maps[(d, i)] = {self.labels[d + 1][c]: c for c in kids}
+        return found
+
+    def least(self) -> RunPrefix | None:
+        """The least run, reached by always descending to the least child
+        that still completes; None for the empty set."""
+        return next(iter(self), None)
+
+    def occurring_states(self) -> frozenset[GlobalState]:
+        """Every global state of every run."""
+        completions = self._completions
+        live = [i for i in self._roots if completions[0][i]]
+        out: set[GlobalState] = set()
+        for d, level in enumerate(self.labels):
+            out.update(level[i] for i in live)
+            if d < self.horizon:
+                live = list(
+                    {c for i in live for c in self.children[d][i] if completions[d + 1][c]}
+                )
+        return frozenset(out)
+
+    def restrict(
+        self,
+        state_ok: Callable[[int, GlobalState], bool] = lambda d, g: True,
+        step_ok: Callable[[GlobalState, GlobalState], bool] = lambda g, g2: True,
+    ) -> "RunAutomaton":
+        """The runs whose every state passes ``state_ok(d, g)`` (g the state
+        after d rounds) and every round ``step_ok(g, g2)``."""
+
+        def kept(d: int, g: GlobalState | None, kids: dict[GlobalState, int]):
+            return [
+                (g2, (d, c))
+                for g2, c in kids.items()
+                if state_ok(d, g2) and (g is None or step_ok(g, g2))
+            ]
+
+        return explore(
+            kept(0, None, self._child_map(-1, 0)),
+            lambda g, node: kept(node[0] + 1, g, self._child_map(*node)),
+            self.horizon,
+            self.budget,
+            accepts=lambda node: self.accepts[node[1]],
+        )
 
 
 @dataclass(frozen=True)
@@ -160,6 +316,32 @@ class MPReport:
         return self.mp1 is None and self.mp2 is None and self.mp3 is None
 
 
+def _mp1_problem(
+    universe: frozenset[str], agents: tuple[str, ...], g: GlobalState, m: int
+) -> str | None:
+    """None when the state at time m is a history per agent over the universe."""
+    if g.agents != agents:
+        return f"state at time {m} does not cover the agent set"
+    for a, h in g.items():
+        bad = next((e for e in h if e.message not in universe), None)
+        if bad is not None:
+            return f"agent {a} at time {m}: message {bad.message} not in universe"
+    return None
+
+
+def _mp3_problem(g: GlobalState, g2: GlobalState, m: int) -> str | None:
+    """None when every history of g2, the state at time m, equals or
+    extends by one event its history in g."""
+    for (a, h), (_, h2) in zip(g.items(), g2.items()):
+        if not (h2 == h or (len(h2) == len(h) + 1 and h2[: len(h)] == h)):
+            return f"agent {a} history shrinks or jumps at time {m}"
+    return None
+
+
+def _is_empty(g: GlobalState) -> bool:
+    return not any(h for _, h in g.items())
+
+
 def check_mp(
     universe: Iterable[str],
     agents: Iterable[str],
@@ -171,41 +353,40 @@ def check_mp(
         raise InputError(f"unknown MP2 mode: {mp2!r}")
     universe = frozenset(universe)
     agents = tuple(sorted(set(agents)))
+    states = run.states
 
-    mp1 = None
-    for m, g in enumerate(run.states):
-        if g.agents != agents:
-            mp1 = f"state at time {m} does not cover the agent set"
-            break
-        for a, h in g.items():
-            bad = next((e for e in h if e.message not in universe), None)
-            if bad is not None:
-                mp1 = f"agent {a} at time {m}: message {bad.message} not in universe"
-                break
-        if mp1:
-            break
+    def first(problems) -> str | None:
+        return next((p for p in problems if p is not None), None)
 
-    mp3 = None
-    if any(h for _, h in run.states[0].items()):
+    mp1 = first(_mp1_problem(universe, agents, g, m) for m, g in enumerate(states))
+    if not _is_empty(states[0]):
         mp3 = "initial state is not empty"
     else:
-        for m in range(run.horizon):
-            g, g2 = run.states[m], run.states[m + 1]
-            for (a, h), (_, h2) in zip(g.items(), g2.items()):
-                if not (h2 == h or (len(h2) == len(h) + 1 and h2[: len(h)] == h)):
-                    mp3 = f"agent {a} history shrinks or jumps at time {m + 1}"
-                    break
-            if mp3:
-                break
-
+        mp3 = first(_mp3_problem(states[m - 1], states[m], m) for m in range(1, len(states)))
     mp2_failure = None
-    for m, g in enumerate(run.states):
+    for m, g in enumerate(states):
         problem = mp2_problem(g, mp2)
         if problem is not None:
             mp2_failure = f"at time {m}: {problem}"
             break
-
     return MPReport(mp1=mp1, mp2=mp2_failure, mp3=mp3)
+
+
+def mp_violations(
+    universe: Iterable[str], agents: Iterable[str], runs: Iterable[RunPrefix]
+) -> RunAutomaton:
+    """The runs that fail MP1-MP3 (strong MP2), each condition decided
+    once per automaton node or edge rather than once per run."""
+    runs = RunAutomaton.of(runs)
+    universe = frozenset(universe)
+    agents = tuple(sorted(set(agents)))
+    good = runs.restrict(
+        lambda m, g: _mp1_problem(universe, agents, g, m) is None
+        and mp2_problem(g, MP2_STRONG) is None
+        and (m > 0 or _is_empty(g)),
+        lambda g, g2: _mp3_problem(g, g2, 1) is None,
+    )
+    return systems_equal(runs, good).only_in_a
 
 
 def joint_round(
@@ -227,35 +408,50 @@ def joint_round(
 
 
 def explore(
-    start: tuple[GlobalState, object],
+    starts: Iterable[tuple[GlobalState, object]],
     successors: Callable[[GlobalState, object], Iterable[tuple[GlobalState, object]]],
     horizon: int,
     budget: StateBudget | None = None,
-) -> frozenset[RunPrefix]:
-    """All run prefixes of exactly `horizon` rounds from the pair `start`
-    of initial global state and search state.  ``successors(g, search)``
-    lists distinct (next state, next search state) pairs, so distinct
-    prefixes stay distinct and the frontier needs no deduplication."""
+    accepts: Callable[[object], bool] | None = None,
+) -> RunAutomaton:
+    """All run prefixes of exactly `horizon` rounds from the `starts`,
+    pairs of initial global state and search state, as an automaton whose
+    level-d nodes are the distinct pairs reached in d rounds.
+    ``successors(g, search)`` lists pairs with distinct next global
+    states, so paths and run prefixes correspond one to one.
+    ``accepts(search)``, when given, picks the last-level nodes that end a
+    run.  One budget tick per automaton edge."""
     if horizon < 0:
         raise InputError("horizon must be non-negative")
     budget = ensure(budget)
-    frontier = [((start[0],), start[1])]
-    budget.tick()
+    level: dict[tuple[GlobalState, object], int] = {}
+    for pair in starts:
+        level.setdefault(pair, len(level))
+    labels: list[list[GlobalState]] = [[g for g, _ in level]]
+    children: list[list[list[int]]] = []
     for _ in range(horizon):
-        nxt = []
-        for states, search in frontier:
-            for g2, search2 in successors(states[-1], search):
+        nxt: dict[tuple[GlobalState, object], int] = {}
+        rows = []
+        for g, search in level:
+            row = []
+            for pair in successors(g, search):
                 budget.tick()
-                nxt.append((states + (g2,), search2))
-        frontier = nxt
-    return frozenset(RunPrefix(states) for states, _ in frontier)
+                row.append(nxt.setdefault(pair, len(nxt)))
+            rows.append(row)
+        labels.append([g for g, _ in nxt])
+        for row in rows:
+            row.sort(key=labels[-1].__getitem__)
+        children.append(rows)
+        level = nxt
+    final = [accepts is None or accepts(search) for _, search in level]
+    return RunAutomaton(labels, children, final, budget)
 
 
 def generate_system(
     hs: HistorySet,
     horizon: int,
     budget: StateBudget | None = None,
-) -> frozenset[RunPrefix]:
+) -> RunAutomaton:
     """All run prefixes of the given length whose local states stay in hs.
 
     Each round every agent stutters or appends an event keeping its history
@@ -277,19 +473,18 @@ def generate_system(
         options = {a: nexts[a][h] for a, h in g.items()}
         return [(g2, None) for g2 in joint_round(g, options)]
 
-    return explore((GlobalState.empty(hs.agents), None), successors, horizon, budget)
+    return explore([(GlobalState.empty(hs.agents), None)], successors, horizon, budget)
 
 
 def extract_histories(runs: Iterable[RunPrefix]) -> HistorySet:
     """All local histories occurring anywhere in the given runs."""
-    runs = list(runs)
-    if not runs:
+    states = RunAutomaton.of(runs).occurring_states()
+    if not states:
         raise InputError("cannot extract histories from an empty run set")
     acc: dict[str, set[History]] = {}
-    for run in runs:
-        for g in run.states:
-            for a, h in g.items():
-                acc.setdefault(a, set()).add(h)
+    for g in states:
+        for a, h in g.items():
+            acc.setdefault(a, set()).add(h)
     return HistorySet.of(acc)
 
 
@@ -298,30 +493,51 @@ class EqualityReport:
     """Outcome of a horizon-bounded run-set comparison."""
 
     equal: bool
-    only_in_a: tuple[RunPrefix, ...]
-    only_in_b: tuple[RunPrefix, ...]
+    only_in_a: RunAutomaton
+    only_in_b: RunAutomaton
 
     def witness(self) -> RunPrefix | None:
-        if self.only_in_a:
-            return self.only_in_a[0]
-        if self.only_in_b:
-            return self.only_in_b[0]
-        return None
+        """The least run only in a, else the least only in b."""
+        return self.only_in_a.least() or self.only_in_b.least()
+
+
+def _only_in(x: RunAutomaton, y: RunAutomaton) -> RunAutomaton:
+    """The runs of x that are not runs of y, from the product of the two:
+    each node of x paired with the node of y that the same prefix
+    reaches, or None once y has no such prefix."""
+
+    def paired(d: int, xs: dict[GlobalState, int], ys: dict[GlobalState, int]):
+        return [(g, (d, i, ys.get(g))) for g, i in xs.items()]
+
+    def successors(g: GlobalState, node: tuple):
+        d, i, j = node
+        return paired(d + 1, x._child_map(d, i), {} if j is None else y._child_map(d, j))
+
+    return explore(
+        paired(0, x._child_map(-1, 0), y._child_map(-1, 0)),
+        successors,
+        x.horizon,
+        x.budget,
+        accepts=lambda node: x.accepts[node[1]] and (node[2] is None or not y.accepts[node[2]]),
+    )
 
 
 def systems_equal(
     runs_a: Iterable[RunPrefix], runs_b: Iterable[RunPrefix]
 ) -> EqualityReport:
-    """Set equality of two run-prefix sets at the same horizon."""
-    sa, sb = frozenset(runs_a), frozenset(runs_b)
-    horizons = {r.horizon for r in sa} | {r.horizon for r in sb}
-    if len(horizons) > 1:
-        raise InputError(f"horizon mismatch: {sorted(horizons)}")
-    return EqualityReport(
-        equal=sa == sb,
-        only_in_a=tuple(sorted(sa - sb)),
-        only_in_b=tuple(sorted(sb - sa)),
-    )
+    """Set equality of two run-prefix sets at the same horizon.
+
+    A plain set first becomes its prefix tree.  The runs only in a and
+    only in b are automata read off the product of the two, so their sizes
+    come from path counts and their least runs from a descent, without
+    materializing either set."""
+    a, b = RunAutomaton.of(runs_a), RunAutomaton.of(runs_b)
+    if not a or not b:
+        return EqualityReport(equal=not a and not b, only_in_a=a, only_in_b=b)
+    if a.horizon != b.horizon:
+        raise InputError(f"horizon mismatch: {sorted({a.horizon, b.horizon})}")
+    only_a, only_b = _only_in(a, b), _only_in(b, a)
+    return EqualityReport(equal=not only_a and not only_b, only_in_a=only_a, only_in_b=only_b)
 
 
 def _event_multiset(events: Iterable[Event]) -> tuple[Event, ...]:
@@ -367,11 +583,14 @@ def check_history_preserving(
                     events.append(term_to_event(s.trace[i]))
             bundle_profiles.setdefault((a, _event_multiset(events)), b)
 
+    # the least history per multiset, so the witnesses do not depend on
+    # the order in which states are visited
     run_profiles: dict[tuple[str, tuple[Event, ...]], History] = {}
-    for run in runs:
-        for g in run.states:
-            for a, h in g.items():
-                run_profiles.setdefault((a, _event_multiset(h)), h)
+    for g in RunAutomaton.of(runs).occurring_states():
+        for a, h in g.items():
+            key = (a, _event_multiset(h))
+            if key not in run_profiles or h < run_profiles[key]:
+                run_profiles[key] = h
 
     clause1 = tuple(
         sorted(

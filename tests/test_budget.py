@@ -97,3 +97,15 @@ def test_cli_budget_error_is_a_usage_error(monkeypatch, capsys):
     assert code == 2
     assert err.startswith("error:")
     assert "Traceback" not in err
+
+
+def test_translate_materialization(r1_space):
+    # building the automaton fits; yielding its 75,115 runs, one tick each,
+    # does not
+    cost = StateBudget()
+    translate(r1_space.space, None, 8, 8, budget=cost)
+    runs = translate(r1_space.space, None, 8, 8, budget=StateBudget(cost.used + 10))
+    assert len(runs) == 75_115
+    with pytest.raises(BudgetExceededError):
+        for _ in runs:
+            pass

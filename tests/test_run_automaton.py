@@ -1,0 +1,231 @@
+"""Run sets as automata, checked against the materialized sets they stand for.
+
+Every count, order, difference and witness read off a `RunAutomaton` is
+compared with the same quantity computed from a plain frozenset of
+`RunPrefix` values.
+"""
+
+from __future__ import annotations
+
+import json
+import os
+import pathlib
+import subprocess
+import sys
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import strandlab
+from strandlab.chains import translate
+from strandlab.checks import _describe_run, theorem_3
+from strandlab.constructions import extended_space_from_system, space_from_monotone
+from strandlab.protocols import generate_runs
+from strandlab.systems import RunAutomaton, RunPrefix, generate_system, systems_equal
+
+SRC = pathlib.Path(strandlab.__file__).resolve().parents[1]
+
+
+def reference_equal(runs_a, runs_b):
+    """What `systems_equal` must report, from frozenset operations."""
+    sa, sb = frozenset(runs_a), frozenset(runs_b)
+    return (
+        sa == sb,
+        min(sa - sb, default=None),
+        min(sb - sa, default=None),
+        len(sa - sb),
+        len(sb - sa),
+    )
+
+
+def reported(runs_a, runs_b):
+    eq = systems_equal(runs_a, runs_b)
+    return (
+        eq.equal,
+        eq.only_in_a.least(),
+        eq.only_in_b.least(),
+        len(eq.only_in_a),
+        len(eq.only_in_b),
+    )
+
+
+@pytest.fixture(scope="session")
+def r1_theorem_3_pair(r1_space, r1_system):
+    """Theorem 3's run sets at horizon 8, as automata and materialized."""
+    translated = translate(r1_space.space, None, 8, 8)
+    system = generate_system(r1_system.histories, 8)
+    return translated, system, frozenset(translated), frozenset(system)
+
+
+class TestRunAutomaton:
+    @pytest.mark.parametrize("source", ["r1 translation", "nack protocol", "u1u2u3 protocol"])
+    def test_len_and_order_match_materialized(
+        self, source, r1_space, nack_protocol, u1u2u3_protocol
+    ):
+        make = {
+            "r1 translation": lambda h: translate(r1_space.space, None, h, 8),
+            "nack protocol": lambda h: generate_runs(nack_protocol.protocol, h),
+            "u1u2u3 protocol": lambda h: generate_runs(u1u2u3_protocol.protocol, h),
+        }[source]
+        for horizon in range(9):
+            runs = make(horizon)
+            listed = list(runs)
+            assert len(runs) == len(frozenset(listed)) == len(listed)
+            assert listed == sorted(listed)
+            assert all(r.horizon == horizon for r in listed)
+
+    def test_membership(self, nack_protocol):
+        runs = generate_runs(nack_protocol.protocol, 4)
+        listed = list(runs)
+        assert all(r in runs for r in listed)
+        # one more stutter, a repeated state in place of the last one, and
+        # a non-run are all outside the set
+        last = listed[-1]
+        assert RunPrefix(last.states + (last.final(),)) not in runs
+        assert RunPrefix(last.states[:-1] + (last.states[1],)) not in runs
+        assert "not a run" not in runs
+
+    def test_prefix_tree_of_a_plain_set(self, nack_system):
+        runs = frozenset(generate_system(nack_system.histories, 4))
+        tree = RunAutomaton.of(runs)
+        assert len(tree) == len(runs)
+        assert list(tree) == sorted(runs)
+        assert tree.occurring_states() == {g for r in runs for g in r.states}
+        assert RunAutomaton.of(tree) is tree
+
+    def test_restrict_matches_filtering(self, nack_protocol):
+        runs = generate_runs(nack_protocol.protocol, 5)
+
+        def state_ok(d, g):
+            return len(g.history("1")) < 2
+
+        def step_ok(g, g2):
+            return g2.history("2") == g.history("2") or g.history("1") != ()
+
+        kept = runs.restrict(state_ok, step_ok)
+        expected = [
+            r
+            for r in runs
+            if all(state_ok(d, g) for d, g in enumerate(r.states))
+            and all(step_ok(g, g2) for g, g2 in zip(r.states, r.states[1:]))
+        ]
+        assert 0 < len(expected) < len(runs)
+        assert list(kept) == expected
+
+
+class TestSystemsEqualReference:
+    def test_theorem_3_pair(self, r1_theorem_3_pair):
+        translated, system, sa, sb = r1_theorem_3_pair
+        assert reported(translated, system) == reference_equal(sa, sb)
+
+    def test_theorem_5_pairs(self, r1_system, nack_system):
+        for doc in (r1_system, nack_system):
+            ext = extended_space_from_system(doc.histories)
+            translated = translate(ext.space, ext.conf, 5, ext.space.node_count())
+            generated = generate_system(doc.histories, 5)
+            assert reported(translated, generated) == reference_equal(translated, generated)
+
+    def test_theorem_7_pair(self, u1u2u3_protocol):
+        jp = u1u2u3_protocol.protocol
+        space = space_from_monotone(jp)
+        translated = translate(space, None, 6, space.node_count())
+        generated = generate_runs(jp, 6)
+        assert reported(translated, generated) == reference_equal(translated, generated)
+
+    def test_nack_anomaly(self, nack_space, nack_protocol):
+        naive = translate(nack_space.space, None, 6, 6)
+        runs = generate_runs(nack_protocol.protocol, 6)
+        expected = reference_equal(naive, runs)
+        assert not expected[0]
+        assert reported(naive, runs) == expected
+        assert reported(runs, naive) == reference_equal(runs, naive)
+        eq = systems_equal(naive, runs)
+        assert frozenset(eq.only_in_a) == frozenset(naive) - frozenset(runs)
+        assert list(eq.only_in_b) == sorted(frozenset(runs) - frozenset(naive))
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.data())
+    def test_drawn_subsets(self, nack_system, data):
+        runs = sorted(generate_system(nack_system.histories, 3))
+        subsets = st.lists(st.sampled_from(runs), unique=True, max_size=len(runs))
+        sub_a = frozenset(data.draw(subsets))
+        sub_b = frozenset(data.draw(subsets))
+        assert reported(sub_a, sub_b) == reference_equal(sub_a, sub_b)
+        assert reported(runs, sub_b) == reference_equal(runs, sub_b)
+        eq = systems_equal(sub_a, sub_b)
+        assert list(eq.only_in_a) == sorted(sub_a - sub_b)
+        assert list(eq.only_in_a.restrict()) == sorted(sub_a - sub_b)
+        # a difference automaton accepts only some of its last-level nodes
+        sub_c = frozenset(data.draw(subsets))
+        assert reported(eq.only_in_a, sub_c) == reference_equal(sub_a - sub_b, sub_c)
+        assert reported(sub_c, eq.only_in_a) == reference_equal(sub_c, sub_a - sub_b)
+        only_a, only_b = sub_a - sub_b, sub_b - sub_a
+        assert eq.witness() == (min(only_a) if only_a else min(only_b, default=None))
+
+
+def test_theorem_3_witness_is_the_least_four_event_run(r1_space, r1_system, r1_theorem_3_pair):
+    _, _, sa, sb = r1_theorem_3_pair
+    least = min(
+        r for r in sa - sb if any(len(h) == 4 for g in r.states for _, h in g.items())
+    )
+    result = theorem_3(r1_space.space, r1_system.histories, max_nodes=8)
+    assert result.ok
+    assert f"translation adds runs, e.g. {_describe_run(least)}" in result.lines
+
+
+# Two runs of one agent whose histories hold the same two events in both
+# orders; the least puts recv v first.
+DEMO_STATES = [
+    [{"A": []}, {"A": ["recv v"]}, {"A": ["recv v", "sent w"]}],
+    [{"A": []}, {"A": ["sent w"]}, {"A": ["sent w", "recv v"]}],
+]
+
+
+def _under_seeds(argv, seeds=("1", "2", "3")) -> list[str]:
+    """The stdout of `argv` under each hash seed.  Where a witness was taken
+    in set order, two of these seeds printed different ones, both for a set
+    of runs and for a set of global states."""
+    outputs = []
+    for seed in seeds:
+        env = dict(os.environ, PYTHONHASHSEED=seed)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+        proc = subprocess.run(argv, capture_output=True, text=True, env=env, check=False)
+        assert not proc.stderr
+        outputs.append(proc.stdout)
+    return outputs
+
+
+def test_mp_witness_does_not_depend_on_hash_seed():
+    script = (
+        "from strandlab.checks import strand_system_property\n"
+        "from strandlab.core import GlobalState, Event\n"
+        "from strandlab.systems import RunPrefix\n"
+        f"raw = {DEMO_STATES!r}\n"
+        "runs = frozenset(RunPrefix.of(GlobalState.of({a: [Event(*e.split()) for e in h]"
+        " for a, h in g.items()}) for g in run) for run in raw)\n"
+        "print(strand_system_property(runs, ['v', 'w'], ['A'], 2, 'demo').render())\n"
+    )
+    first, *others = _under_seeds([sys.executable, "-c", script])
+    assert others == [first] * len(others)
+    assert "2 runs violate MP1-MP3, e.g. A: ['recv v', 'sent w']" in first
+
+
+def test_history_preserving_witness_does_not_depend_on_hash_seed(tmp_path):
+    space = {
+        "kind": "space",
+        "messages": ["v", "w"],
+        "agents": ["A"],
+        "strands": [{"id": "s", "agent": "A", "trace": ["+w"]}],
+    }
+    runs = {"kind": "runs", "agents": ["A"], "horizon": 2, "runs": DEMO_STATES}
+    (tmp_path / "space.json").write_text(json.dumps(space))
+    (tmp_path / "runs.json").write_text(json.dumps(runs))
+    argv = [
+        sys.executable, "-m", "strandlab.cli", "check", "--history-preserving",
+        str(tmp_path / "space.json"), str(tmp_path / "runs.json"),
+    ]
+    first, *others = _under_seeds(argv)
+    assert others == [first] * len(others)
+    assert "clause 1: agent A history ['recv v', 'sent w'] matches no bundle" in first
+
