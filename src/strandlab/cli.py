@@ -36,7 +36,13 @@ from .documents import (
     load_document,
 )
 from .protocols import generate_runs
-from .systems import check_history_preserving, check_mp, generate_system, systems_equal
+from .systems import (
+    check_history_preserving,
+    check_mp,
+    generate_system,
+    mp_violations,
+    systems_equal,
+)
 
 EXIT_OK = 0
 EXIT_PROPERTY_FAILED = 1
@@ -99,16 +105,16 @@ def _cmd_validate(args) -> int:
     elif isinstance(doc, ProtocolDocument):
         pass  # construction already enforces the invariants
     elif isinstance(doc, RunsDocument):
+        # the least failing run, found per automaton node and edge
         universe = {
-            e.message for r in doc.runs for g in r.states for _, h in g.items() for e in h
+            e.message for g in doc.runs.occurring_states() for _, h in g.items() for e in h
         }
-        for run in sorted(doc.runs):
-            report = check_mp(universe, doc.agents, run)
+        bad = mp_violations(universe, doc.agents, doc.runs).least()
+        if bad is not None:
+            report = check_mp(universe, doc.agents, bad)
             for label, problem in (("MP1", report.mp1), ("MP2", report.mp2), ("MP3", report.mp3)):
                 if problem:
                     problems.append(f"{label}: {problem}")
-            if problems:
-                break
     for problem in problems:
         print(problem)
     if problems:

@@ -266,9 +266,20 @@ def validate_space(space: StrandSpace) -> SpaceReport:
 
 @dataclass(frozen=True, order=True)
 class GlobalState:
-    """A tuple of per-agent local histories."""
+    """A tuple of per-agent local histories.
+
+    The hash is computed once per object, with the value the generated
+    dataclass hash would give, so set and dict orders do not change."""
 
     locals: tuple[tuple[str, History], ...]  # sorted by agent
+
+    _hash = None  # not a field: set on the instance by the first hash
+
+    def __hash__(self) -> int:
+        h = self._hash
+        if h is None:
+            h = self.__dict__["_hash"] = hash((self.locals,))
+        return h
 
     @classmethod
     def of(cls, mapping: Mapping[str, Iterable[Event]]) -> "GlobalState":

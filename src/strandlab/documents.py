@@ -32,6 +32,13 @@ Signed terms render as "+u"/"-u", events as "sent u"/"recv u", actions as
 collections), so identical values always produce identical bytes, and
 every emitted document parses back to the value it came from.
 
+Runs and chains documents repeat a few distinct values many times, so
+their cost follows the distinct values.  A runs document parses to a
+`RunAutomaton` over shared states: each distinct event and global state
+is built once and every run refers to it.  Dumping a runs or chains
+document encodes each distinct state, bundle or step once and joins the
+text; the bytes are those of one `json.dumps` of the whole body.
+
 Parsing raises SchemaError only for structural problems (bad JSON, wrong
 shapes, unparseable tokens).  Semantic well-formedness — duplicate ids,
 undeclared references, cross-agent conflict pairs — is left to the
@@ -41,9 +48,8 @@ validators, which report rather than throw.
 from __future__ import annotations
 
 import json
-from collections.abc import Set as AbstractSet
 from dataclasses import dataclass
-from typing import Any
+from typing import Any, Callable
 
 from .bundles import Bundle, ConflictRelation
 from .chains import ChainPrefix, StepWitness
@@ -131,7 +137,7 @@ class ProtocolDocument:
 class RunsDocument:
     agents: tuple[str, ...]
     horizon: int
-    runs: AbstractSet[RunPrefix]
+    runs: RunAutomaton
 
 
 @dataclass(frozen=True)
@@ -176,13 +182,24 @@ def _obj(value: Any, what: str) -> dict:
     return value
 
 
+def _list(value: Any, what: str) -> list:
+    _expect(isinstance(value, list), f"{what} must be a list")
+    return value
+
+
+def _nat(value: Any, what: str) -> int:
+    # bool is an int subclass, but true/false is not a count
+    _expect(type(value) is int and value >= 0, f"{what} must be an integer >= 0")
+    return value
+
+
 # --- parsers ------------------------------------------------------------
 
 
 def parse_document(text: str) -> Document:
     try:
         body = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # JSONDecodeError, or an integer too long to convert
         raise SchemaError(f"not valid JSON: {exc}") from exc
     body = _obj(body, "document")
     kind = body.get("kind")
@@ -208,7 +225,7 @@ def load_document(path) -> Document:
     try:
         with open(path, encoding="utf-8") as fh:
             return parse_document(fh.read())
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise SchemaError(f"cannot read {path}: {exc}") from exc
 
 
@@ -217,17 +234,17 @@ def _parse_space(body: dict, kind: str) -> SpaceDocument:
     agents = _str_list(body.get("agents", []), "agents")
     strands = []
     assignment = {}
-    for raw in body.get("strands", []):
+    for raw in _list(body.get("strands", []), "strands"):
         raw = _obj(raw, "strand entry")
         _expect(isinstance(raw.get("id"), str), "strand id must be a string")
         _expect(isinstance(raw.get("agent"), str), "strand agent must be a string")
-        trace = tuple(parse_term(t) for t in raw.get("trace", []))
+        trace = tuple(parse_term(t) for t in _list(raw.get("trace", []), "strand trace"))
         strands.append(Strand(raw["id"], trace))
         assignment[raw["id"]] = raw["agent"]
     conf = None
     if "conflicts" in body or kind == "extended-space":
         pairs = []
-        for pair in body.get("conflicts", []):
+        for pair in _list(body.get("conflicts", []), "conflicts"):
             _expect(
                 isinstance(pair, list)
                 and len(pair) == 2
@@ -247,27 +264,34 @@ def _parse_system(body: dict) -> SystemDocument:
     for agent, entries in histories.items():
         _expect(isinstance(entries, list), f"histories for {agent} must be a list")
         mapping.setdefault(agent, [])
-        mapping[agent] = [tuple(parse_event(e) for e in h) for h in entries]
+        mapping[agent] = [
+            tuple(parse_event(e) for e in _list(h, f"each history of agent {agent}"))
+            for h in entries
+        ]
     return SystemDocument(histories=HistorySet.of(mapping))
 
 
 def _parse_spec(raw: Any) -> ProtocolSpec:
     raw = _obj(raw, "protocol spec")
     if "monotone" in raw:
-        return MonotoneSpec(tuple(parse_event(e) for e in raw["monotone"]))
+        return MonotoneSpec(tuple(parse_event(e) for e in _list(raw["monotone"], "monotone")))
     if "union" in raw:
         members = raw["union"]
         _expect(isinstance(members, list) and members, "union must be a nonempty list")
         return UnionSpec(tuple(_parse_spec(m) for m in members))
     if "table" in raw:
         entries = {}
-        for entry in raw["table"]:
+        for entry in _list(raw["table"], "table"):
             entry = _obj(entry, "table entry")
-            history = tuple(parse_event(e) for e in entry.get("history", []))
-            actions = [parse_action(a) for a in entry.get("actions", [])]
+            history = tuple(
+                parse_event(e) for e in _list(entry.get("history", []), "table history")
+            )
+            actions = [
+                parse_action(a) for a in _list(entry.get("actions", []), "table actions")
+            ]
             _expect(bool(actions), "table entry needs at least one action")
             entries[history] = actions
-        default = [parse_action(a) for a in raw.get("default", ["no-op"])]
+        default = [parse_action(a) for a in _list(raw.get("default", ["no-op"]), "default")]
         return TableSpec.of(entries, default)
     raise SchemaError("protocol spec needs one of: monotone, union, table")
 
@@ -279,29 +303,48 @@ def _parse_protocol(body: dict) -> ProtocolDocument:
     return ProtocolDocument(protocol=JointProtocol.of(mapping, messages))
 
 
-def _parse_state(raw: Any, agents: tuple[str, ...]) -> GlobalState:
-    raw = _obj(raw, "global state")
-    _expect(
-        set(raw) == set(agents), f"global state agents {sorted(raw)} != {list(agents)}"
-    )
-    return GlobalState.of(
-        {a: tuple(parse_event(e) for e in raw[a]) for a in agents}
-    )
-
-
 def _parse_runs(body: dict) -> RunsDocument:
     agents = tuple(sorted(_str_list(body.get("agents", []), "agents")))
-    horizon = body.get("horizon")
-    _expect(isinstance(horizon, int) and horizon >= 0, "horizon must be an integer >= 0")
-    runs = set()
-    for raw_run in body.get("runs", []):
+    horizon = _nat(body.get("horizon"), "horizon")
+    keys = set(agents)
+    names = sorted(keys)  # a state's agents: the declared ones without repeats
+    # each distinct event and state is built once, then shared
+    events: dict[str, Event] = {}
+    states: dict[tuple[tuple[str, ...], ...], GlobalState] = {}
+
+    def event(s: str) -> Event:
+        e = events.get(s)
+        if e is None:
+            e = events[s] = parse_event(s)
+        return e
+
+    def state(raw: Any) -> GlobalState:
+        raw = _obj(raw, "global state")
+        if raw.keys() != keys:
+            raise SchemaError(f"global state agents {sorted(raw)} != {list(agents)}")
+        histories = [raw[a] for a in names]
+        _expect(all(type(h) is list for h in histories), "each history must be a list")
+        key = tuple(map(tuple, histories))
+        _expect(
+            all(type(e) is str for h in key for e in h),
+            "each history must be a list of strings",
+        )
+        g = states.get(key)
+        if g is None:
+            g = states[key] = GlobalState(
+                tuple((a, tuple(map(event, h))) for a, h in zip(names, key))
+            )
+        return g
+
+    runs = []
+    for raw_run in _list(body.get("runs", []), "runs"):
         _expect(isinstance(raw_run, list), "each run must be a list of states")
         _expect(
             len(raw_run) == horizon + 1,
             f"each run must contain horizon+1 = {horizon + 1} states",
         )
-        runs.add(RunPrefix.of(_parse_state(s, agents) for s in raw_run))
-    return RunsDocument(agents=agents, horizon=horizon, runs=frozenset(runs))
+        runs.append(RunPrefix(tuple(map(state, raw_run))))
+    return RunsDocument(agents=agents, horizon=horizon, runs=RunAutomaton.of(runs))
 
 
 def _parse_node(raw: Any) -> Node:
@@ -309,7 +352,7 @@ def _parse_node(raw: Any) -> Node:
         isinstance(raw, list)
         and len(raw) == 2
         and isinstance(raw[0], str)
-        and isinstance(raw[1], int),
+        and type(raw[1]) is int,
         f"a node must be a [strand, index] pair, got {raw!r}",
     )
     return Node(raw[0], raw[1])
@@ -319,9 +362,9 @@ def _parse_bundle(raw: Any) -> Bundle:
     raw = _obj(raw, "bundle")
     heights = _obj(raw.get("heights", {}), "heights")
     for sid, h in heights.items():
-        _expect(isinstance(h, int) and h >= 0, f"height of {sid} must be an integer >= 0")
+        _nat(h, f"height of {sid}")
     edges = []
-    for pair in raw.get("edges", []):
+    for pair in _list(raw.get("edges", []), "edges"):
         _expect(
             isinstance(pair, list) and len(pair) == 2,
             "each edge must be a [sender, receiver] pair",
@@ -331,26 +374,33 @@ def _parse_bundle(raw: Any) -> Bundle:
 
 
 def _parse_bundles(body: dict) -> BundlesDocument:
-    raw = body.get("bundles", [])
-    _expect(isinstance(raw, list), "bundles must be a list")
+    raw = _list(body.get("bundles", []), "bundles")
     return BundlesDocument(bundles=tuple(_parse_bundle(b) for b in raw))
 
 
 def _parse_chains(body: dict) -> ChainsDocument:
     agents = tuple(sorted(_str_list(body.get("agents", []), "agents")))
     chains = []
-    for raw in body.get("chains", []):
+    for raw in _list(body.get("chains", []), "chains"):
         raw = _obj(raw, "chain")
-        bundles = tuple(_parse_bundle(b) for b in raw.get("bundles", []))
+        bundles = tuple(_parse_bundle(b) for b in _list(raw.get("bundles", []), "bundles"))
         witnesses = []
-        for step in raw.get("steps", []):
+        for step in _list(raw.get("steps", []), "steps"):
             step = _obj(step, "chain step")
             f = _obj(step.get("f", {}), "witness mapping")
+            _expect(
+                all(isinstance(t, str) for t in f.values()),
+                "witness mapping values must be strand ids",
+            )
             extensions = []
-            for ext in step.get("extensions", []):
+            for ext in _list(step.get("extensions", []), "extensions"):
                 ext = _obj(ext, "extension")
+                _expect(
+                    isinstance(ext.get("agent"), str) and isinstance(ext.get("strand"), str),
+                    "an extension needs an agent and a strand",
+                )
                 extensions.append(
-                    (ext["agent"], ext["strand"], parse_event(ext["event"]))
+                    (ext["agent"], ext["strand"], parse_event(ext.get("event")))
                 )
             witnesses.append(
                 StepWitness(
@@ -366,8 +416,53 @@ def _parse_chains(body: dict) -> ChainsDocument:
 # --- serializers --------------------------------------------------------
 
 
-def _dumps(body: dict) -> str:
-    return json.dumps(body, indent=2, sort_keys=True) + "\n"
+# A document's bytes are json.dumps(body, indent=2, sort_keys=True) and a
+# newline.  Runs and chains documents are joined from the text of each
+# distinct state, bundle or step, encoded once and indented to its depth.
+
+
+def _indented(value: Any, depth: int) -> str:
+    """``value`` as JSON text nested ``depth`` levels deep."""
+    return json.dumps(value, indent=2, sort_keys=True).replace("\n", "\n" + "  " * depth)
+
+
+def _join(brackets: str, items: list[str], depth: int) -> str:
+    """A list or object ``depth`` levels deep from its items' text, each
+    already nested one level deeper."""
+    if not items:
+        return brackets
+    inner = "\n" + "  " * (depth + 1)
+    return brackets[0] + inner + ("," + inner).join(items) + "\n" + "  " * depth + brackets[1]
+
+
+def _list_text(items: list[str], depth: int) -> str:
+    return _join("[]", items, depth)
+
+
+def _object_text(entries: dict[str, str], depth: int) -> str:
+    return _join("{}", [f"{json.dumps(k)}: {v}" for k, v in sorted(entries.items())], depth)
+
+
+def _shared_text(to_body: Callable[[Any], Any], depth: int) -> Callable[[Any], str]:
+    """``to_body(value)`` as JSON text ``depth`` levels deep, encoded once
+    per distinct value."""
+    cache: dict[Any, str] = {}
+
+    def text(value: Any) -> str:
+        out = cache.get(value)
+        if out is None:
+            out = cache[value] = _indented(to_body(value), depth)
+        return out
+
+    return text
+
+
+def _dumps(body: dict, **nested: str) -> str:
+    """The document ``body``, plus the entries in ``nested``, whose values
+    are JSON text already nested one level deep."""
+    entries = {k: _indented(v, 1) for k, v in body.items()}
+    entries.update(nested)
+    return _object_text(entries, 0) + "\n"
 
 
 def dump_space(doc: SpaceDocument) -> str:
@@ -435,15 +530,11 @@ def _state_body(g: GlobalState) -> dict:
 
 
 def dump_runs(doc: RunsDocument) -> str:
+    state = _shared_text(_state_body, 3)
+    runs = [_list_text([state(g) for g in run.states], 2) for run in doc.runs]
     return _dumps(
-        {
-            "kind": "runs",
-            "agents": list(doc.agents),
-            "horizon": doc.horizon,
-            "runs": [
-                [_state_body(g) for g in run.states] for run in RunAutomaton.of(doc.runs)
-            ],
-        }
+        {"kind": "runs", "agents": list(doc.agents), "horizon": doc.horizon},
+        runs=_list_text(runs, 1),
     )
 
 
@@ -463,32 +554,31 @@ def dump_bundles(doc: BundlesDocument) -> str:
     )
 
 
+def _step_body(w: StepWitness) -> dict:
+    return {
+        "f": dict(w.f),
+        "extensions": [
+            {"agent": agent, "strand": strand, "event": render_event(event)}
+            for agent, strand, event in w.extensions
+        ],
+    }
+
+
 def dump_chains(doc: ChainsDocument) -> str:
+    bundle = _shared_text(_bundle_body, 4)
+    step = _shared_text(_step_body, 4)
+    chains = [
+        _object_text(
+            {
+                "bundles": _list_text([bundle(b) for b in chain.bundles], 3),
+                "steps": _list_text([step(w) for w in chain.witnesses], 3),
+            },
+            2,
+        )
+        for chain in doc.chains
+    ]
     return _dumps(
-        {
-            "kind": "chains",
-            "agents": list(doc.agents),
-            "chains": [
-                {
-                    "bundles": [_bundle_body(b) for b in chain.bundles],
-                    "steps": [
-                        {
-                            "f": dict(w.f),
-                            "extensions": [
-                                {
-                                    "agent": agent,
-                                    "strand": strand,
-                                    "event": render_event(event),
-                                }
-                                for agent, strand, event in w.extensions
-                            ],
-                        }
-                        for w in chain.witnesses
-                    ],
-                }
-                for chain in doc.chains
-            ],
-        }
+        {"kind": "chains", "agents": list(doc.agents)}, chains=_list_text(chains, 1)
     )
 
 

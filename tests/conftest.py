@@ -1,15 +1,17 @@
 from __future__ import annotations
 
+import json
 import pathlib
 from itertools import product
 
 import pytest
+from hypothesis import strategies as st
 
 from strandlab import chains
 from strandlab.bundles import enumerate_bundles
 from strandlab.chains import check_step
 from strandlab.core import GlobalState, recv, sent
-from strandlab.documents import load_document
+from strandlab.documents import RunsDocument, load_document, parse_event
 from strandlab.systems import RunPrefix, check_mp
 
 FIXTURES = pathlib.Path(__file__).resolve().parent.parent / "fixtures"
@@ -55,6 +57,119 @@ def pairwise_step_graph(space, conf, max_nodes):
                 succ.append((b2, witness))
         successors[b1] = tuple(succ)
     return successors
+
+
+def reference_parse_runs(text: str) -> frozenset[RunPrefix]:
+    """Reference runs parse: a fresh `GlobalState` and `Event` for every
+    state of every run, collected in a frozenset."""
+    body = json.loads(text)
+    agents = tuple(sorted(body["agents"]))
+    runs = set()
+    for raw_run in body["runs"]:
+        assert len(raw_run) == body["horizon"] + 1
+        states = []
+        for raw in raw_run:
+            assert set(raw) == set(agents)
+            states.append(
+                GlobalState.of({a: tuple(parse_event(e) for e in raw[a]) for a in agents})
+            )
+        runs.add(RunPrefix.of(states))
+    return frozenset(runs)
+
+
+def reference_dump(doc) -> str:
+    """Reference dump of a runs or chains document: the whole body built
+    run by run or chain by chain, then one `json.dumps`."""
+    if isinstance(doc, RunsDocument):
+        body = {
+            "kind": "runs",
+            "agents": list(doc.agents),
+            "horizon": doc.horizon,
+            "runs": [
+                [{a: [str(e) for e in h] for a, h in g.items()} for g in run.states]
+                for run in sorted(doc.runs)
+            ],
+        }
+    else:
+        body = {
+            "kind": "chains",
+            "agents": list(doc.agents),
+            "chains": [
+                {
+                    "bundles": [
+                        {
+                            "heights": dict(b.heights),
+                            "edges": [
+                                [[n1.strand, n1.index], [n2.strand, n2.index]]
+                                for n1, n2 in sorted(b.edges)
+                            ],
+                        }
+                        for b in chain.bundles
+                    ],
+                    "steps": [
+                        {
+                            "f": dict(w.f),
+                            "extensions": [
+                                {"agent": agent, "strand": strand, "event": str(event)}
+                                for agent, strand, event in w.extensions
+                            ],
+                        }
+                        for w in chain.witnesses
+                    ],
+                }
+                for chain in doc.chains
+            ],
+        }
+    return json.dumps(body, indent=2, sort_keys=True) + "\n"
+
+
+def reference_validate_runs(text: str) -> str:
+    """Reference `validate` stdout for a runs document: `check_mp` on
+    every run in sorted order, reporting the first run that fails."""
+    agents = tuple(sorted(json.loads(text)["agents"]))
+    runs = reference_parse_runs(text)
+    universe = {e.message for r in runs for g in r.states for _, h in g.items() for e in h}
+    for run in sorted(runs):
+        report = check_mp(universe, agents, run)
+        problems = [
+            f"{label}: {problem}"
+            for label, problem in (("MP1", report.mp1), ("MP2", report.mp2), ("MP3", report.mp3))
+            if problem
+        ]
+        if problems:
+            return "".join(p + "\n" for p in problems)
+    return "ok\n"
+
+
+EVENTS = (sent("u"), recv("u"), sent("v"), recv("v"))
+
+
+@st.composite
+def run_sets(draw, max_runs: int = 6):
+    """(agents, horizon, runs): up to three agents, horizon 0-3 and a set of
+    runs of that horizon.  Each run starts empty or, rarely, not, and each
+    round every agent stays, appends an event, or, rarely, shrinks or
+    jumps by two events, so the sets mix runs that pass MP1-MP3 with runs
+    that fail them and repeat states within and across runs."""
+    agents = tuple(sorted(draw(st.lists(st.sampled_from("abc"), min_size=1, max_size=3, unique=True))))
+    horizon = draw(st.integers(0, 3))
+    moves = st.sampled_from(["stay", "stay", "stay", *EVENTS, "shrink", "jump"])
+    runs = set()
+    for _ in range(draw(st.integers(0, max_runs))):
+        g = {a: draw(st.sampled_from([(), (), (), (), (sent("u"),)])) for a in agents}
+        states = [GlobalState.of(g)]
+        for _ in range(horizon):
+            for a in agents:
+                move = draw(moves)
+                if move == "shrink":
+                    g[a] = g[a][:-1]
+                elif move == "jump":
+                    g[a] += (sent("v"), recv("u"))
+                elif move != "stay":
+                    g[a] += (move,)
+            states.append(GlobalState.of(g))
+        runs.add(RunPrefix.of(states))
+    return agents, horizon, frozenset(runs)
 
 
 @pytest.fixture

@@ -1,14 +1,21 @@
 from __future__ import annotations
 
+import contextlib
+import io
 import json
+import pathlib
 import subprocess
 import sys
+import tempfile
 
 import pytest
+from hypothesis import given, settings
 
 from strandlab.cli import main
+from strandlab.documents import RunsDocument, dump_document, load_document
+from strandlab.systems import RunAutomaton
 
-from conftest import fixture_path
+from conftest import fixture_path, reference_validate_runs, run_sets
 
 
 def run_cli(*argv):
@@ -65,6 +72,125 @@ class TestValidate:
 
     def test_missing_file_is_usage_error(self, tmp_path):
         assert run_cli("validate", tmp_path / "absent.json") == 2
+
+
+def runs_text(agents, horizon, runs) -> str:
+    return json.dumps({"kind": "runs", "agents": agents, "horizon": horizon, "runs": runs})
+
+
+def validate_stdout(text: str) -> tuple[int, str]:
+    with tempfile.TemporaryDirectory() as tmp:
+        path = pathlib.Path(tmp) / "runs.json"
+        path.write_text(text)
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            code = main(["validate", str(path)])
+    return code, out.getvalue()
+
+
+# a clean run, and runs that each fail one condition, with what validate prints
+CLEAN_RUN = [{"a": [], "b": []}, {"a": ["sent u"], "b": []}, {"a": ["sent u"], "b": ["recv u"]}]
+BAD_RUNS = {
+    "strong MP2": (
+        [{"a": [], "b": []}, {"a": ["sent u"], "b": ["recv u"]},
+         {"a": ["sent u"], "b": ["recv u", "recv u"]}],
+        "MP2: at time 2: 2 receives of u but only 1 sends\n",
+    ),
+    "MP3 jump": (
+        [{"a": [], "b": []}, {"a": [], "b": []}, {"a": ["sent u", "sent v"], "b": []}],
+        "MP3: agent a history shrinks or jumps at time 2\n",
+    ),
+    "MP3 shrink": (
+        [{"a": [], "b": []}, {"a": ["sent u"], "b": []}, {"a": [], "b": []}],
+        "MP3: agent a history shrinks or jumps at time 2\n",
+    ),
+    "non-empty initial state": (
+        [{"a": ["sent u"], "b": []}, {"a": ["sent u"], "b": []}, {"a": ["sent u"], "b": []}],
+        "MP3: initial state is not empty\n",
+    ),
+}
+
+
+class TestValidateRuns:
+    """`validate` on runs documents prints what the sorted `check_mp` loop
+    over every run prints."""
+
+    def test_clean_file(self, tmp_path, capsys):
+        path = tmp_path / "runs.json"
+        assert run_cli(
+            "enumerate", fixture_path("nack_system"), "--gen-system", "--horizon", 3, "--out", path
+        ) == 0
+        assert run_cli("validate", path) == 0
+        assert capsys.readouterr().out == "ok\n" == reference_validate_runs(path.read_text())
+
+    @pytest.mark.parametrize("name", sorted(BAD_RUNS))
+    def test_violation(self, name):
+        run, printed = BAD_RUNS[name]
+        text = runs_text(["a", "b"], 2, [CLEAN_RUN, run])
+        assert validate_stdout(text) == (1, printed)
+        assert printed == reference_validate_runs(text)
+
+    def test_least_failing_run_is_reported(self):
+        text = runs_text(["a", "b"], 2, [CLEAN_RUN, *(run for run, _ in BAD_RUNS.values())])
+        assert validate_stdout(text) == (1, reference_validate_runs(text))
+
+    @given(run_sets())
+    @settings(max_examples=100, deadline=None)
+    def test_drawn_run_sets(self, drawn):
+        agents, horizon, runs = drawn
+        text = dump_document(
+            RunsDocument(agents=agents, horizon=horizon, runs=RunAutomaton.of(runs))
+        )
+        code, out = validate_stdout(text)
+        assert out == reference_validate_runs(text)
+        assert code == (0 if out == "ok\n" else 1)
+
+    def test_budget(self, tmp_path, monkeypatch, capsys):
+        path = tmp_path / "runs.json"
+        run_cli("enumerate", fixture_path("nack_system"), "--gen-system", "--horizon", 3, "--out", path)
+        # enough for parsing, so the budget runs out in the MP check
+        parse_cost = load_document(path).runs.budget.used
+        monkeypatch.setenv("STRANDLAB_MAX_STATES", str(parse_cost))
+        capsys.readouterr()
+        assert run_cli("validate", path) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: enumeration exceeded STRANDLAB_MAX_STATES=")
+
+
+# one document per parser path that used to raise an uncaught exception
+MALFORMED = {
+    "space trace": {
+        "kind": "space", "messages": ["u"], "agents": ["a"],
+        "strands": [{"id": "s", "agent": "a", "trace": 5}],
+    },
+    "system history": {"kind": "system", "agents": ["a"], "histories": {"a": [[], 5]}},
+    "protocol monotone": {"kind": "protocol", "messages": ["u"], "agents": {"a": {"monotone": 5}}},
+    "bundles edges": {"kind": "bundles", "bundles": [{"heights": {"s": 1}, "edges": 5}]},
+    "chains extension without strand": {
+        "kind": "chains", "agents": ["a"],
+        "chains": [{
+            "bundles": [{"heights": {}, "edges": []}, {"heights": {"s": 1}, "edges": []}],
+            "steps": [{"f": {}, "extensions": [{"agent": "a", "event": "sent u"}]}],
+        }],
+    },
+    "runs runs": {"kind": "runs", "agents": ["a"], "horizon": 0, "runs": 5},
+    "runs state": {"kind": "runs", "agents": ["a"], "horizon": 0, "runs": [[{"a": 5}]]},
+}
+
+
+@pytest.mark.parametrize("name", sorted(MALFORMED))
+def test_malformed_input_exits_2(tmp_path, name):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(MALFORMED[name]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "strandlab.cli", "validate", str(path)],
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("error: ")
+    assert "Traceback" not in proc.stderr
 
 
 class TestEnumerate:

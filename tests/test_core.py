@@ -123,6 +123,15 @@ class TestGlobalState:
         with pytest.raises(InputError):
             GlobalState.empty(["a"]).history("z")
 
+    def test_cached_hash_is_the_dataclass_hash(self):
+        # the value the generated dataclass hash gives, so set and dict
+        # orders are unchanged; repeated calls give it again
+        g = GlobalState.empty(["a", "b"]).extend({"a": sent("u")})
+        assert hash(g) == hash((g.locals,)) == hash(g)
+        twin = GlobalState.of({"b": (), "a": (sent("u"),)})
+        assert twin == g and twin is not g and hash(twin) == hash(g)
+        assert repr(g) == f"GlobalState(locals={g.locals!r})"
+
     def test_identity_assignment_helpers(self, r1_space):
         ident = r1_space.space.with_identity_assignment()
         assert ident.is_identity_assigned()

@@ -1,14 +1,19 @@
 from __future__ import annotations
 
+import json
+
 import pytest
+from hypothesis import example, given, settings
 
 from strandlab.bundles import enumerate_bundles
-from strandlab.chains import enumerate_chain_prefixes
-from strandlab.core import recv, sent
+from strandlab.chains import enumerate_chain_prefixes, translate
+from strandlab.core import GlobalState, recv, sent
 from strandlab.documents import (
     BundlesDocument,
     ChainsDocument,
     RunsDocument,
+    SpaceDocument,
+    SystemDocument,
     dump_document,
     load_document,
     parse_action,
@@ -20,10 +25,16 @@ from strandlab.documents import (
     render_term,
 )
 from strandlab.errors import SchemaError
-from strandlab.protocols import NOOP, send
-from strandlab.systems import generate_system
+from strandlab.protocols import NOOP, generate_runs, send
+from strandlab.systems import RunAutomaton, RunPrefix, generate_system
 
-from conftest import FIXTURES
+from conftest import (
+    FIXTURES,
+    fixture_path,
+    reference_dump,
+    reference_parse_runs,
+    run_sets,
+)
 
 
 class TestTokens:
@@ -80,6 +91,89 @@ class TestRoundTrips:
         assert parse_document(dump_document(doc)) == doc
 
 
+def assert_shared(doc: RunsDocument) -> None:
+    """Equal states, and equal events, of a parsed document are one object."""
+    states: dict = {}
+    events: dict = {}
+    for run in doc.runs:
+        for g in run.states:
+            assert states.setdefault(g, g) is g
+            for _, h in g.items():
+                for e in h:
+                    assert events.setdefault(e, e) is e
+
+
+def fixture_runs(name: str, horizon: int) -> RunsDocument:
+    """The runs a fixture gives: a space's translation, a system's
+    generated runs or a protocol's runs."""
+    doc = load_document(fixture_path(name))
+    if isinstance(doc, SpaceDocument):
+        space = doc.space
+        runs = translate(space, doc.conf, horizon, space.node_count())
+        agents = space.agents
+    elif isinstance(doc, SystemDocument):
+        runs = generate_system(doc.histories, horizon)
+        agents = doc.histories.agents
+    else:
+        runs = generate_runs(doc.protocol, horizon)
+        agents = doc.protocol.agents
+    return RunsDocument(agents=agents, horizon=horizon, runs=runs)
+
+
+FIXTURE_NAMES = sorted(p.stem for p in FIXTURES.glob("*.json"))
+
+
+class TestSharedEncoding:
+    """Runs and chains documents, parsed into shared states and dumped from
+    shared text, against the per-event parse and the whole-body dump."""
+
+    @given(run_sets())
+    @example((("a",), 0, frozenset()))
+    @example((("a", "b"), 3, frozenset()))
+    @example((("a",), 0, frozenset({RunPrefix.of([GlobalState.empty("a")])})))
+    @example((("a", "b"), 2, frozenset({RunPrefix.of([GlobalState.empty("ab")] * 3)})))
+    @settings(max_examples=150, deadline=None)
+    def test_drawn_run_sets(self, drawn):
+        agents, horizon, runs = drawn
+        doc = RunsDocument(agents=agents, horizon=horizon, runs=RunAutomaton.of(runs))
+        text = dump_document(doc)
+        assert text == reference_dump(doc)
+        parsed = parse_document(text)
+        assert parsed.runs == reference_parse_runs(text) == runs
+        assert (parsed.agents, parsed.horizon) == (agents, horizon)
+        assert_shared(parsed)
+
+    @pytest.mark.parametrize("name", FIXTURE_NAMES)
+    def test_fixture_runs(self, name):
+        doc = fixture_runs(name, 4)
+        text = dump_document(doc)
+        assert text == reference_dump(doc)
+        parsed = parse_document(text)
+        assert parsed.runs == reference_parse_runs(text) == frozenset(doc.runs)
+        assert_shared(parsed)
+
+    @pytest.mark.parametrize(
+        "name,horizon,max_nodes",
+        [("ping_space", 3, 2), ("nack_space", 4, 6), ("r1_space", 4, 8), ("r1_t5_space", 2, 6)],
+    )
+    def test_chains(self, name, horizon, max_nodes):
+        space = load_document(fixture_path(name))
+        chains = enumerate_chain_prefixes(space.space, space.conf, horizon, max_nodes)
+        doc = ChainsDocument(agents=space.space.agents, chains=chains)
+        text = dump_document(doc)
+        assert text == reference_dump(doc)
+        assert parse_document(text) == doc
+
+    def test_empty_chains(self):
+        doc = ChainsDocument(agents=("a",), chains=())
+        assert dump_document(doc) == reference_dump(doc)
+
+    @pytest.mark.parametrize("name", FIXTURE_NAMES)
+    def test_fixture_documents_are_one_dump(self, name):
+        text = dump_document(load_document(fixture_path(name)))
+        assert text == json.dumps(json.loads(text), indent=2, sort_keys=True) + "\n"
+
+
 class TestSchemaErrors:
     def test_bad_json(self):
         with pytest.raises(SchemaError):
@@ -118,6 +212,37 @@ class TestSchemaErrors:
         )
         with pytest.raises(SchemaError):
             parse_document(text)
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            '{"kind": "runs", "agents": ["a"], "horizon": true, "runs": []}',
+            '{"kind": "bundles", "bundles": [{"heights": {"s": false}, "edges": []}]}',
+            '{"kind": "bundles", "bundles": [{"heights": {"s": 1},'
+            ' "edges": [[["s", true], ["t", 1]]]}]}',
+        ],
+    )
+    def test_booleans_are_not_integers(self, text):
+        with pytest.raises(SchemaError):
+            parse_document(text)
+
+    @pytest.mark.parametrize(
+        "state", ['{"a": 5}', '{"a": [5]}', '{"a": [["sent u"]]}', '{"a": "sent u"}', '{}', "[]"]
+    )
+    def test_bad_runs_states(self, state):
+        text = f'{{"kind": "runs", "agents": ["a"], "horizon": 0, "runs": [[{state}]]}}'
+        with pytest.raises(SchemaError):
+            parse_document(text)
+
+    def test_integer_too_long_to_convert(self):
+        with pytest.raises(SchemaError):
+            parse_document('{"kind": "runs", "horizon": ' + "1" * 5000 + "}")
+
+    def test_not_utf8(self, tmp_path):
+        path = tmp_path / "bad.json"
+        path.write_bytes(b"\xff\xfe{")
+        with pytest.raises(SchemaError):
+            load_document(path)
 
     def test_missing_file(self, tmp_path):
         with pytest.raises(SchemaError):
