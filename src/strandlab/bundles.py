@@ -244,6 +244,11 @@ def bundle_height(space: StrandSpace, bundle: Bundle) -> int:
     report = validate_bundle(space, bundle)
     if not report.ok:
         raise InputError(f"invalid bundle: {report.problems[0][1]}")
+    return _longest_causal_path(bundle)
+
+
+def _longest_causal_path(bundle: Bundle) -> int:
+    """`bundle_height` of a bundle already known to be valid."""
     nodes = sorted(bundle.nodes())
     edges = causal_edges(bundle)
     order = _toposort(nodes, edges)

@@ -21,15 +21,32 @@ terms of B1 reappears in B2, so the event of a step does not depend on
 which witness f is found.
 
 `check_step` is the one definition of a step.  `step_graph` builds the
-whole step relation with it, trying each bundle only against the bundles
-whose per-agent node counts are its own plus at most one per agent (the
-pairs clause 3 allows), so its edges and witnesses are those of a scan
-over every pair.  It is cached per process, and a hit charges the budget
-what the graph cost to build.  `translate` runs `systems.explore` over
-its edges; the run automaton it returns has one node per global state
-and set of bundles that chains of the same run prefix can be at, so its
-size follows the distinct such pairs per round, not the number of
-prefixes.
+same relation forward, by a breadth-first search from the empty bundle.
+From each b1 it takes the maps f that `check_step` tries, in its order
+(without its test against b2's heights), and for each f:
+
+  * the base bundle: heights f(s) -> h1(s) and edges f(E1); a send of the
+    base that feeds no edge of f(E1) is free;
+  * growth: each agent adds nothing or one node, on any of its strands
+    below its length (an image of f, or a fresh strand at height 1);
+  * the new receives are matched injectively to free or new sends of the
+    same message.  A new receive has no out-edge, so no cycle can form;
+    B5 and max_nodes are checked on the result.
+
+Every bundle so built is valid and steps from b1 under f, and every
+valid b2 within max_nodes that steps from b1 under some f is built from
+that f.  `check_step` tries the same
+maps in the same order, skipping those that fail its height test, so
+the first f that builds a b2 is `check_step`'s witness for (b1, b2).
+Every valid bundle is reached (add its nodes in a causal order, f the
+identity), so the graph's bundles are those `enumerate_bundles` returns.
+Each distinct bundle is one object.  The graph is cached per process,
+and a hit charges the budget what the graph cost to build.
+
+`translate` runs `systems.explore` over the graph's edges; the run
+automaton it returns has one node per global state and set of bundles
+that chains of the same run prefix can be at, so its size follows the
+distinct such pairs per round, not the number of prefixes.
 """
 
 from __future__ import annotations
@@ -37,14 +54,10 @@ from __future__ import annotations
 import itertools
 from collections import deque
 from dataclasses import dataclass
+from typing import Iterator, NamedTuple
 
 from .budget import StateBudget, ensure
-from .bundles import (
-    EMPTY_BUNDLE,
-    Bundle,
-    ConflictRelation,
-    enumerate_bundles,
-)
+from .bundles import EMPTY_BUNDLE, Bundle, ConflictRelation, _matchings
 from .core import Event, GlobalState, History, Node, StrandSpace, term_to_event
 from .errors import InputError
 from .systems import RunAutomaton, RunPrefix, explore
@@ -182,8 +195,45 @@ class StepGraph:
         return self.successors[b]
 
 
+class _NewNode(NamedTuple):
+    """A node a step may add: the one that grows ``strand`` to ``height``."""
+
+    strand: str
+    height: int
+    node: Node
+    send: bool
+    message: str
+    extension: tuple[str, str, Event]  # the step's (agent, strand, event)
+
+
 # (space, conf, max_nodes) -> (graph, budget ticks its construction cost)
 _GRAPH_CACHE: dict = {}
+
+
+def _witness_maps(space: StrandSpace, b1: Bundle) -> Iterator[dict[str, str]]:
+    """The maps f that `check_step` tries from b1, in its order, before it
+    compares heights with a b2: per agent, in sorted order, every injective
+    choice of a same-agent strand, taken in `strands_of` order, whose trace
+    starts with the source's prefix in b1; then the product over agents."""
+    h1 = b1.height_map
+    by_agent: dict[str, list[str]] = {}
+    for sid in b1.active_strands():
+        by_agent.setdefault(space.agent_of(sid), []).append(sid)
+    per_agent = []
+    for agent in sorted(by_agent):
+        sources = by_agent[agent]
+        targets = []
+        for sid in sources:
+            prefix = space.strand(sid).trace[: h1[sid]]
+            targets.append(
+                [t.id for t in space.strands_of(agent) if t.trace[: h1[sid]] == prefix]
+            )
+        per_agent.append(_injections(sources, targets))
+    for combo in itertools.product(*per_agent):
+        f: dict[str, str] = {}
+        for part in combo:
+            f.update(part)
+        yield f
 
 
 def step_graph(
@@ -194,11 +244,12 @@ def step_graph(
 ) -> StepGraph:
     """All bundles within max_nodes with their step successors.
 
-    `check_step` alone decides each edge.  It is asked only about pairs it
-    would not reject at clause 3: bundles are bucketed by their per-agent
-    node counts, and each b1 is tried against the buckets of its counts
-    plus a 0/1 vector over the agents, one budget tick per call.  A cache
-    hit charges the budget what the graph cost, as a cold call would."""
+    A breadth-first search from the empty bundle builds each bundle's
+    successors forward (see the module docstring), one budget tick per
+    candidate bundle generated.  A cache hit charges the budget what the
+    graph cost, as a cold call would."""
+    if max_nodes < 0:
+        raise InputError("max_nodes must be non-negative")
     budget = ensure(budget)
     key = (space, conf, max_nodes)
     if key in _GRAPH_CACHE:
@@ -206,23 +257,91 @@ def step_graph(
         budget.tick(cost)
         return graph
     used_before = budget.used
-    bundles = enumerate_bundles(space, conf, max_nodes, budget=budget)
-    counts = {b: tuple(_agent_node_counts(space, b).values()) for b in bundles}
-    by_counts: dict[tuple[int, ...], list[Bundle]] = {}
-    for b, c in counts.items():
-        by_counts.setdefault(c, []).append(b)
+    new_nodes = {
+        (s.id, i): _NewNode(
+            s.id, i, Node(s.id, i), term.positive, term.message,
+            (space.agent_of(s.id), s.id, term_to_event(term)),
+        )
+        for s in space.strands
+        for i, term in enumerate(s.trace, start=1)
+    }
+    strands_by_agent = [space.strands_of(a) for a in space.agents]
+    # every bundle reached -> (its one shared object, its sort key)
+    reached = {EMPTY_BUNDLE: (EMPTY_BUNDLE, EMPTY_BUNDLE.sort_key())}
+    queue = deque([EMPTY_BUNDLE])
+
+    def successors_of(b1: Bundle) -> tuple:
+        found: dict[Bundle, StepWitness] = {}
+        count = b1.node_count()
+        identity = {s: s for s in b1.active_strands()}
+        for f in _witness_maps(space, b1):
+            if f == identity:
+                heights, edges = b1.height_map, b1.edges
+            else:
+                heights = {f[s]: h for s, h in b1.heights}
+                edges = frozenset(
+                    (Node(f[n1.strand], n1.index), Node(f[n2.strand], n2.index))
+                    for n1, n2 in b1.edges
+                )
+            senders = {n1 for n1, _ in edges}
+            free: dict[str, list[Node]] = {}
+            for sid, h in heights.items():
+                for i in range(1, h + 1):
+                    n = new_nodes[sid, i]
+                    if n.send and n.node not in senders:
+                        free.setdefault(n.message, []).append(n.node)
+            # per agent: the nodes it could add, one per strand below its length
+            growth = [
+                [new_nodes[t.id, heights.get(t.id, 0) + 1] for t in strands
+                 if heights.get(t.id, 0) < len(t)]
+                for strands in strands_by_agent
+            ]
+            sendable = free.keys() | {n.message for opts in growth for n in opts if n.send}
+            options = [
+                [None, *(n for n in opts if n.send or n.message in sendable)]
+                for opts in growth
+            ]
+            f_items = tuple(sorted(f.items()))
+            for combo in itertools.product(*options):
+                grown = [n for n in combo if n is not None]
+                if count + len(grown) > max_nodes:
+                    continue
+                if conf is not None:
+                    active = set(heights).union(n.strand for n in grown)
+                    if any(x in active and y in active for x, y in conf):
+                        continue
+                new_sends: dict[str, list[Node]] = {}
+                recvs: dict[str, list[Node]] = {}
+                for n in grown:
+                    (new_sends if n.send else recvs).setdefault(n.message, []).append(n.node)
+                per_message = [
+                    list(_matchings(rs, free.get(m, []) + new_sends.get(m, [])))
+                    for m, rs in recvs.items()
+                ]
+                grown_heights = dict(heights)
+                grown_heights.update((n.strand, n.height) for n in grown)
+                heights_key = tuple(sorted(grown_heights.items()))
+                for matching in itertools.product(*per_message):
+                    budget.tick()
+                    new_edges = [e for group in matching for e in group]
+                    b2 = Bundle(heights_key, edges.union(new_edges) if new_edges else edges)
+                    if b2 in found:
+                        continue
+                    shared = reached.get(b2)
+                    if shared is None:
+                        reached[b2] = (b2, b2.sort_key())
+                        queue.append(b2)
+                    else:
+                        b2 = shared[0]
+                    found[b2] = StepWitness(f_items, tuple(n.extension for n in grown))
+        return tuple(sorted(found.items(), key=lambda pair: reached[pair[0]][1]))
+
     successors: dict[Bundle, tuple] = {}
-    for b1 in bundles:
-        succ = []
-        for grown in itertools.product(*((c, c + 1) for c in counts[b1])):
-            for b2 in by_counts.get(grown, ()):
-                budget.tick()
-                witness = check_step(space, b1, b2)
-                if witness is not None:
-                    succ.append((b2, witness))
-        succ.sort(key=lambda pair: pair[0].sort_key())
-        successors[b1] = tuple(succ)
-    graph = StepGraph(bundles=bundles, successors=successors)
+    while queue:
+        b1 = queue.popleft()
+        successors[b1] = successors_of(b1)
+    bundles = tuple(sorted(reached, key=lambda b: reached[b][1]))
+    graph = StepGraph(bundles=bundles, successors={b: successors[b] for b in bundles})
     _GRAPH_CACHE[key] = (graph, budget.used - used_before)
     return graph
 

@@ -35,9 +35,11 @@ every emitted document parses back to the value it came from.
 Runs and chains documents repeat a few distinct values many times, so
 their cost follows the distinct values.  A runs document parses to a
 `RunAutomaton` over shared states: each distinct event and global state
-is built once and every run refers to it.  Dumping a runs or chains
-document encodes each distinct state, bundle or step once and joins the
-text; the bytes are those of one `json.dumps` of the whole body.
+is built once and every run refers to it.  Likewise each distinct bundle
+and step of a chains document is one object that every chain shares.
+Dumping a runs or chains document encodes each distinct state, bundle or
+step once and joins the text; the bytes are those of one `json.dumps` of
+the whole body.
 
 Parsing raises SchemaError only for structural problems (bad JSON, wrong
 shapes, unparseable tokens).  Semantic well-formedness — duplicate ids,
@@ -378,37 +380,46 @@ def _parse_bundles(body: dict) -> BundlesDocument:
     return BundlesDocument(bundles=tuple(_parse_bundle(b) for b in raw))
 
 
+def _parse_step(raw: Any) -> StepWitness:
+    step = _obj(raw, "chain step")
+    f = _obj(step.get("f", {}), "witness mapping")
+    _expect(
+        all(isinstance(t, str) for t in f.values()),
+        "witness mapping values must be strand ids",
+    )
+    extensions = []
+    for ext in _list(step.get("extensions", []), "extensions"):
+        ext = _obj(ext, "extension")
+        _expect(
+            isinstance(ext.get("agent"), str) and isinstance(ext.get("strand"), str),
+            "an extension needs an agent and a strand",
+        )
+        extensions.append((ext["agent"], ext["strand"], parse_event(ext.get("event"))))
+    return StepWitness(f=tuple(sorted(f.items())), extensions=tuple(sorted(extensions)))
+
+
 def _parse_chains(body: dict) -> ChainsDocument:
     agents = tuple(sorted(_str_list(body.get("agents", []), "agents")))
+    # each distinct bundle and step is parsed once per spelling (the repr
+    # of its JSON value), and equal values share one object
+    parsed: dict[tuple[Callable, str], Any] = {}
+    shared: dict[Any, Any] = {}
+
+    def value(raw: Any, parse: Callable) -> Any:
+        key = (parse, repr(raw))
+        v = parsed.get(key)
+        if v is None:
+            v = parse(raw)
+            v = parsed[key] = shared.setdefault(v, v)
+        return v
+
     chains = []
     for raw in _list(body.get("chains", []), "chains"):
         raw = _obj(raw, "chain")
-        bundles = tuple(_parse_bundle(b) for b in _list(raw.get("bundles", []), "bundles"))
-        witnesses = []
-        for step in _list(raw.get("steps", []), "steps"):
-            step = _obj(step, "chain step")
-            f = _obj(step.get("f", {}), "witness mapping")
-            _expect(
-                all(isinstance(t, str) for t in f.values()),
-                "witness mapping values must be strand ids",
-            )
-            extensions = []
-            for ext in _list(step.get("extensions", []), "extensions"):
-                ext = _obj(ext, "extension")
-                _expect(
-                    isinstance(ext.get("agent"), str) and isinstance(ext.get("strand"), str),
-                    "an extension needs an agent and a strand",
-                )
-                extensions.append(
-                    (ext["agent"], ext["strand"], parse_event(ext.get("event")))
-                )
-            witnesses.append(
-                StepWitness(
-                    f=tuple(sorted(f.items())), extensions=tuple(sorted(extensions))
-                )
-            )
+        bundles = [value(b, _parse_bundle) for b in _list(raw.get("bundles", []), "bundles")]
+        steps = [value(w, _parse_step) for w in _list(raw.get("steps", []), "steps")]
         chains.append(
-            ChainPrefix(agents=agents, bundles=bundles, witnesses=tuple(witnesses))
+            ChainPrefix(agents=agents, bundles=tuple(bundles), witnesses=tuple(steps))
         )
     return ChainsDocument(agents=agents, chains=tuple(chains))
 

@@ -8,10 +8,19 @@ import pytest
 from hypothesis import strategies as st
 
 from strandlab import chains
-from strandlab.bundles import enumerate_bundles
-from strandlab.chains import check_step
-from strandlab.core import GlobalState, recv, sent
-from strandlab.documents import RunsDocument, load_document, parse_event
+from strandlab.bundles import Bundle, ConflictRelation, enumerate_bundles
+from strandlab.chains import ChainPrefix, StepWitness, check_step
+from strandlab.core import (
+    GlobalState,
+    Node,
+    Strand,
+    StrandSpace,
+    negative,
+    positive,
+    recv,
+    sent,
+)
+from strandlab.documents import ChainsDocument, RunsDocument, load_document, parse_event
 from strandlab.systems import RunPrefix, check_mp
 
 FIXTURES = pathlib.Path(__file__).resolve().parent.parent / "fixtures"
@@ -57,6 +66,78 @@ def pairwise_step_graph(space, conf, max_nodes):
                 succ.append((b2, witness))
         successors[b1] = tuple(succ)
     return successors
+
+
+def relay_space(k: int) -> StrandSpace:
+    """A hub agent owning k strands +q_i,-r_i, each answered by a spoke
+    agent's strand -q_i,+r_i: 4k nodes and 5**k bundles."""
+    strands, assignment = [], {}
+    for i in range(k):
+        strands.append(Strand(f"h{i}", (positive(f"q{i}"), negative(f"r{i}"))))
+        strands.append(Strand(f"p{i}", (negative(f"q{i}"), positive(f"r{i}"))))
+        assignment[f"h{i}"], assignment[f"p{i}"] = "hub", f"spoke{i}"
+    return StrandSpace.of(strands, assignment.values(), assignment)
+
+
+def ring_space(n: int) -> StrandSpace:
+    """n identity-assigned strands +m_i,-m_(i-1): each agent sends its
+    token, then receives its predecessor's."""
+    return StrandSpace.identity(
+        Strand(f"a{i}", (positive(f"m{i}"), negative(f"m{(i - 1) % n}")))
+        for i in range(n)
+    )
+
+
+@st.composite
+def small_spaces(draw):
+    """(space, conf, max_nodes): 1-3 agents, 1-4 strands of 1-3 terms over
+    the messages u and v, and, in half the draws, a conflict relation of
+    same-agent strand pairs; max_nodes is at most 6 and the node count."""
+    agents = draw(st.lists(st.sampled_from("abc"), min_size=1, max_size=3, unique=True))
+    terms = st.sampled_from([positive("u"), negative("u"), positive("v"), negative("v")])
+    strands, assignment = [], {}
+    for i in range(draw(st.integers(1, 4))):
+        strands.append(Strand(f"s{i}", tuple(draw(st.lists(terms, min_size=1, max_size=3)))))
+        assignment[f"s{i}"] = draw(st.sampled_from(agents))
+    space = StrandSpace.of(strands, agents, assignment)
+    conf = None
+    if draw(st.booleans()):
+        pairs = [
+            (x.id, y.id)
+            for x in space.strands
+            for y in space.strands
+            if x.id < y.id and assignment[x.id] == assignment[y.id]
+        ]
+        conf = ConflictRelation(draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else [])
+    max_nodes = draw(st.integers(0, min(6, space.node_count())))
+    return space, conf, max_nodes
+
+
+def reference_parse_chains(text: str) -> ChainsDocument:
+    """Reference chains parse: a fresh `Bundle` and `StepWitness` for
+    every occurrence of a bundle or step in every chain."""
+    body = json.loads(text)
+    agents = tuple(sorted(body["agents"]))
+    chains = []
+    for raw in body["chains"]:
+        bundles = tuple(
+            Bundle.of(b["heights"], [(Node(*n1), Node(*n2)) for n1, n2 in b["edges"]])
+            for b in raw["bundles"]
+        )
+        witnesses = tuple(
+            StepWitness(
+                f=tuple(sorted(w["f"].items())),
+                extensions=tuple(
+                    sorted(
+                        (e["agent"], e["strand"], parse_event(e["event"]))
+                        for e in w["extensions"]
+                    )
+                ),
+            )
+            for w in raw["steps"]
+        )
+        chains.append(ChainPrefix(agents=agents, bundles=bundles, witnesses=witnesses))
+    return ChainsDocument(agents=agents, chains=tuple(chains))
 
 
 def reference_parse_runs(text: str) -> frozenset[RunPrefix]:

@@ -8,12 +8,7 @@ import pytest
 from strandlab import chains
 from strandlab.budget import StateBudget
 from strandlab.bundles import enumerate_bundles
-from strandlab.chains import (
-    check_step,
-    enumerate_chain_prefixes,
-    step_graph,
-    translate,
-)
+from strandlab.chains import enumerate_chain_prefixes, step_graph, translate
 from strandlab.cli import main
 from strandlab.errors import BudgetExceededError
 from strandlab.protocols import generate_runs
@@ -38,21 +33,23 @@ def test_step_graph_cold(r1_space, cold_cache):
         step_graph(r1_space.space, None, 8, StateBudget(5))
 
 
-def test_step_graph_successor_phase(r1_space, cold_cache, monkeypatch):
-    # enough for the bundles, then one tick per check_step call runs out
+def test_step_graph_successor_phase(r1_space, cold_cache):
+    # one tick per candidate bundle built: a limit of k raises at the next
+    # candidate, after exactly k ticks
     space = r1_space.space
-    limit = len(enumerate_bundles(space, None, 8)) + 3
-    enumerate_bundles(space, None, 8, budget=StateBudget(limit))
-    calls = []
-
-    def counted(*args):
-        calls.append(args)
-        return check_step(*args)
-
-    monkeypatch.setattr(chains, "check_step", counted)
-    with pytest.raises(BudgetExceededError):
-        step_graph(space, None, 8, StateBudget(limit))
-    assert len(calls) == 3
+    cost = graph_cost(space, None, 8)
+    graph = step_graph(space, None, 8)
+    assert cost >= sum(len(succ) for succ in graph.successors.values())
+    for k in (0, 1, 3, cost - 1):
+        chains._GRAPH_CACHE.clear()
+        budget = StateBudget(k)
+        with pytest.raises(BudgetExceededError):
+            step_graph(space, None, 8, budget)
+        assert budget.used == k + 1
+    chains._GRAPH_CACHE.clear()
+    budget = StateBudget(cost)
+    step_graph(space, None, 8, budget)
+    assert budget.used == cost
 
 
 def test_step_graph_cache_hit_is_charged(r1_space, cold_cache):

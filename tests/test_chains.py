@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import given, settings
 
 from strandlab.bundles import EMPTY_BUNDLE, Bundle, enumerate_bundles
 from strandlab.chains import (
@@ -17,7 +18,7 @@ from strandlab.core import Node, Strand, StrandSpace, negative, positive, recv, 
 from strandlab.errors import InputError
 from strandlab.systems import check_mp
 
-from conftest import pairwise_step_graph
+from conftest import pairwise_step_graph, relay_space, ring_space, small_spaces
 
 
 def prefix_jump_space() -> StrandSpace:
@@ -104,12 +105,8 @@ class TestStepGraph:
     def test_matches_pairwise_check_step(
         self, r1_space, r1_t5_space, nack_space, ping_space, cold_cache
     ):
-        # the count-bucketed step graph against check_step on every pair:
-        # same successors, same order, same witnesses
-        ring3 = StrandSpace.identity(
-            Strand(f"a{i}", (positive(f"m{i}"), negative(f"m{(i - 1) % 3}")))
-            for i in range(3)
-        )
+        # the forward-built step graph against check_step on every pair of
+        # enumerated bundles: same bundles, successors, order and witnesses
         cases = [
             (r1_space.space, None),
             (r1_t5_space.space, r1_t5_space.conf),
@@ -117,13 +114,39 @@ class TestStepGraph:
             (ping_space.space, None),
             (r1_space.space.with_identity_assignment(), None),
             (nack_space.space.with_identity_assignment(), None),
-            (ring3, None),
+            (ring_space(3), None),
             (prefix_jump_space(), None),
+            (relay_space(3), None),
+            (ring_space(4), None),
         ]
         for space, conf in cases:
             n = space.node_count()
             graph = step_graph(space, conf, n)
+            assert graph.bundles == enumerate_bundles(space, conf, n)
             assert graph.successors == pairwise_step_graph(space, conf, n)
+
+    @given(small_spaces())
+    @settings(max_examples=150, deadline=None)
+    def test_drawn_spaces_match_pairwise_check_step(self, drawn):
+        space, conf, max_nodes = drawn
+        graph = step_graph(space, conf, max_nodes)
+        assert graph.bundles == enumerate_bundles(space, conf, max_nodes)
+        assert graph.successors == pairwise_step_graph(space, conf, max_nodes)
+
+    def test_each_bundle_is_one_object(self, nack_space, cold_cache):
+        graph = step_graph(nack_space.space, None, 6)
+        shared = {b: b for b in graph.bundles}
+        for succ in graph.successors.values():
+            for b2, _ in succ:
+                assert shared[b2] is b2
+
+    def test_negative_max_nodes(self, ping_space):
+        space = ping_space.space
+        for call in (step_graph, bundle_distances):
+            with pytest.raises(InputError):
+                call(space, None, -1)
+        with pytest.raises(InputError):
+            translate(space, None, 2, -1)
 
 
 class TestChainEnumeration:

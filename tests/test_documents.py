@@ -32,6 +32,7 @@ from conftest import (
     FIXTURES,
     fixture_path,
     reference_dump,
+    reference_parse_chains,
     reference_parse_runs,
     run_sets,
 )
@@ -103,6 +104,14 @@ def assert_shared(doc: RunsDocument) -> None:
                     assert events.setdefault(e, e) is e
 
 
+def assert_chains_shared(doc: ChainsDocument) -> None:
+    """Equal bundles, and equal steps, of a parsed document are one object."""
+    seen: dict = {}
+    for chain in doc.chains:
+        for value in (*chain.bundles, *chain.witnesses):
+            assert seen.setdefault(value, value) is value
+
+
 def fixture_runs(name: str, horizon: int) -> RunsDocument:
     """The runs a fixture gives: a space's translation, a system's
     generated runs or a protocol's runs."""
@@ -162,7 +171,32 @@ class TestSharedEncoding:
         doc = ChainsDocument(agents=space.space.agents, chains=chains)
         text = dump_document(doc)
         assert text == reference_dump(doc)
-        assert parse_document(text) == doc
+        parsed = parse_document(text)
+        assert parsed == reference_parse_chains(text) == doc
+        assert_chains_shared(parsed)
+
+    def test_chains_spelled_differently(self):
+        # one bundle written with its keys and edges in two orders, and one
+        # step written twice: each is still one object
+        empty = {"heights": {}, "edges": []}
+        edges = [[["s", 1], ["t", 1]], [["s", 2], ["t", 2]]]
+        step = {"f": {}, "extensions": [{"agent": "a", "event": "sent u", "strand": "s"}]}
+        chain = {"bundles": [empty, {"heights": {"s": 1}, "edges": []}], "steps": [step]}
+        twice = [
+            {"heights": {"s": 2, "t": 2}, "edges": edges},
+            {"edges": edges[::-1], "heights": {"t": 2, "s": 2}},
+        ]
+        text = json.dumps(
+            {
+                "kind": "chains",
+                "agents": ["a", "b"],
+                "chains": [chain, chain, {"bundles": [empty, *twice], "steps": [step, step]}],
+            }
+        )
+        parsed = parse_document(text)
+        assert parsed == reference_parse_chains(text)
+        assert parsed.chains[2].bundles[1] is parsed.chains[2].bundles[2]
+        assert_chains_shared(parsed)
 
     def test_empty_chains(self):
         doc = ChainsDocument(agents=("a",), chains=())
