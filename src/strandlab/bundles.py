@@ -13,6 +13,11 @@ axiom checks that remain are:
   * B5 (extended spaces only): no two conflicting strands both appear.
 
 B1 (finiteness) and B3 (downward closure) hold by construction.
+
+`agent_events` is what a bundle shows each agent: the events of the
+agent's strands up to the bundle's heights.  Message equivalence with a
+global state (identity assignment), theorem 2 and history preservation
+all compare these images.
 """
 
 from __future__ import annotations
@@ -22,7 +27,7 @@ from dataclasses import dataclass
 from typing import Iterable, Iterator, Mapping
 
 from .budget import StateBudget, ensure
-from .core import GlobalState, Node, StrandSpace, event_to_term, term_of
+from .core import GlobalState, History, Node, StrandSpace, term_of, term_to_event
 from .errors import InputError
 
 CommEdge = tuple[Node, Node]
@@ -74,12 +79,6 @@ class Bundle:
 
 
 EMPTY_BUNDLE = Bundle.of({})
-
-# Axiom report keys, in reporting order.  "edges" covers the structural
-# requirements of the matching encoding (term agreement, in-height
-# endpoints, injectivity of the send side); it is kept apart from B2 so
-# that axiom attribution stays exact.
-AXIOM_KEYS = ("edges", "B1", "B2", "B3", "B4", "B5")
 
 
 @dataclass(frozen=True)
@@ -346,6 +345,24 @@ def enumerate_bundles(
     return tuple(found)
 
 
+def agent_events(space: StrandSpace, bundle: Bundle) -> dict[str, History]:
+    """What the bundle shows each agent: the events of its strands up to
+    the bundle's heights, strand by strand in the space's order.
+
+    A strand the space does not have raises an input error, as in
+    `validate_bundle`.
+    """
+    heights = bundle.height_map
+    for sid in heights:
+        space.strand(sid)
+    return {
+        a: tuple(
+            term_to_event(t) for s in space.strands_of(a) for t in s.trace[: heights.get(s.id, 0)]
+        )
+        for a in space.agents
+    }
+
+
 def message_equivalent(space: StrandSpace, g: GlobalState, bundle: Bundle) -> bool:
     """Whether a global state and a bundle agree on per-strand event prefixes.
 
@@ -356,10 +373,4 @@ def message_equivalent(space: StrandSpace, g: GlobalState, bundle: Bundle) -> bo
         raise InputError("message_equivalent requires the identity agent assignment")
     if set(g.agents) != {s.id for s in space.strands}:
         raise InputError("global state agents do not match the space's strands")
-    for sid, history in g.items():
-        if bundle.height(sid) != len(history):
-            return False
-        for i, event in enumerate(history, start=1):
-            if event_to_term(event) != term_of(space, Node(sid, i)):
-                return False
-    return True
+    return g == GlobalState.of(agent_events(space, bundle))

@@ -40,8 +40,11 @@ maps in the same order, skipping those that fail its height test, so
 the first f that builds a b2 is `check_step`'s witness for (b1, b2).
 Every valid bundle is reached (add its nodes in a causal order, f the
 identity), so the graph's bundles are those `enumerate_bundles` returns.
-Each distinct bundle is one object.  The graph is cached per process,
-and a hit charges the budget what the graph cost to build.
+Each distinct bundle is one object.  The search records each bundle's
+distance, the fewest chain steps from the empty bundle, when it first
+reaches the bundle; `bundle_distances` (lemmas 1 and 2) reads these.
+The graph is cached per process, and a hit charges the budget what the
+graph cost to build.
 
 `translate` runs `systems.explore` over the graph's edges; the run
 automaton it returns has one node per global state and set of bundles
@@ -186,10 +189,12 @@ def check_step(space: StrandSpace, b1: Bundle, b2: Bundle) -> StepWitness | None
 
 @dataclass(frozen=True)
 class StepGraph:
-    """All bundles of a space within a node budget, with step successors."""
+    """All bundles within a node budget, their step successors and their
+    distances, the fewest chain steps from the empty bundle."""
 
     bundles: tuple[Bundle, ...]
     successors: dict
+    distance: dict[Bundle, int]
 
     def succ(self, b: Bundle) -> tuple:
         return self.successors[b]
@@ -266,8 +271,10 @@ def step_graph(
         for i, term in enumerate(s.trace, start=1)
     }
     strands_by_agent = [space.strands_of(a) for a in space.agents]
-    # every bundle reached -> (its one shared object, its sort key)
+    # every bundle reached -> (its one shared object, its sort key); the
+    # search is breadth-first, so a distance set on first reach is least
     reached = {EMPTY_BUNDLE: (EMPTY_BUNDLE, EMPTY_BUNDLE.sort_key())}
+    distance = {EMPTY_BUNDLE: 0}
     queue = deque([EMPTY_BUNDLE])
 
     def successors_of(b1: Bundle) -> tuple:
@@ -330,6 +337,7 @@ def step_graph(
                     shared = reached.get(b2)
                     if shared is None:
                         reached[b2] = (b2, b2.sort_key())
+                        distance[b2] = distance[b1] + 1
                         queue.append(b2)
                     else:
                         b2 = shared[0]
@@ -341,7 +349,11 @@ def step_graph(
         b1 = queue.popleft()
         successors[b1] = successors_of(b1)
     bundles = tuple(sorted(reached, key=lambda b: reached[b][1]))
-    graph = StepGraph(bundles=bundles, successors={b: successors[b] for b in bundles})
+    graph = StepGraph(
+        bundles=bundles,
+        successors={b: successors[b] for b in bundles},
+        distance={b: distance[b] for b in bundles},
+    )
     _GRAPH_CACHE[key] = (graph, budget.used - used_before)
     return graph
 
@@ -352,17 +364,9 @@ def bundle_distances(
     max_nodes: int = 8,
     budget: StateBudget | None = None,
 ) -> dict[Bundle, int]:
-    """Fewest chain steps needed to reach each reachable bundle."""
-    graph = step_graph(space, conf, max_nodes, budget)
-    dist = {EMPTY_BUNDLE: 0}
-    queue = deque([EMPTY_BUNDLE])
-    while queue:
-        b = queue.popleft()
-        for b2, _ in graph.succ(b):
-            if b2 not in dist:
-                dist[b2] = dist[b] + 1
-                queue.append(b2)
-    return dist
+    """Fewest chain steps to each reachable bundle: a copy of the step
+    graph's own, which the graph cache shares."""
+    return dict(step_graph(space, conf, max_nodes, budget).distance)
 
 
 def enumerate_chain_prefixes(

@@ -26,10 +26,10 @@ from dataclasses import dataclass
 from typing import Iterable
 
 from .budget import StateBudget, ensure
-from .bundles import ConflictRelation, _longest_causal_path, enumerate_bundles, message_equivalent
+from .bundles import ConflictRelation, _longest_causal_path, agent_events, enumerate_bundles
 from .chains import bundle_distances, translate
 from .constructions import extended_space_from_system, space_from_monotone
-from .core import StrandSpace
+from .core import GlobalState, StrandSpace
 from .errors import InputError
 from .protocols import JointProtocol, generate_runs
 from .systems import (
@@ -56,10 +56,8 @@ class CheckResult:
         return f"{verdict} {self.name}{body}"
 
 
-def _describe_run(run: RunPrefix) -> str:
-    final = run.final()
-    parts = [f"{a}: {[str(e) for e in h]}" for a, h in final.items()]
-    return "; ".join(parts)
+def _describe_state(g: GlobalState) -> str:
+    return "; ".join(f"{a}: {[str(e) for e in h]}" for a, h in g.items())
 
 
 def node_cap(space: StrandSpace, max_nodes: int | None) -> int:
@@ -82,7 +80,7 @@ def strand_system_property(
     lines = [f"{len(runs)} run prefixes at horizon {horizon}"]
     bad = mp_violations(universe, agents, runs)
     if bad:
-        lines.append(f"{len(bad)} runs violate MP1-MP3, e.g. {_describe_run(bad.least())}")
+        lines.append(f"{len(bad)} runs violate MP1-MP3, e.g. {_describe_state(bad.least().final())}")
         return CheckResult(name, False, tuple(lines))
     lines.append("all runs satisfy MP1-MP3")
     regen = generate_system(extract_histories(runs), horizon, budget=budget)
@@ -90,7 +88,7 @@ def strand_system_property(
     if eq.equal:
         lines.append("regeneration from extracted histories is exact")
     else:
-        lines.append(f"regeneration differs, e.g. {_describe_run(eq.witness())}")
+        lines.append(f"regeneration differs, e.g. {_describe_state(eq.witness().final())}")
     return CheckResult(name, eq.equal, tuple(lines))
 
 
@@ -125,19 +123,15 @@ def theorem_2(
     states = runs.occurring_states()
     bundles = enumerate_bundles(ident, None, max_nodes, budget=budget)
     lines = [f"{len(states)} occurring states, {len(bundles)} bundles"]
-    orphan_states = [
-        g for g in sorted(states)
-        if not any(message_equivalent(ident, g, b) for b in bundles)
-    ]
-    orphan_bundles = [
-        b for b in bundles
-        if not any(message_equivalent(ident, g, b) for g in states)
-    ]
+    # a state and a bundle are message-equivalent exactly when the state
+    # is the bundle's image
+    images = [GlobalState.of(agent_events(ident, b)) for b in bundles]
+    orphan_states = sorted(states.difference(images))
+    orphan_bundles = [b for b, g in zip(bundles, images) if g not in states]
     if orphan_states:
-        g = orphan_states[0]
         lines.append(
             f"{len(orphan_states)} states match no bundle, e.g. "
-            + "; ".join(f"{a}: {[str(e) for e in h]}" for a, h in g.items())
+            + _describe_state(orphan_states[0])
         )
     if orphan_bundles:
         lines.append(f"{len(orphan_bundles)} bundles match no state, e.g. {orphan_bundles[0].heights}")
@@ -197,7 +191,7 @@ def theorem_3(
             lambda d, g: d < last or any(len(h) >= 4 for _, h in g.items())
         ).least()
         if witness is not None:
-            lines.append(f"translation adds runs, e.g. {_describe_run(witness)}")
+            lines.append(f"translation adds runs, e.g. {_describe_state(witness.final())}")
         else:
             ok = False
             lines.append("superset witness lacks a four-event history")
@@ -232,7 +226,7 @@ def _round_trip(name, header, translated, generated, source) -> CheckResult:
     if eq.equal:
         lines.append("round trip is exact")
     else:
-        lines.append(f"difference, e.g. {_describe_run(eq.witness())}")
+        lines.append(f"difference, e.g. {_describe_state(eq.witness().final())}")
     return CheckResult(name, eq.equal, tuple(lines))
 
 
@@ -310,7 +304,7 @@ def lemma_1(
     ]
     lines = [f"{len(dist)} reachable bundles"]
     if violations:
-        b, d = min(violations, key=lambda bd: bd[1])
+        b, d = min(violations, key=lambda bd: (bd[1], bd[0].sort_key()))
         lines.append(
             f"violation: bundle {b.heights} has height "
             f"{_longest_causal_path(b)} at distance {d}"

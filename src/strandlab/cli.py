@@ -19,7 +19,7 @@ import sys
 from .bundles import enumerate_bundles, validate_conflicts
 from .chains import enumerate_chain_prefixes, translate
 from .checks import (
-    lemma_1, lemma_2, node_cap,
+    _describe_state, lemma_1, lemma_2, node_cap,
     theorem_1, theorem_2, theorem_3, theorem_4, theorem_5, theorem_6, theorem_7,
 )
 from .core import validate_space
@@ -196,9 +196,7 @@ def _cmd_check(args) -> int:
             return EXIT_OK
         witness = report.witness()
         side = "first" if report.only_in_a else "second"
-        final = witness.final()
-        detail = "; ".join(f"{ag}: {[str(e) for e in h]}" for ag, h in final.items())
-        print(f"FAIL run sets differ; only in {side} set: {detail}")
+        print(f"FAIL run sets differ; only in {side} set: {_describe_state(witness.final())}")
         return EXIT_PROPERTY_FAILED
 
     if args.history_preserving:

@@ -21,7 +21,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Iterable
 
 from .bundles import ConflictRelation
 from .core import History, Strand, StrandSpace, event_to_term, negative
@@ -79,13 +78,8 @@ def monotone_components(p: ProtocolSpec) -> list[MonotoneSpec]:
     )
 
 
-def space_from_monotone(
-    jp: JointProtocol, universe: Iterable[str] | None = None
-) -> StrandSpace:
+def space_from_monotone(jp: JointProtocol) -> StrandSpace:
     """The strand space whose chains replay a monotone joint protocol."""
-    if universe is None:
-        universe = jp.messages
-    universe = sorted(set(universe))
     strands: list[Strand] = []
     assignment: dict[str, str] = {}
     for agent in jp.agents:
@@ -97,7 +91,7 @@ def space_from_monotone(
                 Strand(sid, tuple(event_to_term(e) for e in component.events))
             )
             assignment[sid] = agent
-        for u in universe:
+        for u in sorted(jp.messages):
             sid = f"{agent}__recv-{u}"
             strands.append(Strand(sid, (negative(u),)))
             assignment[sid] = agent

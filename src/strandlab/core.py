@@ -104,7 +104,6 @@ def event_term_bijection(x: Event | SignedTerm) -> SignedTerm | Event:
 
 
 History = tuple[Event, ...]
-EMPTY_HISTORY: History = ()
 
 
 @dataclass(frozen=True, order=True)

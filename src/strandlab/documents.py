@@ -203,6 +203,8 @@ def parse_document(text: str) -> Document:
         body = json.loads(text)
     except ValueError as exc:  # JSONDecodeError, or an integer too long to convert
         raise SchemaError(f"not valid JSON: {exc}") from exc
+    except RecursionError as exc:
+        raise SchemaError("JSON nested too deeply to parse") from exc
     body = _obj(body, "document")
     kind = body.get("kind")
     _expect(kind in KINDS, f"kind must be one of {KINDS}, got {kind!r}")

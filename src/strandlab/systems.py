@@ -27,11 +27,16 @@ rounds; its paths from level 0 to the horizon are the run prefixes.
 protocols (`protocols.generate_runs`) feed it `joint_round`: each agent
 stutters or appends one of its options, and MP2 filters the outcome.
 The prefix tree of a plain set of runs, the runs passing a per-state and
-per-round condition (`RunAutomaton.restrict`, which `mp_violations`
-uses) and the runs of one automaton missing from another
-(`systems_equal`) are explorations too.  Counts, membership, occurring
-states and least witnesses are read off nodes and edges; `RunPrefix`
-values are built only when a caller iterates a set.
+per-round condition (`RunAutomaton.restrict`) and the runs of one
+automaton missing from another (`_only_in`) are explorations too.
+`mp_violations` is one such difference, the runs minus those passing
+MP1-MP3 (the other way round it is empty); `systems_equal` takes both.
+Counts, membership, occurring states and least witnesses are read off
+nodes and edges; `RunPrefix` values are built only when a caller
+iterates a set.
+
+History preservation compares the histories of the occurring states
+with `bundles.agent_events` of every bundle, as per-agent multisets.
 """
 
 from __future__ import annotations
@@ -43,6 +48,7 @@ from itertools import product
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 from .budget import StateBudget, ensure
+from .bundles import agent_events, enumerate_bundles
 from .core import Event, GlobalState, History
 from .errors import InputError
 
@@ -386,7 +392,7 @@ def mp_violations(
         and (m > 0 or _is_empty(g)),
         lambda g, g2: _mp3_problem(g, g2, 1) is None,
     )
-    return systems_equal(runs, good).only_in_a
+    return _only_in(runs, good)
 
 
 def joint_round(
@@ -569,18 +575,9 @@ def check_history_preserving(
     budget: StateBudget | None = None,
 ) -> HistoryPreservingReport:
     """Compare run histories against bundle per-agent events, both ways."""
-    from .bundles import enumerate_bundles  # late import: no module cycle
-    from .core import term_to_event
-
-    bundles = enumerate_bundles(space, conf, max_nodes, budget=budget)
-
     bundle_profiles: dict[tuple[str, tuple[Event, ...]], object] = {}
-    for b in bundles:
-        for a in space.agents:
-            events = []
-            for s in space.strands_of(a):
-                for i in range(b.height(s.id)):
-                    events.append(term_to_event(s.trace[i]))
+    for b in enumerate_bundles(space, conf, max_nodes, budget=budget):
+        for a, events in agent_events(space, b).items():
             bundle_profiles.setdefault((a, _event_multiset(events)), b)
 
     # the least history per multiset, so the witnesses do not depend on

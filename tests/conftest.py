@@ -2,23 +2,26 @@ from __future__ import annotations
 
 import json
 import pathlib
+from collections import deque
 from itertools import product
 
 import pytest
 from hypothesis import strategies as st
 
 from strandlab import chains
-from strandlab.bundles import Bundle, ConflictRelation, enumerate_bundles
+from strandlab.bundles import EMPTY_BUNDLE, Bundle, ConflictRelation, enumerate_bundles, validate_bundle
 from strandlab.chains import ChainPrefix, StepWitness, check_step
 from strandlab.core import (
     GlobalState,
     Node,
     Strand,
     StrandSpace,
+    event_to_term,
     negative,
     positive,
     recv,
     sent,
+    term_of,
 )
 from strandlab.documents import ChainsDocument, RunsDocument, load_document, parse_event
 from strandlab.systems import RunPrefix, check_mp
@@ -66,6 +69,58 @@ def pairwise_step_graph(space, conf, max_nodes):
                 succ.append((b2, witness))
         successors[b1] = tuple(succ)
     return successors
+
+
+def bfs_distances(graph) -> dict:
+    """Reference distances: a breadth-first search over the graph's
+    successors from the empty bundle, fewest steps per bundle reached."""
+    dist = {EMPTY_BUNDLE: 0}
+    queue = deque([EMPTY_BUNDLE])
+    while queue:
+        b = queue.popleft()
+        for b2, _ in graph.successors[b]:
+            if b2 not in dist:
+                dist[b2] = dist[b] + 1
+                queue.append(b2)
+    return dist
+
+
+def reference_message_equivalent(space, g, bundle) -> bool:
+    """Reference message equivalence, strand by strand: each strand's
+    height equals its history's length and each event is the term at its
+    node.  Assumes an identity-assigned space and a state over its strands."""
+    for sid, history in g.items():
+        if bundle.height(sid) != len(history):
+            return False
+        for i, event in enumerate(history, start=1):
+            if event_to_term(event) != term_of(space, Node(sid, i)):
+                return False
+    return True
+
+
+def brute_force_bundles(space, conf, max_nodes):
+    """Reference bundle enumeration: every height vector within max_nodes
+    and every set of same-message send->receive edges between its nodes,
+    kept when `validate_bundle` accepts it, in `Bundle.sort_key` order."""
+    found = []
+    for heights in product(*(range(len(s) + 1) for s in space.strands)):
+        if sum(heights) > max_nodes:
+            continue
+        base = Bundle.of({s.id: h for s, h in zip(space.strands, heights)})
+        nodes = list(base.nodes())
+        pairs = [
+            (n1, n2)
+            for n1 in nodes
+            for n2 in nodes
+            if term_of(space, n1).positive
+            and not term_of(space, n2).positive
+            and term_of(space, n1).message == term_of(space, n2).message
+        ]
+        for keep in product((False, True), repeat=len(pairs)):
+            bundle = Bundle(base.heights, frozenset(e for e, k in zip(pairs, keep) if k))
+            if validate_bundle(space, bundle, conf).ok:
+                found.append(bundle)
+    return tuple(sorted(found, key=Bundle.sort_key))
 
 
 def relay_space(k: int) -> StrandSpace:

@@ -18,7 +18,7 @@ from strandlab.core import Node, Strand, StrandSpace, negative, positive, recv, 
 from strandlab.errors import InputError
 from strandlab.systems import check_mp
 
-from conftest import pairwise_step_graph, relay_space, ring_space, small_spaces
+from conftest import bfs_distances, pairwise_step_graph, relay_space, ring_space, small_spaces
 
 
 def prefix_jump_space() -> StrandSpace:
@@ -106,7 +106,8 @@ class TestStepGraph:
         self, r1_space, r1_t5_space, nack_space, ping_space, cold_cache
     ):
         # the forward-built step graph against check_step on every pair of
-        # enumerated bundles: same bundles, successors, order and witnesses
+        # enumerated bundles: same bundles, successors, order and witnesses;
+        # its distances against a breadth-first search over its successors
         cases = [
             (r1_space.space, None),
             (r1_t5_space.space, r1_t5_space.conf),
@@ -124,6 +125,7 @@ class TestStepGraph:
             graph = step_graph(space, conf, n)
             assert graph.bundles == enumerate_bundles(space, conf, n)
             assert graph.successors == pairwise_step_graph(space, conf, n)
+            assert graph.distance == bfs_distances(graph)
 
     @given(small_spaces())
     @settings(max_examples=150, deadline=None)
@@ -132,6 +134,7 @@ class TestStepGraph:
         graph = step_graph(space, conf, max_nodes)
         assert graph.bundles == enumerate_bundles(space, conf, max_nodes)
         assert graph.successors == pairwise_step_graph(space, conf, max_nodes)
+        assert graph.distance == bfs_distances(graph)
 
     def test_each_bundle_is_one_object(self, nack_space, cold_cache):
         graph = step_graph(nack_space.space, None, 6)
@@ -139,6 +142,7 @@ class TestStepGraph:
         for succ in graph.successors.values():
             for b2, _ in succ:
                 assert shared[b2] is b2
+        assert graph.distance == bfs_distances(graph)
 
     def test_negative_max_nodes(self, ping_space):
         space = ping_space.space

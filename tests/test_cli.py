@@ -193,6 +193,29 @@ def test_malformed_input_exits_2(tmp_path, name):
     assert "Traceback" not in proc.stderr
 
 
+# Nested past the JSON parser's recursion limit; written as raw text,
+# since json.dumps recurses as deep as the parser does.
+DEEP = {
+    "bundles 995 deep": '{"kind": "bundles", "bundles": ' + "[" * 995 + "]" * 995 + "}",
+    "runs 100000 deep": '{"kind": "runs", "agents": ["a"], "horizon": 0, "runs": '
+    + "[" * 100_000 + "]" * 100_000 + "}",
+}
+
+
+@pytest.mark.parametrize("name", sorted(DEEP))
+def test_deeply_nested_input_exits_2(tmp_path, name):
+    path = tmp_path / "deep.json"
+    path.write_text(DEEP[name])
+    proc = subprocess.run(
+        [sys.executable, "-m", "strandlab.cli", "validate", str(path)],
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("error: ")
+    assert "Traceback" not in proc.stderr
+
+
 class TestEnumerate:
     def test_bundles_output_parses(self, capsys):
         assert run_cli("enumerate", fixture_path("ping_space"), "--bundles") == 0

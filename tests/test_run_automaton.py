@@ -19,7 +19,7 @@ from hypothesis import strategies as st
 
 import strandlab
 from strandlab.chains import translate
-from strandlab.checks import _describe_run, theorem_3
+from strandlab.checks import _describe_state, theorem_3
 from strandlab.constructions import extended_space_from_system, space_from_monotone
 from strandlab.protocols import generate_runs
 from strandlab.systems import RunAutomaton, RunPrefix, generate_system, systems_equal
@@ -171,7 +171,7 @@ def test_theorem_3_witness_is_the_least_four_event_run(r1_space, r1_system, r1_t
     )
     result = theorem_3(r1_space.space, r1_system.histories, max_nodes=8)
     assert result.ok
-    assert f"translation adds runs, e.g. {_describe_run(least)}" in result.lines
+    assert f"translation adds runs, e.g. {_describe_state(least.final())}" in result.lines
 
 
 # Two runs of one agent whose histories hold the same two events in both
