@@ -23,8 +23,7 @@ all compare these images.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
-from typing import Iterable, Iterator, Mapping
+from typing import Iterable, Iterator, Mapping, NamedTuple
 
 from .budget import StateBudget, ensure
 from .core import GlobalState, History, Node, StrandSpace, term_of, term_to_event
@@ -33,8 +32,7 @@ from .errors import InputError
 CommEdge = tuple[Node, Node]
 
 
-@dataclass(frozen=True)
-class Bundle:
+class Bundle(NamedTuple):
     """Per-strand prefix heights plus a send-to-receive edge matching.
 
     ``heights`` stores only nonzero entries, sorted by strand id; a strand
@@ -81,8 +79,7 @@ class Bundle:
 EMPTY_BUNDLE = Bundle.of({})
 
 
-@dataclass(frozen=True)
-class BundleReport:
+class BundleReport(NamedTuple):
     """Per-axiom pass/fail with human-readable problem descriptions."""
 
     problems: tuple[tuple[str, str], ...]  # (axiom key, description)

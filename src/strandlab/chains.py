@@ -55,8 +55,7 @@ distinct such pairs per round, not the number of prefixes.
 from __future__ import annotations
 
 import itertools
-from collections import deque
-from dataclasses import dataclass
+from collections import deque, namedtuple
 from typing import Iterator, NamedTuple
 
 from .budget import StateBudget, ensure
@@ -66,8 +65,7 @@ from .errors import InputError
 from .systems import RunAutomaton, RunPrefix, explore
 
 
-@dataclass(frozen=True)
-class StepWitness:
+class StepWitness(NamedTuple):
     """Certificate that one bundle steps to another.
 
     ``f`` is the witnessing bijection restricted to strands active in the
@@ -82,19 +80,22 @@ class StepWitness:
         return {agent: event for agent, _, event in self.extensions}
 
 
-@dataclass(frozen=True)
-class ChainPrefix:
+class ChainPrefix(namedtuple("ChainPrefix", "agents bundles witnesses")):
     """Bundles B_0, ..., B_T from the empty bundle, with step witnesses."""
 
-    agents: tuple[str, ...]
-    bundles: tuple[Bundle, ...]
-    witnesses: tuple[StepWitness, ...]
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not self.bundles or not self.bundles[0].is_empty():
+    def __new__(
+        cls,
+        agents: tuple[str, ...],
+        bundles: tuple[Bundle, ...],
+        witnesses: tuple[StepWitness, ...],
+    ):
+        if not bundles or not bundles[0].is_empty():
             raise InputError("a chain starts at the empty bundle")
-        if len(self.witnesses) != len(self.bundles) - 1:
+        if len(witnesses) != len(bundles) - 1:
             raise InputError("one witness is required per consecutive bundle pair")
+        return tuple.__new__(cls, (agents, bundles, witnesses))
 
     @property
     def length(self) -> int:
@@ -187,8 +188,7 @@ def check_step(space: StrandSpace, b1: Bundle, b2: Bundle) -> StepWitness | None
     return None
 
 
-@dataclass(frozen=True)
-class StepGraph:
+class StepGraph(NamedTuple):
     """All bundles within a node budget, their step successors and their
     distances, the fewest chain steps from the empty bundle."""
 

@@ -22,8 +22,7 @@ detail lines.  The numbered entry points (used by the command line) are:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 from .budget import StateBudget, ensure
 from .bundles import ConflictRelation, _longest_causal_path, agent_events, enumerate_bundles
@@ -44,8 +43,7 @@ from .systems import (
 )
 
 
-@dataclass(frozen=True)
-class CheckResult:
+class CheckResult(NamedTuple):
     name: str
     ok: bool
     lines: tuple[str, ...]

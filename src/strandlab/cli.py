@@ -7,19 +7,22 @@ Three subcommands over the JSON model files described in `documents`:
   check --equal|--history-preserving|--theorem N|--lemma N PATH...
 
 Exit codes: 0 when everything holds, 1 when a modeled property fails,
-2 on usage, parse, or budget errors.  Output is deterministic: the same
+2 on usage, parse, or budget errors, and also 2, silently, when stdout is
+closed before all output is written.  Output is deterministic: the same
 inputs and flags always produce the same bytes.
 """
 
 from __future__ import annotations
 
 import argparse
+import io
+import os
 import sys
 
 from .bundles import enumerate_bundles, validate_conflicts
 from .chains import enumerate_chain_prefixes, translate
 from .checks import (
-    _describe_state, lemma_1, lemma_2, node_cap,
+    CheckResult, _describe_state, lemma_1, lemma_2, node_cap,
     theorem_1, theorem_2, theorem_3, theorem_4, theorem_5, theorem_6, theorem_7,
 )
 from .core import validate_space
@@ -84,11 +87,30 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _kind(cls) -> str:
+    return cls.__name__.removesuffix("Document").lower()
+
+
 def _require(doc: Document, cls):
     if not isinstance(doc, cls):
-        kind = cls.__name__.removesuffix("Document").lower()
-        raise InputError(f"a {kind} file required, got a {type(doc).__name__}")
+        raise InputError(f"a {_kind(cls)} file required, got a {_kind(type(doc))} file")
     return doc
+
+
+def _write_stdout(text: str) -> None:
+    """All of ``text`` to stdout, or BrokenPipeError.  An unbuffered
+    stdout (``python -u``) takes only part of a write to a pipe whose
+    reader has gone, and its text layer drops the rest without an error,
+    so the bytes go to the file descriptor until every one is taken."""
+    try:
+        fd = sys.stdout.fileno()
+    except (AttributeError, io.UnsupportedOperation):  # an in-memory stream
+        sys.stdout.write(text)
+        return
+    sys.stdout.flush()
+    data = memoryview(text.encode(sys.stdout.encoding))
+    while data:
+        data = data[os.write(fd, data):]
 
 
 def _cmd_validate(args) -> int:
@@ -157,7 +179,7 @@ def _cmd_enumerate(args) -> int:
         with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(text)
     else:
-        sys.stdout.write(text)
+        _write_stdout(text)
     return EXIT_OK
 
 
@@ -167,65 +189,74 @@ def _paths(args, n: int) -> list[Document]:
     return [load_document(p) for p in args.paths]
 
 
-# check -> (kinds of its input files, the check on the loaded documents,
-# then the --horizon keyword when given and --max-nodes or None)
+def _equal(a: RunsDocument, b: RunsDocument) -> CheckResult:
+    report = systems_equal(a.runs, b.runs)
+    if report.equal:
+        return CheckResult("the two run sets are equal", True, ())
+    side = "first" if report.only_in_a else "second"
+    witness = _describe_state(report.witness().final())
+    return CheckResult(f"run sets differ; only in {side} set: {witness}", False, ())
+
+
+def _history_preserving(s: SpaceDocument, r: RunsDocument, max_nodes=None) -> CheckResult:
+    """The verdict; the failures are printed above it, one a line."""
+    report = check_history_preserving(
+        s.space, r.runs, node_cap(s.space, max_nodes), conf=s.conf
+    )
+    if report.ok:
+        return CheckResult("histories are preserved in both directions", True, ())
+    for agent, history in report.clause1_failures:
+        print(f"clause 1: agent {agent} history {[str(e) for e in history]} matches no bundle")
+    for agent, bundle, events in report.clause2_failures:
+        print(
+            f"clause 2: bundle {dict(bundle.heights)} gives agent {agent} "
+            f"events {[str(e) for e in events]} matched by no run"
+        )
+    return CheckResult("history preservation is violated", False, ())
+
+
+# the check's option -> (kinds of its input files, the options among
+# --horizon and --max-nodes that it takes, the check on the loaded
+# documents with those of its options that were given, as keywords)
 _CHECKS = {
-    "theorem 1": ((SpaceDocument,), lambda s, h, n: theorem_1(s.space, max_nodes=n, **h)),
-    "theorem 2": ((SpaceDocument,), lambda s, h, n: theorem_2(s.space, max_nodes=n, **h)),
-    "theorem 3": (
-        (SpaceDocument, SystemDocument),
-        lambda s, y, h, n: theorem_3(s.space, y.histories, max_nodes=n),
-    ),
-    "theorem 4": ((SpaceDocument,), lambda s, h, n: theorem_4(s.space, s.conf, max_nodes=n, **h)),
-    "theorem 5": ((SystemDocument,), lambda y, h, n: theorem_5(y.histories, **h)),
-    "theorem 6": ((ProtocolDocument,), lambda p, h, n: theorem_6(p.protocol, **h)),
-    "theorem 7": ((ProtocolDocument,), lambda p, h, n: theorem_7(p.protocol, max_nodes=n, **h)),
-    "lemma 1": ((SpaceDocument,), lambda s, h, n: lemma_1(s.space, s.conf, max_nodes=n)),
-    "lemma 2": ((SpaceDocument,), lambda s, h, n: lemma_2(s.space, max_nodes=n)),
+    "--equal": ((RunsDocument, RunsDocument), (), _equal),
+    "--history-preserving": ((SpaceDocument, RunsDocument), ("max_nodes",), _history_preserving),
+    "--theorem 1": ((SpaceDocument,), ("horizon", "max_nodes"),
+                    lambda s, **o: theorem_1(s.space, **o)),
+    "--theorem 2": ((SpaceDocument,), ("horizon", "max_nodes"),
+                    lambda s, **o: theorem_2(s.space, **o)),
+    "--theorem 3": ((SpaceDocument, SystemDocument), ("max_nodes",),
+                    lambda s, y, **o: theorem_3(s.space, y.histories, **o)),
+    "--theorem 4": ((SpaceDocument,), ("horizon", "max_nodes"),
+                    lambda s, **o: theorem_4(s.space, s.conf, **o)),
+    "--theorem 5": ((SystemDocument,), ("horizon",), lambda y, **o: theorem_5(y.histories, **o)),
+    "--theorem 6": ((ProtocolDocument,), ("horizon",), lambda p, **o: theorem_6(p.protocol, **o)),
+    "--theorem 7": ((ProtocolDocument,), ("horizon", "max_nodes"),
+                    lambda p, **o: theorem_7(p.protocol, **o)),
+    "--lemma 1": ((SpaceDocument,), ("max_nodes",), lambda s, **o: lemma_1(s.space, s.conf, **o)),
+    "--lemma 2": ((SpaceDocument,), ("max_nodes",), lambda s, **o: lemma_2(s.space, **o)),
 }
 
 
 def _cmd_check(args) -> int:
     if args.equal:
-        a, b = _paths(args, 2)
-        a = _require(a, RunsDocument)
-        b = _require(b, RunsDocument)
-        report = systems_equal(a.runs, b.runs)
-        if report.equal:
-            print("PASS the two run sets are equal")
-            return EXIT_OK
-        witness = report.witness()
-        side = "first" if report.only_in_a else "second"
-        print(f"FAIL run sets differ; only in {side} set: {_describe_state(witness.final())}")
-        return EXIT_PROPERTY_FAILED
-
-    if args.history_preserving:
-        space_doc, runs_doc = _paths(args, 2)
-        space_doc = _require(space_doc, SpaceDocument)
-        runs_doc = _require(runs_doc, RunsDocument)
-        report = check_history_preserving(
-            space_doc.space,
-            runs_doc.runs,
-            node_cap(space_doc.space, args.max_nodes),
-            conf=space_doc.conf,
-        )
-        if report.ok:
-            print("PASS histories are preserved in both directions")
-            return EXIT_OK
-        for agent, history in report.clause1_failures:
-            print(f"clause 1: agent {agent} history {[str(e) for e in history]} matches no bundle")
-        for agent, bundle, events in report.clause2_failures:
-            print(
-                f"clause 2: bundle {dict(bundle.heights)} gives agent {agent} "
-                f"events {[str(e) for e in events]} matched by no run"
-            )
-        print("FAIL history preservation is violated")
-        return EXIT_PROPERTY_FAILED
-
-    kinds, run = _CHECKS[f"lemma {args.lemma}" if args.lemma else f"theorem {args.theorem}"]
+        name = "--equal"
+    elif args.history_preserving:
+        name = "--history-preserving"
+    else:
+        name = f"--lemma {args.lemma}" if args.lemma else f"--theorem {args.theorem}"
+    kinds, takes, run = _CHECKS[name]
+    options = {}
+    for option in ("horizon", "max_nodes"):
+        value = getattr(args, option)
+        if value is None:
+            continue
+        if option not in takes:
+            flag = "--" + option.replace("_", "-")
+            raise InputError(f"check {name} does not take {flag}")
+        options[option] = value
     docs = [_require(doc, cls) for doc, cls in zip(_paths(args, len(kinds)), kinds)]
-    horizon = {} if args.horizon is None else {"horizon": args.horizon}
-    result = run(*docs, horizon, args.max_nodes)
+    result = run(*docs, **options)
     print(result.render())
     return EXIT_OK if result.ok else EXIT_PROPERTY_FAILED
 
@@ -239,10 +270,18 @@ def main(argv=None) -> int:
         return EXIT_USAGE if exc.code else EXIT_OK
     try:
         if args.command == "validate":
-            return _cmd_validate(args)
-        if args.command == "enumerate":
-            return _cmd_enumerate(args)
-        return _cmd_check(args)
+            code = _cmd_validate(args)
+        elif args.command == "enumerate":
+            code = _cmd_enumerate(args)
+        else:
+            code = _cmd_check(args)
+        sys.stdout.flush()  # a closed stdout fails here, not at exit
+        return code
+    except BrokenPipeError:
+        # the reader of stdout has gone: what is still buffered goes to
+        # the null device, so the flush at exit does not fail again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_USAGE
     except SchemaError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

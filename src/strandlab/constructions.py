@@ -19,8 +19,8 @@ the protocol performs only once, producing runs the protocol cannot.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import combinations
+from typing import NamedTuple
 
 from .bundles import ConflictRelation
 from .core import History, Strand, StrandSpace, event_to_term, negative
@@ -29,8 +29,7 @@ from .protocols import JointProtocol, MonotoneSpec, ProtocolSpec, UnionSpec
 from .systems import HistorySet
 
 
-@dataclass(frozen=True)
-class ExtendedSpace:
+class ExtendedSpace(NamedTuple):
     """A strand space together with its conflict relation."""
 
     space: StrandSpace

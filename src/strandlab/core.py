@@ -6,6 +6,15 @@ equality, rendering and well-formedness checks.  Messages are opaque
 atoms: the internal structure of a message is irrelevant to the execution
 models, so a message is just its name.
 
+Most value types of the package are tuples: a `NamedTuple` record, or a
+`namedtuple` subclass whose ``__new__`` validates.  Their fields are
+read-only descriptors and they have no instance dict, so assigning any
+attribute raises `AttributeError`.  `StrandSpace` and `GlobalState` keep
+state beside their fields (lookup maps, a cached hash); they are
+``__slots__`` classes whose ``__setattr__`` and ``__delattr__`` raise
+`AttributeError`.  Every value's hash is the hash of its field tuple and
+its repr is ``Cls(field=value, ...)``.
+
 Conventions:
   * strand positions are 1-based;
   * a signed term ``+u`` is the sending of message ``u``, ``-u`` its
@@ -15,8 +24,8 @@ Conventions:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Iterable, Iterator, Mapping
+from collections import namedtuple
+from typing import Iterable, Iterator, Mapping, NamedTuple
 
 from .errors import InputError
 
@@ -31,17 +40,16 @@ def _check_token(value: str, what: str) -> None:
         raise InputError(f"{what} must be a nonempty token without whitespace: {value!r}")
 
 
-@dataclass(frozen=True, order=True)
-class SignedTerm:
+class SignedTerm(namedtuple("SignedTerm", "sign message")):
     """A send (+u) or receive (-u) of a message."""
 
-    sign: str
-    message: str
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.sign not in (POSITIVE, NEGATIVE):
-            raise InputError(f"sign must be '+' or '-', got {self.sign!r}")
-        _check_token(self.message, "message")
+    def __new__(cls, sign: str, message: str):
+        if sign not in (POSITIVE, NEGATIVE):
+            raise InputError(f"sign must be '+' or '-', got {sign!r}")
+        _check_token(message, "message")
+        return tuple.__new__(cls, (sign, message))
 
     @property
     def positive(self) -> bool:
@@ -59,17 +67,16 @@ def negative(message: str) -> SignedTerm:
     return SignedTerm(NEGATIVE, message)
 
 
-@dataclass(frozen=True, order=True)
-class Event:
+class Event(namedtuple("Event", "kind message")):
     """A local event: message sent or message received."""
 
-    kind: str
-    message: str
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.kind not in (SENT, RECV):
-            raise InputError(f"event kind must be 'sent' or 'recv', got {self.kind!r}")
-        _check_token(self.message, "message")
+    def __new__(cls, kind: str, message: str):
+        if kind not in (SENT, RECV):
+            raise InputError(f"event kind must be 'sent' or 'recv', got {kind!r}")
+        _check_token(message, "message")
+        return tuple.__new__(cls, (kind, message))
 
     def __str__(self) -> str:
         return f"{self.kind} {self.message}"
@@ -106,61 +113,78 @@ def event_term_bijection(x: Event | SignedTerm) -> SignedTerm | Event:
 History = tuple[Event, ...]
 
 
-@dataclass(frozen=True, order=True)
-class Strand:
-    """A named, nonempty trace of signed terms."""
+class Strand(namedtuple("Strand", "id trace")):
+    """A named, nonempty trace of signed terms.  Its ``len`` is the trace
+    length."""
 
-    id: str
-    trace: tuple[SignedTerm, ...]
+    __slots__ = ()
 
-    def __post_init__(self):
-        _check_token(self.id, "strand id")
-        object.__setattr__(self, "trace", tuple(self.trace))
+    def __new__(cls, id: str, trace: Iterable[SignedTerm]):
+        _check_token(id, "strand id")
+        return tuple.__new__(cls, (id, tuple(trace)))
 
     def __len__(self) -> int:
         return len(self.trace)
 
 
-@dataclass(frozen=True, order=True)
-class Node:
+class Node(NamedTuple):
     """A position within a strand's trace (1-based)."""
 
     strand: str
     index: int
 
 
-@dataclass(frozen=True)
+_set = object.__setattr__
+
+
+def _frozen(self, name, value=None):
+    raise AttributeError(f"field {name!r} is read-only")
+
+
 class StrandSpace:
     """A finite set of strands together with an agent assignment.
 
     A plain (agent-free) space is represented with the identity
-    assignment: each strand is its own agent.
+    assignment: each strand is its own agent.  Equality, hash and repr
+    read the three fields, not the lookup maps built from them.
     """
 
-    strands: tuple[Strand, ...]
-    agents: tuple[str, ...]
-    assignment: tuple[tuple[str, str], ...]  # (strand id, agent), sorted
+    __slots__ = ("strands", "agents", "assignment", "_by_id", "_agent_by_id", "_by_agent")
 
-    _by_id: Mapping[str, Strand] = field(
-        init=False, repr=False, compare=False, hash=False, default=None
-    )
-    _agent_by_id: Mapping[str, str] = field(
-        init=False, repr=False, compare=False, hash=False, default=None
-    )
-    _by_agent: Mapping[str, tuple[Strand, ...]] = field(
-        init=False, repr=False, compare=False, hash=False, default=None
-    )
-
-    def __post_init__(self):
-        amap = dict(self.assignment)
+    def __init__(
+        self,
+        strands: tuple[Strand, ...],
+        agents: tuple[str, ...],
+        assignment: tuple[tuple[str, str], ...],  # (strand id, agent), sorted
+    ):
+        _set(self, "strands", strands)
+        _set(self, "agents", agents)
+        _set(self, "assignment", assignment)
+        amap = dict(assignment)
         by_agent: dict[str, list[Strand]] = {}
-        for s in self.strands:
+        for s in strands:
             if s.id in amap:
                 by_agent.setdefault(amap[s.id], []).append(s)
-        object.__setattr__(self, "_by_id", {s.id: s for s in self.strands})
-        object.__setattr__(self, "_agent_by_id", amap)
-        object.__setattr__(
-            self, "_by_agent", {a: tuple(ss) for a, ss in by_agent.items()}
+        _set(self, "_by_id", {s.id: s for s in strands})
+        _set(self, "_agent_by_id", amap)
+        _set(self, "_by_agent", {a: tuple(ss) for a, ss in by_agent.items()})
+
+    __setattr__ = __delattr__ = _frozen
+
+    def __eq__(self, other):
+        if other.__class__ is not StrandSpace:
+            return NotImplemented
+        return (self.strands, self.agents, self.assignment) == (
+            other.strands, other.agents, other.assignment
+        )
+
+    def __hash__(self) -> int:
+        return hash((self.strands, self.agents, self.assignment))
+
+    def __repr__(self) -> str:
+        return (
+            f"StrandSpace(strands={self.strands!r}, agents={self.agents!r}, "
+            f"assignment={self.assignment!r})"
         )
 
     @classmethod
@@ -230,8 +254,7 @@ def term_of(space: StrandSpace, node: Node) -> SignedTerm:
     return strand.trace[node.index - 1]
 
 
-@dataclass(frozen=True)
-class SpaceReport:
+class SpaceReport(NamedTuple):
     """Well-formedness report for a strand space; never raised."""
 
     problems: tuple[str, ...]
@@ -263,22 +286,55 @@ def validate_space(space: StrandSpace) -> SpaceReport:
     return SpaceReport(tuple(problems))
 
 
-@dataclass(frozen=True, order=True)
 class GlobalState:
     """A tuple of per-agent local histories.
 
-    The hash is computed once per object, with the value the generated
-    dataclass hash would give, so set and dict orders do not change."""
+    Equality and order are those of the field tuple ``(locals,)``, between
+    global states only.  The hash is that tuple's hash, computed on first
+    use and kept, so set and dict orders follow the field values alone."""
 
-    locals: tuple[tuple[str, History], ...]  # sorted by agent
+    __slots__ = ("locals", "_hash")
 
-    _hash = None  # not a field: set on the instance by the first hash
+    def __init__(self, locals: tuple[tuple[str, History], ...]):  # sorted by agent
+        _set(self, "locals", locals)
+
+    __setattr__ = __delattr__ = _frozen
 
     def __hash__(self) -> int:
-        h = self._hash
-        if h is None:
-            h = self.__dict__["_hash"] = hash((self.locals,))
-        return h
+        try:
+            return self._hash
+        except AttributeError:  # the first hash of this object
+            h = hash((self.locals,))
+            _set(self, "_hash", h)
+            return h
+
+    def __eq__(self, other):
+        if other.__class__ is not GlobalState:
+            return NotImplemented
+        return self.locals == other.locals
+
+    def __lt__(self, other):
+        if other.__class__ is not GlobalState:
+            return NotImplemented
+        return self.locals < other.locals
+
+    def __le__(self, other):
+        if other.__class__ is not GlobalState:
+            return NotImplemented
+        return self.locals <= other.locals
+
+    def __gt__(self, other):
+        if other.__class__ is not GlobalState:
+            return NotImplemented
+        return self.locals > other.locals
+
+    def __ge__(self, other):
+        if other.__class__ is not GlobalState:
+            return NotImplemented
+        return self.locals >= other.locals
+
+    def __repr__(self) -> str:
+        return f"GlobalState(locals={self.locals!r})"
 
     @classmethod
     def of(cls, mapping: Mapping[str, Iterable[Event]]) -> "GlobalState":

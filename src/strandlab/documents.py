@@ -50,8 +50,7 @@ validators, which report rather than throw.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
-from typing import Any, Callable
+from typing import Any, Callable, NamedTuple
 
 from .bundles import Bundle, ConflictRelation
 from .chains import ChainPrefix, StepWitness
@@ -114,8 +113,7 @@ def parse_action(s: Any) -> Action:
 # --- typed documents ----------------------------------------------------
 
 
-@dataclass(frozen=True)
-class SpaceDocument:
+class SpaceDocument(NamedTuple):
     space: StrandSpace
     conf: ConflictRelation | None
     messages: tuple[str, ...]
@@ -125,30 +123,25 @@ class SpaceDocument:
         return "space" if self.conf is None else "extended-space"
 
 
-@dataclass(frozen=True)
-class SystemDocument:
+class SystemDocument(NamedTuple):
     histories: HistorySet
 
 
-@dataclass(frozen=True)
-class ProtocolDocument:
+class ProtocolDocument(NamedTuple):
     protocol: JointProtocol
 
 
-@dataclass(frozen=True)
-class RunsDocument:
+class RunsDocument(NamedTuple):
     agents: tuple[str, ...]
     horizon: int
     runs: RunAutomaton
 
 
-@dataclass(frozen=True)
-class BundlesDocument:
+class BundlesDocument(NamedTuple):
     bundles: tuple[Bundle, ...]
 
 
-@dataclass(frozen=True)
-class ChainsDocument:
+class ChainsDocument(NamedTuple):
     agents: tuple[str, ...]
     chains: tuple[ChainPrefix, ...]
 

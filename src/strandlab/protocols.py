@@ -22,10 +22,9 @@ is `systems.explore` over rounds.
 
 from __future__ import annotations
 
-from collections import Counter
-from dataclasses import dataclass
+from collections import Counter, namedtuple
 from itertools import product
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, NamedTuple
 
 from .budget import StateBudget
 from .core import Event, GlobalState, History, recv, sent
@@ -33,22 +32,21 @@ from .errors import InputError
 from .systems import RunAutomaton, explore, joint_round
 
 
-@dataclass(frozen=True, order=True)
-class Action:
+class Action(namedtuple("Action", "kind message")):
     """Send a specific message, or do nothing."""
 
-    kind: str  # "send" or "no-op"
-    message: str | None = None
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.kind == "send":
-            if not self.message:
+    def __new__(cls, kind: str, message: str | None = None):  # kind: "send" or "no-op"
+        if kind == "send":
+            if not message:
                 raise InputError("a send action carries exactly one message")
-        elif self.kind == "no-op":
-            if self.message is not None:
+        elif kind == "no-op":
+            if message is not None:
                 raise InputError("no-op carries no message")
         else:
-            raise InputError(f"unknown action kind: {self.kind!r}")
+            raise InputError(f"unknown action kind: {kind!r}")
+        return tuple.__new__(cls, (kind, message))
 
     def __str__(self) -> str:
         return "no-op" if self.kind == "no-op" else f"send {self.message}"
@@ -61,39 +59,41 @@ def send(message: str) -> Action:
     return Action("send", message)
 
 
-@dataclass(frozen=True)
-class MonotoneSpec:
+class MonotoneSpec(NamedTuple):
     """A protocol fully described by one fixed event sequence."""
 
     events: tuple[Event, ...]
 
 
-@dataclass(frozen=True)
-class UnionSpec:
+class UnionSpec(namedtuple("UnionSpec", "members")):
     """The pointwise union of member protocols."""
 
-    members: tuple
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not self.members:
+    def __new__(cls, members: tuple):
+        if not members:
             raise InputError("a union protocol needs at least one member")
+        return tuple.__new__(cls, (members,))
 
 
-@dataclass(frozen=True)
-class TableSpec:
+class TableSpec(namedtuple("TableSpec", "entries default")):
     """Explicit history-to-actions entries with a default action set."""
 
-    entries: tuple[tuple[History, frozenset[Action]], ...]
-    default: frozenset[Action] = frozenset({NOOP})
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not self.default:
+    def __new__(
+        cls,
+        entries: tuple[tuple[History, frozenset[Action]], ...],
+        default: frozenset[Action] = frozenset({NOOP}),
+    ):
+        if not default:
             raise InputError("the default action set must be nonempty")
-        for history, actions in self.entries:
+        for history, actions in entries:
             if not actions:
                 raise InputError(
                     f"empty action set for history {[str(e) for e in history]}"
                 )
+        return tuple.__new__(cls, (entries, default))
 
     @classmethod
     def of(
@@ -145,8 +145,7 @@ def eval_protocol(p: ProtocolSpec, h: History) -> frozenset[Action]:
     raise InputError(f"unknown protocol spec: {type(p).__name__}")
 
 
-@dataclass(frozen=True)
-class JointProtocol:
+class JointProtocol(NamedTuple):
     """One protocol per agent, over an explicit message universe."""
 
     per_agent: tuple[tuple[str, ProtocolSpec], ...]

@@ -41,11 +41,10 @@ with `bundles.agent_events` of every bundle, as per-agent multisets.
 
 from __future__ import annotations
 
-from collections import Counter
+from collections import Counter, namedtuple
 from collections.abc import Set as AbstractSet
-from dataclasses import dataclass
 from itertools import product
-from typing import Callable, Iterable, Iterator, Mapping, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 from .budget import StateBudget, ensure
 from .bundles import agent_events, enumerate_bundles
@@ -56,15 +55,15 @@ MP2_STRONG = "strong"
 MP2_LITERAL = "literal"
 
 
-@dataclass(frozen=True, order=True)
-class RunPrefix:
+class RunPrefix(namedtuple("RunPrefix", "states")):
     """A sequence of global states g_0, ..., g_T."""
 
-    states: tuple[GlobalState, ...]
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not self.states:
+    def __new__(cls, states: tuple[GlobalState, ...]):
+        if not states:
             raise InputError("a run prefix contains at least the initial state")
+        return tuple.__new__(cls, (states,))
 
     @classmethod
     def of(cls, states: Iterable[GlobalState]) -> "RunPrefix":
@@ -234,8 +233,7 @@ class RunAutomaton(AbstractSet):
         )
 
 
-@dataclass(frozen=True)
-class HistorySet:
+class HistorySet(NamedTuple):
     """Per-agent finite sets of admissible local histories."""
 
     per_agent: tuple[tuple[str, tuple[History, ...]], ...]
@@ -309,8 +307,7 @@ def mp2_problem(g: GlobalState, mode: str) -> str | None:
     return None
 
 
-@dataclass(frozen=True)
-class MPReport:
+class MPReport(NamedTuple):
     """Pass/fail per message-passing condition, with first violations."""
 
     mp1: str | None
@@ -494,8 +491,7 @@ def extract_histories(runs: Iterable[RunPrefix]) -> HistorySet:
     return HistorySet.of(acc)
 
 
-@dataclass(frozen=True)
-class EqualityReport:
+class EqualityReport(NamedTuple):
     """Outcome of a horizon-bounded run-set comparison."""
 
     equal: bool
@@ -550,8 +546,7 @@ def _event_multiset(events: Iterable[Event]) -> tuple[Event, ...]:
     return tuple(sorted(events))
 
 
-@dataclass(frozen=True)
-class HistoryPreservingReport:
+class HistoryPreservingReport(NamedTuple):
     """Witnessed violations of the two history-preservation clauses.
 
     Clause 1: every history reached by a run is realized, as a multiset of

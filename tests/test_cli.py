@@ -3,6 +3,7 @@ from __future__ import annotations
 import contextlib
 import io
 import json
+import os
 import pathlib
 import subprocess
 import sys
@@ -395,8 +396,37 @@ class TestCheck:
         swapped = (fixture_path("r1_system"), fixture_path("r1_space"))
         assert run_cli("check", "--theorem", 3, *swapped) == 2
         assert capsys.readouterr().err == (
-            "error: a space file required, got a SystemDocument\n"
+            "error: a space file required, got a system file\n"
         )
+
+    @pytest.mark.parametrize(
+        "check,flag",
+        [
+            ("--theorem 3", "--horizon"),
+            ("--lemma 1", "--horizon"),
+            ("--lemma 2", "--horizon"),
+            ("--equal", "--horizon"),
+            ("--history-preserving", "--horizon"),
+            ("--theorem 5", "--max-nodes"),
+            ("--theorem 6", "--max-nodes"),
+            ("--equal", "--max-nodes"),
+        ],
+    )
+    def test_flag_the_check_does_not_take_is_usage_error(self, tmp_path, capsys, check, flag):
+        runs = tmp_path / "runs.json"
+        run_cli("enumerate", fixture_path("ping_space"), "--translate", "--horizon", 2, "--out", runs)
+        inputs = {
+            "--theorem 3": (fixture_path("r1_space"), fixture_path("r1_system")),
+            "--lemma 1": (fixture_path("r1_space"),),
+            "--lemma 2": (fixture_path("r1_space"),),
+            "--equal": (runs, runs),
+            "--history-preserving": (fixture_path("ping_space"), runs),
+            "--theorem 5": (fixture_path("nack_system"),),
+            "--theorem 6": (fixture_path("nack_protocol"),),
+        }[check]
+        capsys.readouterr()
+        assert run_cli("check", *check.split(), *inputs, flag, 3) == 2
+        assert capsys.readouterr() == ("", f"error: check {check} does not take {flag}\n")
 
     def test_theorem_7_rejects_non_monotone(self, capsys):
         assert run_cli("check", "--theorem", 7, fixture_path("nack_protocol")) == 2
@@ -404,6 +434,49 @@ class TestCheck:
 
     def test_wrong_arity_is_usage_error(self):
         assert run_cli("check", "--theorem", 1) == 2
+
+
+def test_import_loads_no_dataclass_machinery():
+    # a fresh interpreter; only the modules the import adds count, so a
+    # site hook that loads either one cannot fail the test
+    code = (
+        "import sys; before = set(sys.modules); import strandlab.cli; "
+        "print(' '.join(sorted(set(sys.modules) - before)))"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    added = set(proc.stdout.split())
+    assert "strandlab.cli" in added
+    assert not added & {"dataclasses", "inspect"}
+
+
+@pytest.mark.parametrize("unbuffered", ["", "1"])
+def test_closed_stdout_exits_2_without_a_traceback(unbuffered):
+    env = dict(os.environ, PYTHONUNBUFFERED=unbuffered)
+    cli = [sys.executable, "-m", "strandlab.cli"]
+    # closed after the first line of a 0.5 MB document, far more than a
+    # pipe holds, so the rest is still being written
+    proc = subprocess.Popen(
+        [*cli, "enumerate", str(fixture_path("r1_space")), "--translate"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+    )
+    assert proc.stdout.readline() == b"{\n"
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert (proc.wait(), err) == (2, b"")
+    # closed before the first line
+    for args in (
+        ["check", "--theorem", "5", str(fixture_path("nack_system"))],
+        ["validate", str(fixture_path("r1_space"))],
+    ):
+        read, write = os.pipe()
+        os.close(read)
+        try:
+            done = subprocess.run([*cli, *args], stdout=write, stderr=subprocess.PIPE, env=env)
+        finally:
+            os.close(write)
+        assert (done.returncode, done.stderr) == (2, b"")
 
 
 def test_module_entry_point():

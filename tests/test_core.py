@@ -4,11 +4,16 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from strandlab.bundles import EMPTY_BUNDLE, Bundle, BundleReport, ConflictRelation
+from strandlab.chains import ChainPrefix, StepGraph, StepWitness
+from strandlab.checks import CheckResult
+from strandlab.constructions import ExtendedSpace
 from strandlab.core import (
     Event,
     GlobalState,
     Node,
     SignedTerm,
+    SpaceReport,
     Strand,
     StrandSpace,
     event_term_bijection,
@@ -19,7 +24,24 @@ from strandlab.core import (
     term_of,
     validate_space,
 )
+from strandlab.documents import (
+    BundlesDocument,
+    ChainsDocument,
+    ProtocolDocument,
+    RunsDocument,
+    SpaceDocument,
+    SystemDocument,
+)
 from strandlab.errors import InputError
+from strandlab.protocols import NOOP, Action, JointProtocol, MonotoneSpec, TableSpec, UnionSpec
+from strandlab.systems import (
+    EqualityReport,
+    HistoryPreservingReport,
+    HistorySet,
+    MPReport,
+    RunAutomaton,
+    RunPrefix,
+)
 
 tokens = st.text(
     alphabet=st.characters(whitelist_categories=("Ll", "Lu", "Nd")), min_size=1, max_size=6
@@ -124,8 +146,8 @@ class TestGlobalState:
             GlobalState.empty(["a"]).history("z")
 
     def test_cached_hash_is_the_dataclass_hash(self):
-        # the value the generated dataclass hash gives, so set and dict
-        # orders are unchanged; repeated calls give it again
+        # the hash of the field tuple, as a dataclass's would be, so set
+        # and dict orders follow the values; repeated calls give it again
         g = GlobalState.empty(["a", "b"]).extend({"a": sent("u")})
         assert hash(g) == hash((g.locals,)) == hash(g)
         twin = GlobalState.of({"b": (), "a": (sent("u"),)})
@@ -137,3 +159,92 @@ class TestGlobalState:
         assert ident.is_identity_assigned()
         assert not r1_space.space.is_identity_assigned()
         assert set(ident.agents) == {s.id for s in ident.strands}
+
+
+# Every value type of the package: an instance, its field names in order,
+# two instances in increasing field order when the type is ordered, and the
+# bad inputs its constructor rejects.
+_SPACE = StrandSpace.identity([Strand("s", (positive("u"),))])
+_STATE = GlobalState.empty(["a", "b"]).extend({"a": sent("u")})
+_BUNDLE = Bundle.of({"s": 1})
+_WITNESS = StepWitness((("s", "s"),), (("s", "s", sent("u")),))
+_CHAIN = ChainPrefix(("s",), (EMPTY_BUNDLE, _BUNDLE), (_WITNESS,))
+_HISTORIES = HistorySet.of({"a": [(), (sent("u"),)]})
+_PROTOCOL = JointProtocol.of({"a": MonotoneSpec((sent("u"),))}, ["u"])
+_RUN = RunPrefix((GlobalState.empty(["a"]),))
+_RUNS = RunAutomaton.of([_RUN])
+VALUE_TYPES = [
+    (positive("u"), ("sign", "message"), (positive("u"), negative("u")),
+     [("*", "u"), ("+", ""), ("+", "two words")]),
+    (sent("u"), ("kind", "message"), (recv("v"), sent("u")),
+     [("got", "u"), ("sent", "two words")]),
+    (Strand("s", (positive("u"),)), ("id", "trace"),
+     (Strand("a", (positive("u"),)), Strand("a", (positive("v"),))),
+     [("", ()), ("two words", ())]),
+    (Node("s", 2), ("strand", "index"), (Node("s", 2), Node("s", 10)), []),
+    (_SPACE, ("strands", "agents", "assignment"), None, []),
+    (SpaceReport(("empty trace on strand s",)), ("problems",), None, []),
+    (_STATE, ("locals",), (GlobalState.empty(["a", "b"]), _STATE), []),
+    (_BUNDLE, ("heights", "edges"), None, []),
+    (BundleReport((("B2", "receive node <s,1> has no sender"),), False),
+     ("problems", "checked_b5"), None, []),
+    (_WITNESS, ("f", "extensions"), None, []),
+    (_CHAIN, ("agents", "bundles", "witnesses"), None,
+     [(("s",), (), ()), (("s",), (_BUNDLE,), ()), (("s",), (EMPTY_BUNDLE,), (_WITNESS,))]),
+    (StepGraph((EMPTY_BUNDLE,), {EMPTY_BUNDLE: ()}, {EMPTY_BUNDLE: 0}),
+     ("bundles", "successors", "distance"), None, []),
+    (CheckResult("name", True, ("a line",)), ("name", "ok", "lines"), None, []),
+    (ExtendedSpace(_SPACE, ConflictRelation()), ("space", "conf"), None, []),
+    (SpaceDocument(_SPACE, None, ("u",)), ("space", "conf", "messages"), None, []),
+    (SystemDocument(_HISTORIES), ("histories",), None, []),
+    (ProtocolDocument(_PROTOCOL), ("protocol",), None, []),
+    (RunsDocument(("a",), 0, _RUNS), ("agents", "horizon", "runs"), None, []),
+    (BundlesDocument((EMPTY_BUNDLE, _BUNDLE)), ("bundles",), None, []),
+    (ChainsDocument(("s",), (_CHAIN,)), ("agents", "chains"), None, []),
+    (Action("send", "u"), ("kind", "message"), (NOOP, Action("send", "u")),
+     [("send",), ("send", ""), ("no-op", "u"), ("jump",)]),
+    (MonotoneSpec((sent("u"),)), ("events",), None, []),
+    (UnionSpec((MonotoneSpec(()),)), ("members",), None, [((),)]),
+    (TableSpec.of({(): [NOOP]}), ("entries", "default"), None,
+     [((), frozenset()), ((((), frozenset()),),)]),
+    (_PROTOCOL, ("per_agent", "messages"), None, []),
+    (_RUN, ("states",), (_RUN, RunPrefix((_STATE,))), [((),)]),
+    (_HISTORIES, ("per_agent",), None, []),
+    (MPReport(None, "at time 1: 1 receives of u but only 0 sends", None),
+     ("mp1", "mp2", "mp3"), None, []),
+    (EqualityReport(True, _RUNS, _RUNS), ("equal", "only_in_a", "only_in_b"), None, []),
+    (HistoryPreservingReport((("a", (sent("u"),)),), ()),
+     ("clause1_failures", "clause2_failures"), None, []),
+]
+
+
+@pytest.mark.parametrize(
+    "value,names,ordered,bad", VALUE_TYPES, ids=[type(v[0]).__name__ for v in VALUE_TYPES]
+)
+def test_value_semantics(value, names, ordered, bad):
+    cls = type(value)
+    fields = tuple(getattr(value, n) for n in names)
+    # the constructor takes the fields, by position and by keyword
+    assert cls(*fields) == value == cls(**dict(zip(names, fields)))
+    # the hash of the field tuple; a type with unhashable fields has none
+    try:
+        expected = hash(fields)
+    except TypeError:
+        with pytest.raises(TypeError):
+            hash(value)
+    else:
+        assert hash(value) == expected
+    assert repr(value) == f"{cls.__name__}({', '.join(f'{n}={f!r}' for n, f in zip(names, fields))})"
+    with pytest.raises(AttributeError):
+        setattr(value, names[0], fields[0])
+    with pytest.raises(AttributeError):
+        value.extra = 1
+    if ordered is not None:
+        low, high = ordered
+        assert tuple(getattr(low, n) for n in names) < tuple(getattr(high, n) for n in names)
+        assert low < high and low <= high and high > low and high >= low
+        assert not high < low and low != high
+        assert sorted([high, low]) == [low, high]
+    for args in bad:
+        with pytest.raises(InputError):
+            cls(*args)
