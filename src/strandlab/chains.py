@@ -196,9 +196,6 @@ class StepGraph(NamedTuple):
     successors: dict
     distance: dict[Bundle, int]
 
-    def succ(self, b: Bundle) -> tuple:
-        return self.successors[b]
-
 
 class _NewNode(NamedTuple):
     """A node a step may add: the one that grows ``strand`` to ``height``."""
@@ -388,7 +385,7 @@ def enumerate_chain_prefixes(
     for _ in range(horizon):
         extended = []
         for bundles, witnesses in prefixes:
-            for b2, w in graph.succ(bundles[-1]):
+            for b2, w in graph.successors[bundles[-1]]:
                 budget.tick()
                 extended.append((bundles + (b2,), witnesses + (w,)))
         prefixes = extended
@@ -443,7 +440,7 @@ def translate(
     def successors(g: GlobalState, bundle_set: frozenset[Bundle]):
         groups: dict[tuple[tuple[str, Event], ...], set[Bundle]] = {}
         for b in bundle_set:
-            for b2, witness in graph.succ(b):
+            for b2, witness in graph.successors[b]:
                 key = tuple(sorted(witness.event_map().items()))
                 groups.setdefault(key, set()).add(b2)
         return [(g.extend(dict(key)), frozenset(bs)) for key, bs in groups.items()]

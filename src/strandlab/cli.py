@@ -6,6 +6,12 @@ Three subcommands over the JSON model files described in `documents`:
   enumerate PATH --bundles|--chains|--translate|--gen-system|--run-protocol
   check --equal|--history-preserving|--theorem N|--lemma N PATH...
 
+A mode takes only the options it uses.  Of enumerate's modes, all but
+--bundles take --horizon (default 4), and --bundles, --chains and
+--translate take --max-nodes (default 8); check's modes are in `_CHECKS`.
+Any other option exits 2, and so does a negative value, with the same
+message in both subcommands ("error: --horizon must be non-negative").
+
 Exit codes: 0 when everything holds, 1 when a modeled property fails,
 2 on usage, parse, or budget errors, and also 2, silently, when stdout is
 closed before all output is written.  Output is deterministic: the same
@@ -26,7 +32,7 @@ from .checks import (
     theorem_1, theorem_2, theorem_3, theorem_4, theorem_5, theorem_6, theorem_7,
 )
 from .core import validate_space
-from .errors import BudgetExceededError, InputError, SchemaError
+from .errors import InputError, StrandlabError
 from .documents import (
     BundlesDocument,
     ChainsDocument,
@@ -61,28 +67,29 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_validate = sub.add_parser("validate", help="check a model file for well-formedness")
     p_validate.add_argument("path")
+    p_validate.set_defaults(run=_cmd_validate)
 
+    # as for check, a mode flag stores its own spelling, the key of its
+    # table entry, and the input files are args.paths
     p_enum = sub.add_parser("enumerate", help="enumerate bundles, chains, or runs")
-    p_enum.add_argument("path")
+    p_enum.set_defaults(run=_cmd_enumerate)
+    p_enum.add_argument("paths", nargs=1, metavar="path")
     mode = p_enum.add_mutually_exclusive_group(required=True)
-    mode.add_argument("--bundles", action="store_true")
-    mode.add_argument("--chains", action="store_true")
-    mode.add_argument("--translate", action="store_true")
-    mode.add_argument("--gen-system", action="store_true")
-    mode.add_argument("--run-protocol", action="store_true")
-    p_enum.add_argument("--horizon", type=int, default=4)
-    p_enum.add_argument("--max-nodes", type=int, default=8)
+    for flag in _ENUMERATIONS:
+        mode.add_argument(flag, dest="mode", action="store_const", const=flag)
+    p_enum.add_argument("--horizon", type=int)
+    p_enum.add_argument("--max-nodes", type=int)
     p_enum.add_argument("--out")
 
     p_check = sub.add_parser("check", help="check an equivalence, theorem, or lemma")
+    p_check.set_defaults(run=_cmd_check)
     what = p_check.add_mutually_exclusive_group(required=True)
-    what.add_argument("--equal", action="store_true")
-    what.add_argument("--history-preserving", action="store_true")
+    for flag in ("--equal", "--history-preserving"):
+        what.add_argument(flag, dest="mode", action="store_const", const=flag)
     what.add_argument("--theorem", type=int, choices=sorted(range(1, 8)))
     what.add_argument("--lemma", type=int, choices=[1, 2])
     p_check.add_argument("paths", nargs="+")
     p_check.add_argument("--horizon", type=int)
-    # default: the node count of the space the check enumerates
     p_check.add_argument("--max-nodes", type=int)
     return parser
 
@@ -145,51 +152,67 @@ def _cmd_validate(args) -> int:
     return EXIT_OK
 
 
+def _run(command: str, table: dict, name: str, args):
+    """The mode ``name`` of ``table`` on the files ``args.paths``: each
+    loaded and of its kind, with those of --horizon and --max-nodes that
+    were given, provided the mode takes them and they are not negative."""
+    kinds, takes, call = table[name]
+    options = {}
+    for option in ("horizon", "max_nodes"):
+        value = getattr(args, option)
+        if value is None:
+            continue
+        flag = "--" + option.replace("_", "-")
+        if option not in takes:
+            raise InputError(f"{command} {name} does not take {flag}")
+        if value < 0:
+            raise InputError(f"{flag} must be non-negative")
+        options[option] = value
+    if len(args.paths) != len(kinds):
+        raise InputError(f"{command} {name} takes exactly {len(kinds)} input file(s)")
+    docs = [_require(load_document(p), cls) for p, cls in zip(args.paths, kinds)]
+    return call(*docs, **options)
+
+
+# Each table maps a mode to (kinds of its input files, the options among
+# --horizon and --max-nodes that it takes, the call on the loaded documents
+# with those of its options that were given, as keywords).  A call reaches
+# the layer functions through this module's globals.
+
+# enumerate's defaults: horizon 4, bundles of at most 8 nodes
+_ENUMERATIONS = {
+    "--bundles": ((SpaceDocument,), ("max_nodes",), lambda s, max_nodes=8:
+        BundlesDocument(enumerate_bundles(s.space, s.conf, max_nodes))),
+    "--chains": ((SpaceDocument,), ("horizon", "max_nodes"), lambda s, horizon=4, max_nodes=8:
+        ChainsDocument(s.space.agents, enumerate_chain_prefixes(s.space, s.conf, horizon, max_nodes))),
+    "--translate": ((SpaceDocument,), ("horizon", "max_nodes"), lambda s, horizon=4, max_nodes=8:
+        RunsDocument(s.space.agents, horizon, translate(s.space, s.conf, horizon, max_nodes))),
+    "--gen-system": ((SystemDocument,), ("horizon",), lambda y, horizon=4:
+        RunsDocument(y.histories.agents, horizon, generate_system(y.histories, horizon))),
+    "--run-protocol": ((ProtocolDocument,), ("horizon",), lambda p, horizon=4:
+        RunsDocument(p.protocol.agents, horizon, generate_runs(p.protocol, horizon))),
+}
+
+
 def _cmd_enumerate(args) -> int:
-    doc = load_document(args.path)
-    if args.horizon < 0 or args.max_nodes < 0:
-        raise InputError("--horizon and --max-nodes must be non-negative")
-    if args.bundles:
-        src = _require(doc, SpaceDocument)
-        out = BundlesDocument(
-            bundles=enumerate_bundles(src.space, src.conf, args.max_nodes)
-        )
-    elif args.chains:
-        src = _require(doc, SpaceDocument)
-        chains = enumerate_chain_prefixes(
-            src.space, src.conf, args.horizon, args.max_nodes
-        )
-        out = ChainsDocument(agents=src.space.agents, chains=chains)
-    elif args.translate:
-        src = _require(doc, SpaceDocument)
-        runs = translate(src.space, src.conf, args.horizon, args.max_nodes)
-        out = RunsDocument(agents=src.space.agents, horizon=args.horizon, runs=runs)
-    elif args.gen_system:
-        src = _require(doc, SystemDocument)
-        runs = generate_system(src.histories, args.horizon)
-        out = RunsDocument(
-            agents=src.histories.agents, horizon=args.horizon, runs=runs
-        )
-    else:
-        src = _require(doc, ProtocolDocument)
-        runs = generate_runs(src.protocol, args.horizon)
-        out = RunsDocument(agents=src.protocol.agents, horizon=args.horizon, runs=runs)
-    text = dump_document(out)
-    if args.out:
+    # the document is built before --out is opened, so a failed
+    # enumeration leaves no truncated file
+    text = dump_document(_run("enumerate", _ENUMERATIONS, args.mode, args))
+    if not args.out:
+        _write_stdout(text)
+        return EXIT_OK
+    try:
         with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(text)
-    else:
-        _write_stdout(text)
+    except OSError as exc:
+        raise InputError(f"cannot write {args.out}: {exc}") from exc
     return EXIT_OK
 
 
-def _paths(args, n: int) -> list[Document]:
-    if len(args.paths) != n:
-        raise InputError(f"this check takes exactly {n} input file(s)")
-    return [load_document(p) for p in args.paths]
-
-
 def _equal(a: RunsDocument, b: RunsDocument) -> CheckResult:
+    # the declared horizons, since an empty run set has none of its own
+    if a.horizon != b.horizon:
+        raise InputError(f"horizon mismatch: {sorted({a.horizon, b.horizon})}")
     report = systems_equal(a.runs, b.runs)
     if report.equal:
         return CheckResult("the two run sets are equal", True, ())
@@ -215,9 +238,8 @@ def _history_preserving(s: SpaceDocument, r: RunsDocument, max_nodes=None) -> Ch
     return CheckResult("history preservation is violated", False, ())
 
 
-# the check's option -> (kinds of its input files, the options among
-# --horizon and --max-nodes that it takes, the check on the loaded
-# documents with those of its options that were given, as keywords)
+# check's defaults are the check functions' own; --max-nodes defaults to
+# the node count of the space the check enumerates
 _CHECKS = {
     "--equal": ((RunsDocument, RunsDocument), (), _equal),
     "--history-preserving": ((SpaceDocument, RunsDocument), ("max_nodes",), _history_preserving),
@@ -239,24 +261,8 @@ _CHECKS = {
 
 
 def _cmd_check(args) -> int:
-    if args.equal:
-        name = "--equal"
-    elif args.history_preserving:
-        name = "--history-preserving"
-    else:
-        name = f"--lemma {args.lemma}" if args.lemma else f"--theorem {args.theorem}"
-    kinds, takes, run = _CHECKS[name]
-    options = {}
-    for option in ("horizon", "max_nodes"):
-        value = getattr(args, option)
-        if value is None:
-            continue
-        if option not in takes:
-            flag = "--" + option.replace("_", "-")
-            raise InputError(f"check {name} does not take {flag}")
-        options[option] = value
-    docs = [_require(doc, cls) for doc, cls in zip(_paths(args, len(kinds)), kinds)]
-    result = run(*docs, **options)
+    name = args.mode or (f"--lemma {args.lemma}" if args.lemma else f"--theorem {args.theorem}")
+    result = _run("check", _CHECKS, name, args)
     print(result.render())
     return EXIT_OK if result.ok else EXIT_PROPERTY_FAILED
 
@@ -269,12 +275,7 @@ def main(argv=None) -> int:
         # argparse exits with 2 on usage errors already; normalize others
         return EXIT_USAGE if exc.code else EXIT_OK
     try:
-        if args.command == "validate":
-            code = _cmd_validate(args)
-        elif args.command == "enumerate":
-            code = _cmd_enumerate(args)
-        else:
-            code = _cmd_check(args)
+        code = args.run(args)
         sys.stdout.flush()  # a closed stdout fails here, not at exit
         return code
     except BrokenPipeError:
@@ -282,13 +283,7 @@ def main(argv=None) -> int:
         # the null device, so the flush at exit does not fail again
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return EXIT_USAGE
-    except SchemaError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except InputError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except BudgetExceededError as exc:
+    except StrandlabError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

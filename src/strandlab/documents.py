@@ -68,14 +68,7 @@ from .protocols import (
 )
 from .systems import HistorySet, RunAutomaton, RunPrefix
 
-KINDS = ("space", "extended-space", "system", "protocol", "runs", "bundles", "chains")
-
-
-# --- token-level renderers and parsers ---------------------------------
-
-
-def render_term(t: SignedTerm) -> str:
-    return str(t)
+# --- token-level parsers (a token renders as its str) -------------------
 
 
 def parse_term(s: Any) -> SignedTerm:
@@ -84,20 +77,12 @@ def parse_term(s: Any) -> SignedTerm:
     return SignedTerm(s[0], s[1:])
 
 
-def render_event(e: Event) -> str:
-    return str(e)
-
-
 def parse_event(s: Any) -> Event:
     if isinstance(s, str):
         parts = s.split(" ")
         if len(parts) == 2 and parts[0] in ("sent", "recv"):
             return Event(parts[0], parts[1])
     raise SchemaError(f"expected an event like 'sent u' or 'recv u', got {s!r}")
-
-
-def render_action(a: Action) -> str:
-    return str(a)
 
 
 def parse_action(s: Any) -> Action:
@@ -202,17 +187,7 @@ def parse_document(text: str) -> Document:
     kind = body.get("kind")
     _expect(kind in KINDS, f"kind must be one of {KINDS}, got {kind!r}")
     try:
-        if kind in ("space", "extended-space"):
-            return _parse_space(body, kind)
-        if kind == "system":
-            return _parse_system(body)
-        if kind == "protocol":
-            return _parse_protocol(body)
-        if kind == "runs":
-            return _parse_runs(body)
-        if kind == "bundles":
-            return _parse_bundles(body)
-        return _parse_chains(body)
+        return _PARSERS[kind](body)
     except InputError as exc:
         # Constructor preconditions double as schema constraints here.
         raise SchemaError(str(exc)) from exc
@@ -226,7 +201,7 @@ def load_document(path) -> Document:
         raise SchemaError(f"cannot read {path}: {exc}") from exc
 
 
-def _parse_space(body: dict, kind: str) -> SpaceDocument:
+def _parse_space(body: dict) -> SpaceDocument:
     messages = _str_list(body.get("messages", []), "messages")
     agents = _str_list(body.get("agents", []), "agents")
     strands = []
@@ -239,7 +214,7 @@ def _parse_space(body: dict, kind: str) -> SpaceDocument:
         strands.append(Strand(raw["id"], trace))
         assignment[raw["id"]] = raw["agent"]
     conf = None
-    if "conflicts" in body or kind == "extended-space":
+    if "conflicts" in body or body["kind"] == "extended-space":
         pairs = []
         for pair in _list(body.get("conflicts", []), "conflicts"):
             _expect(
@@ -419,6 +394,18 @@ def _parse_chains(body: dict) -> ChainsDocument:
     return ChainsDocument(agents=agents, chains=tuple(chains))
 
 
+_PARSERS = {
+    "space": _parse_space,
+    "extended-space": _parse_space,
+    "system": _parse_system,
+    "protocol": _parse_protocol,
+    "runs": _parse_runs,
+    "bundles": _parse_bundles,
+    "chains": _parse_chains,
+}
+KINDS = tuple(_PARSERS)
+
+
 # --- serializers --------------------------------------------------------
 
 
@@ -480,7 +467,7 @@ def dump_space(doc: SpaceDocument) -> str:
             {
                 "id": s.id,
                 "agent": doc.space.agent_of(s.id),
-                "trace": [render_term(t) for t in s.trace],
+                "trace": [str(t) for t in s.trace],
             }
             for s in doc.space.strands
         ],
@@ -496,7 +483,7 @@ def dump_system(doc: SystemDocument) -> str:
             "kind": "system",
             "agents": list(doc.histories.agents),
             "histories": {
-                a: [[render_event(e) for e in h] for h in doc.histories.histories(a)]
+                a: [[str(e) for e in h] for h in doc.histories.histories(a)]
                 for a in doc.histories.agents
             },
         }
@@ -505,18 +492,18 @@ def dump_system(doc: SystemDocument) -> str:
 
 def _spec_body(p: ProtocolSpec) -> dict:
     if isinstance(p, MonotoneSpec):
-        return {"monotone": [render_event(e) for e in p.events]}
+        return {"monotone": [str(e) for e in p.events]}
     if isinstance(p, UnionSpec):
         return {"union": [_spec_body(m) for m in p.members]}
     return {
         "table": [
             {
-                "history": [render_event(e) for e in h],
-                "actions": sorted(render_action(a) for a in actions),
+                "history": [str(e) for e in h],
+                "actions": sorted(str(a) for a in actions),
             }
             for h, actions in p.entries
         ],
-        "default": sorted(render_action(a) for a in p.default),
+        "default": sorted(str(a) for a in p.default),
     }
 
 
@@ -532,7 +519,7 @@ def dump_protocol(doc: ProtocolDocument) -> str:
 
 
 def _state_body(g: GlobalState) -> dict:
-    return {a: [render_event(e) for e in h] for a, h in g.items()}
+    return {a: [str(e) for e in h] for a, h in g.items()}
 
 
 def dump_runs(doc: RunsDocument) -> str:
@@ -564,7 +551,7 @@ def _step_body(w: StepWitness) -> dict:
     return {
         "f": dict(w.f),
         "extensions": [
-            {"agent": agent, "strand": strand, "event": render_event(event)}
+            {"agent": agent, "strand": strand, "event": str(event)}
             for agent, strand, event in w.extensions
         ],
     }
@@ -588,15 +575,15 @@ def dump_chains(doc: ChainsDocument) -> str:
     )
 
 
+_DUMPERS = {
+    SpaceDocument: dump_space,
+    SystemDocument: dump_system,
+    ProtocolDocument: dump_protocol,
+    RunsDocument: dump_runs,
+    BundlesDocument: dump_bundles,
+    ChainsDocument: dump_chains,
+}
+
+
 def dump_document(doc: Document) -> str:
-    if isinstance(doc, SpaceDocument):
-        return dump_space(doc)
-    if isinstance(doc, SystemDocument):
-        return dump_system(doc)
-    if isinstance(doc, ProtocolDocument):
-        return dump_protocol(doc)
-    if isinstance(doc, RunsDocument):
-        return dump_runs(doc)
-    if isinstance(doc, BundlesDocument):
-        return dump_bundles(doc)
-    return dump_chains(doc)
+    return _DUMPERS[type(doc)](doc)

@@ -281,13 +281,46 @@ class TestEnumerate:
             outs.append(out.read_bytes())
         assert outs[0] == outs[1]
 
-    def test_negative_horizon_is_usage_error(self):
-        assert (
-            run_cli(
-                "enumerate", fixture_path("ping_space"), "--translate", "--horizon", -1
-            )
-            == 2
+    def test_negative_horizon_is_usage_error(self, capsys):
+        # one message for both subcommands
+        for argv in (
+            ("enumerate", fixture_path("ping_space"), "--translate"),
+            ("check", "--theorem", 1, fixture_path("ping_space")),
+        ):
+            assert run_cli(*argv, "--horizon", -1) == 2
+            assert capsys.readouterr() == ("", "error: --horizon must be non-negative\n")
+
+    @pytest.mark.parametrize(
+        "mode,fixture,flag",
+        [
+            ("--bundles", "r1_space", "--horizon"),
+            ("--gen-system", "r1_system", "--max-nodes"),
+            ("--run-protocol", "nack_protocol", "--max-nodes"),
+        ],
+    )
+    def test_flag_the_mode_does_not_take_is_usage_error(self, capsys, mode, fixture, flag):
+        assert run_cli("enumerate", fixture_path(fixture), mode, flag, 0) == 2
+        assert capsys.readouterr() == ("", f"error: enumerate {mode} does not take {flag}\n")
+
+    @pytest.mark.parametrize("where", ["missing directory", "directory"])
+    def test_unwritable_out_is_usage_error(self, tmp_path, where):
+        out = tmp_path / "absent" / "x.json" if where == "missing directory" else tmp_path
+        proc = subprocess.run(
+            [sys.executable, "-m", "strandlab.cli", "enumerate",
+             str(fixture_path("ping_space")), "--bundles", "--out", str(out)],
+            capture_output=True,
+            text=True,
         )
+        assert (proc.returncode, proc.stdout) == (2, "")
+        assert proc.stderr.startswith(f"error: cannot write {out}: ")
+        assert "Traceback" not in proc.stderr
+
+    def test_budget_error_writes_no_out_file(self, tmp_path, monkeypatch, capsys):
+        out = tmp_path / "runs.json"
+        monkeypatch.setenv("STRANDLAB_MAX_STATES", "10")
+        assert run_cli("enumerate", fixture_path("r1_space"), "--translate", "--out", out) == 2
+        assert capsys.readouterr().err.startswith("error: enumeration exceeded")
+        assert not out.exists()
 
 
 class TestCheck:
@@ -320,6 +353,16 @@ class TestCheck:
         )
         assert run_cli("check", "--equal", a, b) == 1
         assert "FAIL" in capsys.readouterr().out
+
+    def test_equal_compares_declared_horizons(self, tmp_path, capsys):
+        # an empty run set keeps its document's horizon
+        empty = tmp_path / "empty.json"
+        empty.write_text(runs_text(["a"], 1, []))
+        ping = tmp_path / "ping.json"
+        run_cli("enumerate", fixture_path("ping_space"), "--translate", "--horizon", 2, "--out", ping)
+        capsys.readouterr()
+        assert run_cli("check", "--equal", empty, ping) == 2
+        assert capsys.readouterr() == ("", "error: horizon mismatch: [1, 2]\n")
 
     def test_history_preserving_pass(self, tmp_path, capsys):
         runs = tmp_path / "runs.json"
