@@ -4,14 +4,14 @@ Every exhaustive enumerator in the package counts the objects it
 materializes against a single budget.  The limit comes from the
 STRANDLAB_MAX_STATES environment variable; exceeding it raises
 BudgetExceededError instead of letting a runaway enumeration eat the
-machine.
+machine.  A value that is not a non-negative integer is an input error.
 """
 
 from __future__ import annotations
 
 import os
 
-from .errors import BudgetExceededError
+from .errors import BudgetExceededError, InputError
 
 ENV_VAR = "STRANDLAB_MAX_STATES"
 DEFAULT_LIMIT = 5_000_000
@@ -23,9 +23,14 @@ class StateBudget:
     def __init__(self, limit: int | None = None):
         if limit is None:
             raw = os.environ.get(ENV_VAR)
-            limit = int(raw) if raw else DEFAULT_LIMIT
-        if limit < 0:
-            raise ValueError("budget limit must be non-negative")
+            try:
+                limit = int(raw) if raw else DEFAULT_LIMIT
+            except ValueError:
+                limit = -1
+            if limit < 0:
+                raise InputError(f"{ENV_VAR} must be a non-negative integer, got {raw!r}")
+        elif limit < 0:
+            raise InputError("budget limit must be non-negative")
         self.limit = limit
         self.used = 0
 

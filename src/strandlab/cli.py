@@ -11,6 +11,8 @@ A mode takes only the options it uses.  Of enumerate's modes, all but
 --translate take --max-nodes (default 8); check's modes are in `_CHECKS`.
 Any other option exits 2, and so does a negative value, with the same
 message in both subcommands ("error: --horizon must be non-negative").
+Both refuse a space, system or protocol file that `validate` rejects, with
+its first problem as the message.
 
 Exit codes: 0 when everything holds, 1 when a modeled property fails,
 2 on usage, parse, or budget errors, and also 2, silently, when stdout is
@@ -99,8 +101,14 @@ def _kind(cls) -> str:
 
 
 def _require(doc: Document, cls):
+    """``doc``, provided it is a ``cls`` file and, unless it is a runs
+    file, one that `validate` accepts.  Run sets are compared whatever
+    they hold, so a runs file is not walked for MP1-MP3 here."""
     if not isinstance(doc, cls):
         raise InputError(f"a {_kind(cls)} file required, got a {_kind(type(doc))} file")
+    problems = [] if cls is RunsDocument else _PROBLEMS[cls](doc)
+    if problems:
+        raise InputError(problems[0])
     return doc
 
 
@@ -120,30 +128,44 @@ def _write_stdout(text: str) -> None:
         data = data[os.write(fd, data):]
 
 
+def _space_problems(doc: SpaceDocument) -> list[str]:
+    problems = list(validate_space(doc.space).problems)
+    if doc.conf is not None:
+        problems.extend(validate_conflicts(doc.space, doc.conf))
+    undeclared = sorted(doc.space.messages() - set(doc.messages))
+    return problems + [f"undeclared message: {m}" for m in undeclared]
+
+
+def _runs_problems(doc: RunsDocument) -> list[str]:
+    # the least failing run, found per automaton node and edge
+    universe = {
+        e.message for g in doc.runs.occurring_states() for _, h in g.items() for e in h
+    }
+    bad = mp_violations(universe, doc.agents, doc.runs).least()
+    if bad is None:
+        return []
+    report = check_mp(universe, doc.agents, bad)
+    return [
+        f"{label}: {problem}"
+        for label, problem in (("MP1", report.mp1), ("MP2", report.mp2), ("MP3", report.mp3))
+        if problem
+    ]
+
+
+# document class -> the problems `validate` prints, one a line
+_PROBLEMS = {
+    SpaceDocument: _space_problems,
+    SystemDocument: lambda y: y.histories.problems(),
+    ProtocolDocument: lambda p: p.protocol.problems(),
+    RunsDocument: _runs_problems,
+    BundlesDocument: lambda b: [],
+    ChainsDocument: lambda c: [],
+}
+
+
 def _cmd_validate(args) -> int:
     doc = load_document(args.path)
-    problems: list[str] = []
-    if isinstance(doc, SpaceDocument):
-        problems.extend(validate_space(doc.space).problems)
-        if doc.conf is not None:
-            problems.extend(validate_conflicts(doc.space, doc.conf))
-        undeclared = sorted(doc.space.messages() - set(doc.messages))
-        problems.extend(f"undeclared message: {m}" for m in undeclared)
-    elif isinstance(doc, SystemDocument):
-        problems.extend(doc.histories.problems())
-    elif isinstance(doc, ProtocolDocument):
-        pass  # construction already enforces the invariants
-    elif isinstance(doc, RunsDocument):
-        # the least failing run, found per automaton node and edge
-        universe = {
-            e.message for g in doc.runs.occurring_states() for _, h in g.items() for e in h
-        }
-        bad = mp_violations(universe, doc.agents, doc.runs).least()
-        if bad is not None:
-            report = check_mp(universe, doc.agents, bad)
-            for label, problem in (("MP1", report.mp1), ("MP2", report.mp2), ("MP3", report.mp3)):
-                if problem:
-                    problems.append(f"{label}: {problem}")
+    problems = _PROBLEMS[type(doc)](doc)
     for problem in problems:
         print(problem)
     if problems:

@@ -170,6 +170,25 @@ class JointProtocol(NamedTuple):
                 return p
         raise InputError(f"unknown agent: {agent!r}")
 
+    def problems(self) -> list[str]:
+        """The messages the specs use but the universe does not declare,
+        as messages: in monotone events, table histories, actions and
+        defaults, and in union members at any depth."""
+        used: set[str] = set()
+        todo = [p for _, p in self.per_agent]
+        while todo:
+            p = todo.pop()
+            if isinstance(p, UnionSpec):
+                todo.extend(p.members)
+            elif isinstance(p, MonotoneSpec):
+                used.update(e.message for e in p.events)
+            else:
+                # the default as one more row, with no history
+                for history, actions in p.entries + (((), p.default),):
+                    used.update(e.message for e in history)
+                    used.update(a.message for a in actions if a.kind == "send")
+        return [f"undeclared message: {m}" for m in sorted(used - set(self.messages))]
+
 
 def tau_step(jp: JointProtocol, g: GlobalState) -> frozenset[GlobalState]:
     """All global states one protocol round can produce.

@@ -23,6 +23,8 @@ reading for comparison.
 A run set is a `RunAutomaton`, a layered DAG whose level-d nodes are
 the distinct (global state, search state) pairs that prefixes reach in d
 rounds; its paths from level 0 to the horizon are the run prefixes.
+Each node keeps its successors as one map from global state to node
+index, which serves iteration, membership and the walks alike.
 `explore` builds every one.  History sets (`generate_system`) and
 protocols (`protocols.generate_runs`) feed it `joint_round`: each agent
 stutters or appends one of its options, and MP2 filters the outcome.
@@ -44,6 +46,7 @@ from __future__ import annotations
 from collections import Counter, namedtuple
 from collections.abc import Set as AbstractSet
 from itertools import product
+from operator import itemgetter
 from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 from .budget import StateBudget, ensure
@@ -89,11 +92,12 @@ class RunPrefix(namedtuple("RunPrefix", "states")):
 class RunAutomaton(AbstractSet):
     """A set of run prefixes of one horizon, as a layered DAG.
 
-    Level d holds the nodes a prefix can be in after d rounds:
-    ``labels[d][i]`` is node i's global state and ``children[d][i]`` its
-    successors at level d + 1, in increasing label order and no two with
-    the same label.  ``accepts[i]`` says whether node i of the last level
-    ends a run.  Each path from a level-0 node to an accepting node
+    Level d holds the nodes a prefix can be in after d rounds.  Each node's
+    successors are one map from global state to node index:
+    ``children[d][i]`` maps node i of level d's successors to their indices
+    at level d + 1, and ``roots`` does the same for level 0, both in
+    increasing state order.  ``accepts[i]`` says whether node i of the
+    last level ends a run.  Each path from a root to an accepting node
     spells one run prefix and distinct paths spell distinct prefixes, so
     the set is its paths: ``len`` counts them, ``in`` follows one, and
     iteration yields them in increasing `RunPrefix` order, one budget
@@ -102,12 +106,12 @@ class RunAutomaton(AbstractSet):
 
     def __init__(
         self,
-        labels: Sequence[Sequence[GlobalState]],
-        children: Sequence[Sequence[Sequence[int]]],
+        roots: dict[GlobalState, int],
+        children: Sequence[Sequence[dict[GlobalState, int]]],
         accepts: Sequence[bool],
         budget: StateBudget,
     ):
-        self.labels = labels
+        self.roots = roots
         self.children = children
         self.accepts = accepts
         self.budget = budget
@@ -115,10 +119,8 @@ class RunAutomaton(AbstractSet):
         completions = [[int(a) for a in self.accepts]]
         for level in reversed(children):
             below = completions[0]
-            completions.insert(0, [sum(below[c] for c in kids) for kids in level])
+            completions.insert(0, [sum(below[c] for c in kids.values()) for kids in level])
         self._completions = completions
-        self._roots = sorted(range(len(labels[0])), key=labels[0].__getitem__)
-        self._maps: dict[tuple[int, int], dict[GlobalState, int]] = {}
 
     @classmethod
     def of(cls, runs: Iterable[RunPrefix]) -> "RunAutomaton":
@@ -145,36 +147,36 @@ class RunAutomaton(AbstractSet):
 
     @property
     def horizon(self) -> int:
-        return len(self.labels) - 1
+        return len(self.children)
 
     def __len__(self) -> int:
         return sum(self._completions[0])
 
     def __iter__(self) -> Iterator[RunPrefix]:
-        labels, completions, last = self.labels, self._completions, self.horizon
+        completions, last = self._completions, self.horizon
         states: list[GlobalState] = [None] * (last + 1)  # type: ignore[list-item]
-        stack = [iter(self._roots)]
+        stack = [iter(self.roots.items())]
         while stack:
             d = len(stack) - 1
-            i = next((i for i in stack[-1] if completions[d][i]), None)
-            if i is None:
+            step = next(((g, i) for g, i in stack[-1] if completions[d][i]), None)
+            if step is None:
                 stack.pop()
                 continue
-            states[d] = labels[d][i]
+            states[d], i = step
             if d == last:
                 self.budget.tick()
                 yield RunPrefix(tuple(states))
             else:
-                stack.append(iter(self.children[d][i]))
+                stack.append(iter(self.children[d][i].items()))
 
     def __contains__(self, run: object) -> bool:
         if not isinstance(run, RunPrefix) or run.horizon != self.horizon:
             return False
-        i = self._child_map(-1, 0).get(run.states[0])
+        i = self.roots.get(run.states[0])
         for d, g in enumerate(run.states[1:]):
             if i is None:
                 return False
-            i = self._child_map(d, i).get(g)
+            i = self.children[d][i].get(g)
         return i is not None and self.accepts[i]
 
     @classmethod
@@ -182,31 +184,20 @@ class RunAutomaton(AbstractSet):
         # what the Set mixins (&, |, -, ^) build: a plain set
         return frozenset(runs)
 
-    def _child_map(self, d: int, i: int) -> dict[GlobalState, int]:
-        """Node i of level d's children by label; level -1 is a virtual
-        parent of the level-0 nodes."""
-        found = self._maps.get((d, i))
-        if found is None:
-            kids = self._roots if d < 0 else self.children[d][i]
-            found = self._maps[(d, i)] = {self.labels[d + 1][c]: c for c in kids}
-        return found
-
     def least(self) -> RunPrefix | None:
         """The least run, reached by always descending to the least child
         that still completes; None for the empty set."""
         return next(iter(self), None)
 
     def occurring_states(self) -> frozenset[GlobalState]:
-        """Every global state of every run."""
+        """Every global state of every run: the keys of the children that
+        still complete, level by level."""
         completions = self._completions
-        live = [i for i in self._roots if completions[0][i]]
-        out: set[GlobalState] = set()
-        for d, level in enumerate(self.labels):
-            out.update(level[i] for i in live)
-            if d < self.horizon:
-                live = list(
-                    {c for i in live for c in self.children[d][i] if completions[d + 1][c]}
-                )
+        live = {i: g for g, i in self.roots.items() if completions[0][i]}
+        out = set(live.values())
+        for d, level in enumerate(self.children):
+            live = {c: g for i in live for g, c in level[i].items() if completions[d + 1][c]}
+            out.update(live.values())
         return frozenset(out)
 
     def restrict(
@@ -225,8 +216,8 @@ class RunAutomaton(AbstractSet):
             ]
 
         return explore(
-            kept(0, None, self._child_map(-1, 0)),
-            lambda g, node: kept(node[0] + 1, g, self._child_map(*node)),
+            kept(0, None, self.roots),
+            lambda g, node: kept(node[0] + 1, g, self.children[node[0]][node[1]]),
             self.horizon,
             self.budget,
             accepts=lambda node: self.accepts[node[1]],
@@ -410,6 +401,9 @@ def joint_round(
     return out
 
 
+_state = itemgetter(0)
+
+
 def explore(
     starts: Iterable[tuple[GlobalState, object]],
     successors: Callable[[GlobalState, object], Iterable[tuple[GlobalState, object]]],
@@ -421,33 +415,33 @@ def explore(
     pairs of initial global state and search state, as an automaton whose
     level-d nodes are the distinct pairs reached in d rounds.
     ``successors(g, search)`` lists pairs with distinct next global
-    states, so paths and run prefixes correspond one to one.
+    states, so paths and run prefixes correspond one to one, and each
+    node's child map is built as its edges are added, then sorted once.
     ``accepts(search)``, when given, picks the last-level nodes that end a
     run.  One budget tick per automaton edge."""
     if horizon < 0:
         raise InputError("horizon must be non-negative")
     budget = ensure(budget)
-    level: dict[tuple[GlobalState, object], int] = {}
+    # each pair maps to its node as an edge target: (state, index), the
+    # state being the object first reached, which every edge then shares
+    level: dict[tuple[GlobalState, object], tuple[GlobalState, int]] = {}
     for pair in starts:
-        level.setdefault(pair, len(level))
-    labels: list[list[GlobalState]] = [[g for g, _ in level]]
-    children: list[list[list[int]]] = []
+        level.setdefault(pair, (pair[0], len(level)))
+    roots = dict(sorted(level.values(), key=_state))
+    children: list[list[dict[GlobalState, int]]] = []
     for _ in range(horizon):
-        nxt: dict[tuple[GlobalState, object], int] = {}
+        nxt: dict[tuple[GlobalState, object], tuple[GlobalState, int]] = {}
         rows = []
         for g, search in level:
             row = []
             for pair in successors(g, search):
                 budget.tick()
-                row.append(nxt.setdefault(pair, len(nxt)))
-            rows.append(row)
-        labels.append([g for g, _ in nxt])
-        for row in rows:
-            row.sort(key=labels[-1].__getitem__)
+                row.append(nxt.setdefault(pair, (pair[0], len(nxt))))
+            rows.append(dict(sorted(row, key=_state)))
         children.append(rows)
         level = nxt
     final = [accepts is None or accepts(search) for _, search in level]
-    return RunAutomaton(labels, children, final, budget)
+    return RunAutomaton(roots, children, final, budget)
 
 
 def generate_system(
@@ -513,10 +507,10 @@ def _only_in(x: RunAutomaton, y: RunAutomaton) -> RunAutomaton:
 
     def successors(g: GlobalState, node: tuple):
         d, i, j = node
-        return paired(d + 1, x._child_map(d, i), {} if j is None else y._child_map(d, j))
+        return paired(d + 1, x.children[d][i], {} if j is None else y.children[d][j])
 
     return explore(
-        paired(0, x._child_map(-1, 0), y._child_map(-1, 0)),
+        paired(0, x.roots, y.roots),
         successors,
         x.horizon,
         x.budget,

@@ -96,6 +96,16 @@ def test_cli_budget_error_is_a_usage_error(monkeypatch, capsys):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("value", ["abc", "1e3", "-5"])
+def test_malformed_budget_variable_is_a_usage_error(monkeypatch, capsys, value):
+    monkeypatch.setenv("STRANDLAB_MAX_STATES", value)
+    assert main(["check", "--theorem", "1", str(fixture_path("ping_space"))]) == 2
+    assert capsys.readouterr() == (
+        "",
+        f"error: STRANDLAB_MAX_STATES must be a non-negative integer, got {value!r}\n",
+    )
+
+
 def test_translate_materialization(r1_space):
     # building the automaton fits; yielding its 75,115 runs, one tick each,
     # does not

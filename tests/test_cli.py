@@ -75,6 +75,58 @@ class TestValidate:
         assert run_cli("validate", tmp_path / "absent.json") == 2
 
 
+# files that parse but that `validate` rejects, each with its one problem
+# and the modes that must refuse it
+INVALID = {
+    "duplicate strand id": (
+        {"kind": "space", "messages": ["u"], "agents": ["a"], "strands": [
+            {"id": "s", "agent": "a", "trace": ["+u"]},
+            {"id": "s", "agent": "a", "trace": ["-u"]},
+        ]},
+        "duplicate strand id: s",
+        ("enumerate --bundles", "check --lemma 2", "check --theorem 1"),
+    ),
+    "undeclared agent": (
+        {"kind": "space", "messages": ["u"], "agents": ["a"], "strands": [
+            {"id": "s", "agent": "a", "trace": ["+u"]},
+            {"id": "t", "agent": "zz", "trace": ["-u"]},
+        ]},
+        "strand t assigned to undeclared agent zz",
+        ("enumerate --translate", "check --theorem 1", "check --lemma 1"),
+    ),
+    "undeclared protocol message": (
+        {"kind": "protocol", "messages": ["u"], "agents": {
+            "a": {"monotone": ["sent v"]},
+            "b": {"monotone": ["recv v"]},
+        }},
+        "undeclared message: v",
+        ("enumerate --run-protocol", "check --theorem 6", "check --theorem 7"),
+    ),
+}
+
+
+class TestInvalidInputIsRefused:
+    @pytest.mark.parametrize("case", sorted(INVALID))
+    def test_validate_reports_the_problem(self, tmp_path, capsys, case):
+        body, problem, _ = INVALID[case]
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(body))
+        assert run_cli("validate", path) == 1
+        assert capsys.readouterr() == (problem + "\n", "")
+
+    @pytest.mark.parametrize(
+        "case,mode", [(case, mode) for case in sorted(INVALID) for mode in INVALID[case][2]]
+    )
+    def test_enumerate_and_check_exit_2(self, tmp_path, capsys, case, mode):
+        body, problem, _ = INVALID[case]
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(body))
+        command, *flags = mode.split()
+        argv = [command, path, *flags] if command == "enumerate" else [command, *flags, path]
+        assert run_cli(*argv) == 2
+        assert capsys.readouterr() == ("", f"error: {problem}\n")
+
+
 def runs_text(agents, horizon, runs) -> str:
     return json.dumps({"kind": "runs", "agents": agents, "horizon": horizon, "runs": runs})
 

@@ -126,6 +126,21 @@ class TestUnionAndTable:
         # unlisted histories fall back to the default
         assert eval_protocol(p, (recv("u"), recv("u"))) == frozenset({NOOP})
 
+    def test_undeclared_messages_are_problems(self, nack_protocol, u1u2u3_protocol):
+        # one undeclared message in each place a spec names one, the table
+        # nested in a union
+        table = TableSpec.of({(recv("w"),): [send("x")]}, default=[send("y")])
+        jp = JointProtocol.of(
+            {"a": MonotoneSpec((sent("v"), recv("u"))), "b": UnionSpec((U123, table))},
+            ["u", "u1", "u2", "u3"],
+        )
+        assert jp.problems() == [f"undeclared message: {m}" for m in "vwxy"]
+        assert JointProtocol.of(dict(jp.per_agent), "uvwxy123").problems() == [
+            "undeclared message: u1", "undeclared message: u2", "undeclared message: u3",
+        ]
+        assert nack_protocol.protocol.problems() == []
+        assert u1u2u3_protocol.protocol.problems() == []
+
     def test_empty_union_rejected(self):
         with pytest.raises(InputError):
             UnionSpec(())

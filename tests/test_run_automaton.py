@@ -24,6 +24,8 @@ from strandlab.constructions import extended_space_from_system, space_from_monot
 from strandlab.protocols import generate_runs
 from strandlab.systems import RunAutomaton, RunPrefix, generate_system, systems_equal
 
+from conftest import run_sets
+
 SRC = pathlib.Path(strandlab.__file__).resolve().parents[1]
 
 
@@ -112,6 +114,35 @@ class TestRunAutomaton:
         ]
         assert 0 < len(expected) < len(runs)
         assert list(kept) == expected
+
+
+def assert_is_the_set(automaton, runs, outside):
+    """Every reading of ``automaton`` agrees with the plain set ``runs``;
+    ``outside`` are runs of its horizon that must not be members."""
+    assert set(automaton) == runs
+    assert len(automaton) == len(runs)
+    assert automaton.least() == min(runs, default=None)
+    assert automaton.occurring_states() == {g for r in runs for g in r.states}
+    assert all(r in automaton for r in runs)
+    assert not any(r in automaton for r in outside)
+    # a longer run, and a plain tuple equal to a member, are not members
+    assert not any(RunPrefix(r.states + (r.final(),)) in automaton for r in runs)
+    assert not any((r.states,) in automaton for r in runs)
+
+
+@settings(max_examples=60, deadline=None)
+@given(run_sets(max_runs=8), st.data())
+def test_automata_match_plain_sets(drawn, data):
+    """The prefix tree of a drawn set, and the difference automaton of two
+    overlapping sets, whose last level has nodes that accept no run."""
+    _, _, runs = drawn
+    side = st.sampled_from(["a", "b", "both"])
+    sides = {r: data.draw(side) for r in sorted(runs)}
+    a = frozenset(r for r, s in sides.items() if s != "b")
+    b = frozenset(r for r, s in sides.items() if s != "a")
+    assert_is_the_set(RunAutomaton.of(runs), runs, ())
+    assert_is_the_set(RunAutomaton.of(a), a, runs - a)
+    assert_is_the_set(systems_equal(a, b).only_in_a, a - b, b)
 
 
 class TestSystemsEqualReference:
