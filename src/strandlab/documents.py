@@ -35,16 +35,22 @@ every emitted document parses back to the value it came from.
 Runs and chains documents repeat a few distinct values many times, so
 their cost follows the distinct values.  A runs document parses to a
 `RunAutomaton` over shared states: each distinct event and global state
-is built once and every run refers to it.  Likewise each distinct bundle
-and step of a chains document is one object that every chain shares.
-Dumping a runs or chains document encodes each distinct state, bundle or
-step once and joins the text; the bytes are those of one `json.dumps` of
-the whole body.
+is built once and every run refers to it.  A run's leading states that
+equal the previous run's are taken over from it unparsed, and
+`RunAutomaton.of` inserts each run from the node the two share, so
+loading runs written in order (as `dump_document` writes them) costs
+about one step per distinct prefix rather than one per state of every
+run.  Likewise each distinct bundle and step of a chains document is one
+object that every chain shares.  Dumping a runs or chains document
+encodes each distinct state, bundle or step once and joins the text; the
+bytes are those of one `json.dumps` of the whole body.
 
-Parsing raises SchemaError only for structural problems (bad JSON, wrong
-shapes, unparseable tokens).  Semantic well-formedness — duplicate ids,
-undeclared references, cross-agent conflict pairs — is left to the
-validators, which report rather than throw.
+Parsing raises SchemaError for structural problems (bad JSON, wrong
+shapes, unparseable tokens) and for a system's histories of an agent it
+does not declare, which a `HistorySet` could not tell from a declared
+one.  Other semantic well-formedness — duplicate ids, undeclared
+references, cross-agent conflict pairs — is left to the validators,
+which report rather than throw.
 """
 
 from __future__ import annotations
@@ -234,8 +240,8 @@ def _parse_system(body: dict) -> SystemDocument:
     histories = _obj(body.get("histories", {}), "histories")
     mapping = {a: [()] for a in agents}
     for agent, entries in histories.items():
+        _expect(agent in mapping, f"histories given for undeclared agent {agent}")
         _expect(isinstance(entries, list), f"histories for {agent} must be a list")
-        mapping.setdefault(agent, [])
         mapping[agent] = [
             tuple(parse_event(e) for e in _list(h, f"each history of agent {agent}"))
             for h in entries
@@ -308,14 +314,25 @@ def _parse_runs(body: dict) -> RunsDocument:
             )
         return g
 
+    # A run's leading states that equal the previous run's are that run's
+    # states: a JSON value equal to a checked one passes the same checks.
     runs = []
+    previous_raw: list = []
+    previous: tuple[GlobalState, ...] = ()
     for raw_run in _list(body.get("runs", []), "runs"):
         _expect(isinstance(raw_run, list), "each run must be a list of states")
         _expect(
             len(raw_run) == horizon + 1,
             f"each run must contain horizon+1 = {horizon + 1} states",
         )
-        runs.append(RunPrefix(tuple(map(state, raw_run))))
+        shared = 0
+        for raw, raw0 in zip(raw_run, previous_raw):
+            if raw != raw0:
+                break
+            shared += 1
+        previous = previous[:shared] + tuple(map(state, raw_run[shared:]))
+        previous_raw = raw_run
+        runs.append(RunPrefix(previous))
     return RunsDocument(agents=agents, horizon=horizon, runs=RunAutomaton.of(runs))
 
 

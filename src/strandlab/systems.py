@@ -25,14 +25,18 @@ the distinct (global state, search state) pairs that prefixes reach in d
 rounds; its paths from level 0 to the horizon are the run prefixes.
 Each node keeps its successors as one map from global state to node
 index, which serves iteration, membership and the walks alike.
-`explore` builds every one.  History sets (`generate_system`) and
+The prefix tree of a plain set of runs (`RunAutomaton.of`) is built by
+inserting the runs one by one, each from the deepest node it shares with
+the run before it.  Every other automaton is an exploration: `explore`
+walks successors round by round.  History sets (`generate_system`) and
 protocols (`protocols.generate_runs`) feed it `joint_round`: each agent
 stutters or appends one of its options, and MP2 filters the outcome.
-The prefix tree of a plain set of runs, the runs passing a per-state and
-per-round condition (`RunAutomaton.restrict`) and the runs of one
-automaton missing from another (`_only_in`) are explorations too.
+The runs passing a per-state and per-round condition
+(`RunAutomaton.restrict`) and the runs of one automaton missing from
+another (`_only_in`) are explorations of an existing automaton.
 `mp_violations` is one such difference, the runs minus those passing
-MP1-MP3 (the other way round it is empty); `systems_equal` takes both.
+MP1-MP3 (the other way round it is empty), with each condition decided
+once per distinct state or round; `systems_equal` takes both.
 Counts, membership, occurring states and least witnesses are read off
 nodes and edges; `RunPrefix` values are built only when a caller
 iterates a set.
@@ -45,6 +49,7 @@ from __future__ import annotations
 
 from collections import Counter, namedtuple
 from collections.abc import Set as AbstractSet
+from functools import cache
 from itertools import product
 from operator import itemgetter
 from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence
@@ -124,26 +129,48 @@ class RunAutomaton(AbstractSet):
 
     @classmethod
     def of(cls, runs: Iterable[RunPrefix]) -> "RunAutomaton":
-        """The prefix tree of a run set: `explore` with, as search state,
-        the runs that share the prefix.  An automaton is returned as is."""
+        """The prefix tree of a run set, built by inserting each run in
+        turn; an automaton is returned as is.  A run is inserted from the
+        deepest node it shares with the run before it, found by identity
+        of their leading state objects, so a list in which neighbours share
+        prefixes costs about one step per distinct prefix; in any order the
+        tree is the same, since below that node each state is looked up in
+        its parent's child map.  One budget tick per edge."""
         if isinstance(runs, RunAutomaton):
             return runs
         runs = list(runs)
         horizons = sorted({r.horizon for r in runs})
         if len(horizons) > 1:
             raise InputError(f"horizon mismatch: {horizons}")
-
-        def split(d: int, members: Iterable[int]):
-            groups: dict[GlobalState, list[int]] = {}
-            for n in members:
-                groups.setdefault(runs[n].states[d], []).append(n)
-            return [(g, (d, tuple(ns))) for g, ns in groups.items()]
-
-        return explore(
-            split(0, range(len(runs))),
-            lambda g, search: split(search[0] + 1, search[1]),
-            horizons[0] if horizons else 0,
-        )
+        horizon = horizons[0] if horizons else 0
+        budget = StateBudget()
+        # nodes[d][i]: the child map of node i of level d
+        nodes: list[list[dict[GlobalState, int]]] = [[] for _ in range(horizon + 1)]
+        roots: dict[GlobalState, int] = {}
+        # path[d]: the map in which the previous run's state d is a key
+        path: list[dict[GlobalState, int]] = [roots] * (horizon + 1)
+        previous: tuple[GlobalState, ...] = ()
+        for run in runs:
+            states = run.states
+            shared = 0
+            for g, g0 in zip(states, previous):
+                if g is not g0:
+                    break
+                shared += 1
+            for d in range(shared, horizon + 1):
+                g = states[d]
+                i = path[d].get(g)
+                if i is None:
+                    if d:
+                        budget.tick()
+                    level = nodes[d]
+                    i = path[d][g] = len(level)
+                    level.append({})
+                if d < horizon:
+                    path[d + 1] = nodes[d][i]
+            previous = states
+        children = [[_sorted(kids) for kids in level] for level in nodes[:-1]]
+        return cls(_sorted(roots), children, [True] * len(nodes[-1]), budget)
 
     @property
     def horizon(self) -> int:
@@ -369,17 +396,23 @@ def check_mp(
 def mp_violations(
     universe: Iterable[str], agents: Iterable[str], runs: Iterable[RunPrefix]
 ) -> RunAutomaton:
-    """The runs that fail MP1-MP3 (strong MP2), each condition decided
-    once per automaton node or edge rather than once per run."""
+    """The runs that fail MP1-MP3 (strong MP2).  MP1 and MP2 are decided
+    once per distinct global state and MP3 once per distinct round (pair
+    of states), however many automaton nodes and edges repeat them; only
+    the emptiness of the initial state depends on the time."""
     runs = RunAutomaton.of(runs)
     universe = frozenset(universe)
     agents = tuple(sorted(set(agents)))
-    good = runs.restrict(
-        lambda m, g: _mp1_problem(universe, agents, g, m) is None
-        and mp2_problem(g, MP2_STRONG) is None
-        and (m > 0 or _is_empty(g)),
-        lambda g, g2: _mp3_problem(g, g2, 1) is None,
-    )
+
+    @cache
+    def mp1_mp2(g: GlobalState) -> bool:
+        return _mp1_problem(universe, agents, g, 0) is None and mp2_problem(g, MP2_STRONG) is None
+
+    @cache
+    def mp3(g: GlobalState, g2: GlobalState) -> bool:
+        return _mp3_problem(g, g2, 1) is None
+
+    good = runs.restrict(lambda m, g: mp1_mp2(g) and (m > 0 or _is_empty(g)), mp3)
     return _only_in(runs, good)
 
 
@@ -402,6 +435,11 @@ def joint_round(
 
 
 _state = itemgetter(0)
+
+
+def _sorted(kids: dict[GlobalState, int]) -> dict[GlobalState, int]:
+    """A child map in increasing state order."""
+    return dict(sorted(kids.items(), key=_state)) if len(kids) > 1 else kids
 
 
 def explore(

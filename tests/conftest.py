@@ -308,6 +308,27 @@ def run_sets(draw, max_runs: int = 6):
     return agents, horizon, frozenset(runs)
 
 
+@st.composite
+def scrambled(draw, items) -> list:
+    """``items`` in a drawn order, some repeated right after themselves
+    and some repeated further on; every item occurs at least once."""
+    out = list(draw(st.permutations(items)))
+    if out:
+        for _ in range(draw(st.integers(0, 2))):
+            i = draw(st.integers(0, len(out) - 1))
+            out.insert(i + 1, out[i])
+        for _ in range(draw(st.integers(0, 2))):
+            i = draw(st.integers(0, len(out) - 1))
+            out.insert(draw(st.integers(0, len(out))), out[i])
+    return out
+
+
+def prefix_tree_edges(runs) -> int:
+    """The edges of the prefix tree of ``runs``: their distinct prefixes
+    of two or more states."""
+    return len({r.states[: d + 1] for r in runs for d in range(1, len(r.states))})
+
+
 @pytest.fixture
 def cold_cache(monkeypatch):
     monkeypatch.setattr(chains, "_GRAPH_CACHE", {})

@@ -183,6 +183,14 @@ class TestValidateRuns:
         assert validate_stdout(text) == (1, printed)
         assert printed == reference_validate_runs(text)
 
+    def test_initial_state_of_one_run_is_a_later_state_of_another(self):
+        # CLEAN_RUN's state at time 1 is the other run's initial state,
+        # which fails only there
+        later = CLEAN_RUN[1]
+        text = runs_text(["a", "b"], 2, [CLEAN_RUN, [later, later, later]])
+        assert validate_stdout(text) == (1, "MP3: initial state is not empty\n")
+        assert validate_stdout(text)[1] == reference_validate_runs(text)
+
     def test_least_failing_run_is_reported(self):
         text = runs_text(["a", "b"], 2, [CLEAN_RUN, *(run for run, _ in BAD_RUNS.values())])
         assert validate_stdout(text) == (1, reference_validate_runs(text))
@@ -218,6 +226,9 @@ MALFORMED = {
         "strands": [{"id": "s", "agent": "a", "trace": 5}],
     },
     "system history": {"kind": "system", "agents": ["a"], "histories": {"a": [[], 5]}},
+    "system undeclared agent": {
+        "kind": "system", "agents": ["a"], "histories": {"zz": [[], ["sent u"]]},
+    },
     "protocol monotone": {"kind": "protocol", "messages": ["u"], "agents": {"a": {"monotone": 5}}},
     "bundles edges": {"kind": "bundles", "bundles": [{"heights": {"s": 1}, "edges": 5}]},
     "chains extension without strand": {
@@ -244,6 +255,24 @@ def test_malformed_input_exits_2(tmp_path, name):
     assert proc.returncode == 2
     assert proc.stderr.startswith("error: ")
     assert "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["validate", "bad.json"],
+        ["check", "--theorem", "3", fixture_path("r1_space"), "bad.json"],
+        ["check", "--theorem", "5", "bad.json"],
+        ["enumerate", "bad.json", "--gen-system"],
+    ],
+)
+def test_system_with_undeclared_agent_is_refused(tmp_path, capsys, argv):
+    # its histories used to be added beside the declared agent's, so the
+    # file validated ok and theorem 5 PASSed over agents a and zz
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(MALFORMED["system undeclared agent"]))
+    assert run_cli(*(path if a == "bad.json" else a for a in argv)) == 2
+    assert capsys.readouterr() == ("", "error: histories given for undeclared agent zz\n")
 
 
 # Nested past the JSON parser's recursion limit; written as raw text,

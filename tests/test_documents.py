@@ -4,6 +4,7 @@ import json
 
 import pytest
 from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from strandlab.bundles import enumerate_bundles
 from strandlab.chains import enumerate_chain_prefixes, translate
@@ -28,10 +29,12 @@ from strandlab.systems import RunAutomaton, RunPrefix, generate_system
 from conftest import (
     FIXTURES,
     fixture_path,
+    prefix_tree_edges,
     reference_dump,
     reference_parse_chains,
     reference_parse_runs,
     run_sets,
+    scrambled,
 )
 
 
@@ -204,6 +207,49 @@ class TestSharedEncoding:
     def test_fixture_documents_are_one_dump(self, name):
         text = dump_document(load_document(fixture_path(name)))
         assert text == json.dumps(json.loads(text), indent=2, sort_keys=True) + "\n"
+
+
+class TestRunsInAnyOrder:
+    """A runs document whose runs are reordered and repeated parses to the
+    set it holds, and a malformed state right after the prefix a run
+    shares with the previous one is refused with the usual message."""
+
+    @given(run_sets(), st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_shuffled_and_repeated(self, drawn, data):
+        agents, horizon, runs = drawn
+        canonical = dump_document(
+            RunsDocument(agents=agents, horizon=horizon, runs=RunAutomaton.of(runs))
+        )
+        body = json.loads(canonical)
+        body["runs"] = data.draw(scrambled(body["runs"]))
+        text = json.dumps(body)
+        parsed = parse_document(text)
+        assert parsed.runs.budget.used == prefix_tree_edges(runs)
+        assert parsed.runs == reference_parse_runs(text) == runs
+        assert dump_document(parsed) == canonical
+        assert_shared(parsed)
+
+    @pytest.mark.parametrize(
+        "bad,message",
+        [
+            (5, "global state must be an object"),
+            ({"a": []}, "global state agents ['a'] != ['a', 'b']"),
+            ({"a": [], "b": 5}, "each history must be a list"),
+            ({"a": [], "b": [5]}, "each history must be a list of strings"),
+            ({"a": [], "b": ["sent"]}, "expected an event like 'sent u' or 'recv u', got 'sent'"),
+        ],
+    )
+    @pytest.mark.parametrize("at", [1, 2])
+    def test_bad_state_after_a_shared_prefix(self, bad, message, at):
+        run = [{"a": [], "b": []}, {"a": ["sent u"], "b": []}, {"a": ["sent u"], "b": ["recv u"]}]
+        spoiled = run[:at] + [bad] + run[at + 1 :]
+        text = json.dumps(
+            {"kind": "runs", "agents": ["a", "b"], "horizon": 2, "runs": [run, run, spoiled]}
+        )
+        with pytest.raises(SchemaError) as raised:
+            parse_document(text)
+        assert str(raised.value) == message
 
 
 class TestSchemaErrors:

@@ -21,10 +21,11 @@ import strandlab
 from strandlab.chains import translate
 from strandlab.checks import _describe_state, theorem_3
 from strandlab.constructions import extended_space_from_system, space_from_monotone
+from strandlab.core import GlobalState
 from strandlab.protocols import generate_runs
 from strandlab.systems import RunAutomaton, RunPrefix, generate_system, systems_equal
 
-from conftest import run_sets
+from conftest import prefix_tree_edges, run_sets, scrambled
 
 SRC = pathlib.Path(strandlab.__file__).resolve().parents[1]
 
@@ -143,6 +144,26 @@ def test_automata_match_plain_sets(drawn, data):
     assert_is_the_set(RunAutomaton.of(runs), runs, ())
     assert_is_the_set(RunAutomaton.of(a), a, runs - a)
     assert_is_the_set(systems_equal(a, b).only_in_a, a - b, b)
+
+
+@settings(max_examples=100, deadline=None)
+@given(run_sets(max_runs=8), st.data())
+def test_prefix_tree_of_any_list(drawn, data):
+    """Runs inserted in any order, repeated next to themselves or further
+    on, each sharing its state objects with the other runs or holding
+    equal copies of them, give the prefix tree of the set, one budget
+    tick per edge."""
+    _, _, runs = drawn
+    shared: dict = {}
+    listed = [
+        RunPrefix(tuple(shared.setdefault(g, g) for g in r.states))
+        if data.draw(st.booleans(), label="shares its states")
+        else RunPrefix(tuple(GlobalState(g.locals) for g in r.states))
+        for r in data.draw(scrambled(sorted(runs)))
+    ]
+    tree = RunAutomaton.of(listed)
+    assert tree.budget.used == prefix_tree_edges(runs)
+    assert_is_the_set(tree, runs, ())
 
 
 class TestSystemsEqualReference:

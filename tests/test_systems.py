@@ -3,10 +3,12 @@ from __future__ import annotations
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from strandlab.core import GlobalState, Strand, StrandSpace, positive, recv, sent
 from strandlab.errors import InputError
-from conftest import brute_force_runs
+from conftest import brute_force_runs, run_sets
 from strandlab.systems import (
     MP2_LITERAL,
     MP2_STRONG,
@@ -16,6 +18,7 @@ from strandlab.systems import (
     check_mp,
     extract_histories,
     generate_system,
+    mp_violations,
     systems_equal,
 )
 
@@ -80,6 +83,30 @@ class TestCheckMP:
         run = run_of()
         with pytest.raises(InputError):
             check_mp(["u"], AGENTS, run, mp2="weird")
+
+
+class TestMPViolations:
+    """`mp_violations` decides MP1 and MP2 once per distinct state and MP3
+    once per distinct round; the set it gives is that of `check_mp`."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(run_sets(), st.sets(st.sampled_from("uv")), st.booleans())
+    def test_drawn_sets_match_check_mp(self, drawn, universe, declare_a_b):
+        agents, _, runs = drawn
+        if declare_a_b:  # states over other agent sets then fail MP1
+            agents = AGENTS
+        expected = {r for r in runs if not check_mp(universe, agents, r).ok}
+        assert set(mp_violations(universe, agents, runs)) == expected
+
+    def test_initial_state_of_one_run_is_a_later_state_of_another(self):
+        # the state passes MP1 and MP2 wherever it occurs, but only at
+        # time 0 does its not being empty fail a run
+        later = GlobalState.of({"a": (sent("u"),), "b": ()})
+        starts_there = RunPrefix.of([later] * 3)
+        passes_through = run_of({"a": sent("u")}, {})
+        assert passes_through.states[1] == later
+        runs = {starts_there, passes_through}
+        assert set(mp_violations(["u"], AGENTS, runs)) == {starts_there}
 
 
 class TestGenerateSystem:
