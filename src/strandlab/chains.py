@@ -25,22 +25,44 @@ same relation forward, by a breadth-first search from the empty bundle.
 From each b1 it takes the maps f that `check_step` tries, in its order
 (without its test against b2's heights), and for each f:
 
-  * the base bundle: heights f(s) -> h1(s) and edges f(E1); a send of the
-    base that feeds no edge of f(E1) is free;
+  * the base bundle: heights f(s) -> h1(s) and edges f(E1).  A base with
+    two conflicting strands is refused with all its growth (B5); a send
+    of the base that feeds no edge of f(E1) is free;
   * growth: each agent adds nothing or one node, on any of its strands
-    below its length (an image of f, or a fresh strand at height 1);
+    below its length (an image of f, or a fresh strand at height 1 that
+    conflicts with no other strand of the result), within max_nodes;
   * the new receives are matched injectively to free or new sends of the
-    same message.  A new receive has no out-edge, so no cycle can form;
-    B5 and max_nodes are checked on the result.
+    same message.  A new receive has no out-edge, so no cycle can form.
 
 Every bundle so built is valid and steps from b1 under f, and every
 valid b2 within max_nodes that steps from b1 under some f is built from
-that f.  `check_step` tries the same
-maps in the same order, skipping those that fail its height test, so
-the first f that builds a b2 is `check_step`'s witness for (b1, b2).
-Every valid bundle is reached (add its nodes in a causal order, f the
-identity), so the graph's bundles are those `enumerate_bundles` returns.
-Each distinct bundle is one object.  The search records each bundle's
+that f.  `check_step` tries the same maps in the same order, skipping
+those that fail its height test, so the first f that builds a b2 is
+`check_step`'s witness for (b1, b2).  Every valid bundle is reached (add
+its nodes in a causal order, f the identity), so the graph's bundles are
+those `enumerate_bundles` returns.
+
+The search runs on integer keys.  With the strands numbered in id order,
+a bundle's key packs its height code, the mixed-radix number whose digit
+for strand i, of radix len(strand i) + 1, is that strand's height, and
+its edge mask, with one bit per same-message (send, receive) node pair
+of the space.  Growing a strand adds a fixed delta to the code and a new
+edge adds its bit, so each candidate is built, and compared with those
+already found, as one integer.  f(b1) is re-encoded only when f is not
+the identity, and the prefix matches the maps are drawn from are one
+table per space.  Each agent's growth options are listed once per base;
+a new receive takes a free send at once or waits for a later agent's
+send, and a branch ends as soon as a waiting receive has no agent left
+that may send its message.  So every candidate, one (growth, matching)
+pair, is generated exactly once and ticks the budget once.
+
+A key is decoded to a `Bundle` when the search first reaches it, so each
+distinct bundle is one object, and each distinct (f, extensions) pair is
+one `StepWitness`.  The order of the search does not show in the graph:
+under one f, candidates with the same key grow the same strands and so
+have the same extensions; the first f that builds a key keeps its
+witness; and each bundle's successors are sorted by the rank of
+`Bundle.sort_key` among all bundles.  The search records each bundle's
 distance, the fewest chain steps from the empty bundle, when it first
 reaches the bundle; `bundle_distances` (lemmas 1 and 2) reads these.
 The graph is cached per process, and a hit charges the budget what the
@@ -59,7 +81,7 @@ from collections import deque, namedtuple
 from typing import Iterator, NamedTuple
 
 from .budget import StateBudget, ensure
-from .bundles import EMPTY_BUNDLE, Bundle, ConflictRelation, _matchings
+from .bundles import EMPTY_BUNDLE, Bundle, CommEdge, ConflictRelation
 from .core import Event, GlobalState, History, Node, StrandSpace, term_to_event
 from .errors import InputError
 from .systems import RunAutomaton, RunPrefix, explore
@@ -197,14 +219,16 @@ class StepGraph(NamedTuple):
     distance: dict[Bundle, int]
 
 
-class _NewNode(NamedTuple):
-    """A node a step may add: the one that grows ``strand`` to ``height``."""
+class _Growth(NamedTuple):
+    """The node a step may add to a strand of the given height: the key's
+    code grows by ``delta``."""
 
-    strand: str
-    height: int
-    node: Node
+    delta: int
+    node: int
     send: bool
-    message: str
+    message: int
+    fresh: int  # the strand's bit when it has height 0, else 0
+    conflicts: int  # the strands it conflicts with when fresh, else 0
     extension: tuple[str, str, Event]  # the step's (agent, strand, event)
 
 
@@ -212,31 +236,242 @@ class _NewNode(NamedTuple):
 _GRAPH_CACHE: dict = {}
 
 
-def _witness_maps(space: StrandSpace, b1: Bundle) -> Iterator[dict[str, str]]:
-    """The maps f that `check_step` tries from b1, in its order, before it
-    compares heights with a b2: per agent, in sorted order, every injective
-    choice of a same-agent strand, taken in `strands_of` order, whose trace
-    starts with the source's prefix in b1; then the product over agents."""
-    h1 = b1.height_map
-    by_agent: dict[str, list[str]] = {}
-    for sid in b1.active_strands():
-        by_agent.setdefault(space.agent_of(sid), []).append(sid)
-    per_agent = []
-    for agent in sorted(by_agent):
-        sources = by_agent[agent]
-        targets = []
-        for sid in sources:
-            prefix = space.strand(sid).trace[: h1[sid]]
-            targets.append(
-                [t.id for t in space.strands_of(agent) if t.trace[: h1[sid]] == prefix]
-            )
-        per_agent.append(_injections(sources, targets))
-    for combo in itertools.product(*per_agent):
-        f: dict[str, str] = {}
-        for part in combo:
-            f.update(part)
-        yield f
+def _bits(mask: int) -> Iterator[int]:
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
 
+
+class _KeyedSpace:
+    """A space's bundles as integer keys, with the tables the step search
+    reads (see the module docstring).
+
+    Strands are numbered in id order and nodes strand by strand.  A key is
+    ``code + mask * size``: ``code`` has strand i's height as its digit of
+    radix len(strand i) + 1, ``size`` is the number of codes, and ``mask``
+    has one bit per same-message (send, receive) node pair of the space."""
+
+    def __init__(self, space: StrandSpace, conf: ConflictRelation | None):
+        strands = sorted(space.strands, key=lambda s: s.id)
+        index = {s.id: i for i, s in enumerate(strands)}
+        self.ids = [s.id for s in strands]
+        self.lengths = [len(s) for s in strands]
+        self.radix, self.size = [], 1
+        self.offset, nodes, terms = [], [], []
+        for s in strands:
+            self.radix.append(self.size)
+            self.size *= len(s) + 1
+            self.offset.append(len(nodes))
+            nodes += (Node(s.id, j) for j in range(1, len(s) + 1))
+            terms += s.trace
+        self.strand_of = [i for i, s in enumerate(strands) for _ in s.trace]
+        number = {m: k for k, m in enumerate(sorted({t.message for t in terms}))}
+        self.message = [number[t.message] for t in terms]
+        self.messages = len(number)
+        self.send = [t.positive for t in terms]
+        # mask bit b is the edge self.edges[b]; pair_key is that bit times size
+        self.edges: list[CommEdge] = []
+        self.pairs: list[tuple[int, int]] = []
+        self.pair_key: dict[tuple[int, int], int] = {}
+        for a, ta in enumerate(terms):
+            for b, tb in enumerate(terms):
+                if ta.positive and not tb.positive and ta.message == tb.message:
+                    self.pair_key[a, b] = self.size << len(self.edges)
+                    self.edges.append((nodes[a], nodes[b]))
+                    self.pairs.append((a, b))
+        conflicts = [0] * len(strands)
+        for x, y in conf or ():
+            if x in index and y in index:
+                conflicts[index[x]] |= 1 << index[y]
+                conflicts[index[y]] |= 1 << index[x]
+        self.conflicts = conflicts
+        # per agent, its strands' numbers in `strands_of` order: growth runs
+        # over space.agents, the witness maps over the sorted agents
+        self.agent_strands = [
+            [index[s.id] for s in space.strands_of(a)] for a in space.agents
+        ]
+        self.agent_of: dict[int, str] = {}
+        # match[i][h]: the same-agent strands whose trace starts with strand
+        # i's first h terms, in `strands_of` order
+        self.match: list[list[tuple[int, ...]]] = [[] for _ in strands]
+        self.growth: list[list[_Growth]] = [[] for _ in strands]
+        for agent, numbers in zip(space.agents, self.agent_strands):
+            for i in numbers:
+                s = strands[i]
+                self.agent_of[i] = agent
+                self.match[i] = [
+                    tuple(j for j in numbers if strands[j].trace[:h] == s.trace[:h])
+                    for h in range(len(s) + 1)
+                ]
+                self.growth[i] = [
+                    _Growth(
+                        self.radix[i], self.offset[i] + h, term.positive,
+                        number[term.message], 0 if h else 1 << i,
+                        0 if h else conflicts[i], (agent, s.id, term_to_event(term)),
+                    )
+                    for h, term in enumerate(s.trace)
+                ]
+        # f -> extensions -> their one witness
+        self.witnesses: dict[tuple, dict[tuple, StepWitness]] = {}
+
+    def bundle(self, key: int) -> Bundle:
+        mask, code = divmod(key, self.size)
+        heights = []
+        for sid, length in zip(self.ids, self.lengths):
+            code, h = divmod(code, length + 1)
+            if h:
+                heights.append((sid, h))
+        return Bundle(tuple(heights), frozenset(self.edges[b] for b in _bits(mask)))
+
+    def _witness_maps(self, heights: list[int], active: list[int]) -> Iterator[dict | None]:
+        """The maps f that `check_step` tries from a bundle, in its order,
+        before it compares heights with a b2: per agent, in sorted order,
+        every injective choice of a matching strand for each active one;
+        then the product over agents.  None stands for the identity."""
+        if all(len(self.match[i][heights[i]]) == 1 for i in active):
+            yield None
+            return
+        by_agent: dict[str, list[int]] = {}
+        for i in active:
+            by_agent.setdefault(self.agent_of[i], []).append(i)
+        per_agent = [
+            _injections(sources, [self.match[i][heights[i]] for i in sources])
+            for _, sources in sorted(by_agent.items())
+        ]
+        for combo in itertools.product(*per_agent):
+            f: dict[int, int] = {}
+            for part in combo:
+                f.update(part)
+            yield None if all(s == t for s, t in f.items()) else f
+
+    def successors(self, key: int, max_nodes: int, budget: StateBudget) -> dict[int, StepWitness]:
+        """The keys of the bundles the bundle ``key`` steps to, each with the
+        witness of the first map f that builds it; one tick per candidate."""
+        mask, code = divmod(key, self.size)
+        heights = []
+        for length in self.lengths:
+            code, h = divmod(code, length + 1)
+            heights.append(h)
+        active = [i for i, h in enumerate(heights) if h]
+        pairs = [self.pairs[b] for b in _bits(mask)]
+        room = max_nodes - sum(heights)
+        ids, offset, strand_of = self.ids, self.offset, self.strand_of
+        found: dict[int, StepWitness] = {}
+        for f in self._witness_maps(heights, active):
+            if f is None:
+                f_items = tuple((ids[i], ids[i]) for i in active)
+                self._grow(heights, active, key, pairs, f_items, room, found, budget)
+                continue
+            image = [0] * len(heights)
+            for i in active:
+                image[f[i]] = heights[i]
+            shift = {i: offset[f[i]] - offset[i] for i in active}
+            image_pairs = [(a + shift[strand_of[a]], b + shift[strand_of[b]]) for a, b in pairs]
+            image_key = sum(h * r for h, r in zip(image, self.radix))
+            image_key += sum(self.pair_key[p] for p in image_pairs)
+            f_items = tuple((ids[i], ids[f[i]]) for i in active)
+            image_active = [f[i] for i in active]
+            self._grow(image, image_active, image_key, image_pairs, f_items, room, found, budget)
+        return found
+
+    def _grow(
+        self,
+        heights: list[int],
+        active: list[int],
+        key: int,
+        pairs: list[tuple[int, int]],
+        f_items: tuple[tuple[str, str], ...],
+        room: int,
+        found: dict[int, StepWitness],
+        budget: StateBudget,
+    ) -> None:
+        """Add to ``found`` the candidates grown from the base bundle ``key``
+        (heights, active strands and edge pairs given) that are new to it."""
+        present = 0
+        for t in active:
+            present |= 1 << t
+        conflicts = self.conflicts
+        if any(conflicts[t] & present for t in active):
+            return
+        # the base's sends that feed no edge, per message
+        used = {a for a, _ in pairs}
+        senders: list[list[int]] = [[] for _ in range(self.messages)]
+        for t in active:
+            for a in range(self.offset[t], self.offset[t] + heights[t]):
+                if self.send[a] and a not in used:
+                    senders[self.message[a]].append(a)
+        # the agents that can grow, each with its nodes; last[m] is the last
+        # of them that may send m, so closing[k] lists the messages whose
+        # new receives must all be fed once agent k has chosen
+        options: list[list[_Growth]] = []
+        last: dict[int, int] = {}
+        for numbers in self.agent_strands:
+            opts = []
+            for t in numbers:
+                if heights[t] < self.lengths[t]:
+                    g = self.growth[t][heights[t]]
+                    if not g.conflicts & present:
+                        opts.append(g)
+                        if g.send:
+                            last[g.message] = len(options)
+            if opts:
+                options.append(opts)
+        closing: list[list[int]] = [[] for _ in options]
+        for m, k in last.items():
+            closing[k].append(m)
+        waiting: list[list[int]] = [[] for _ in range(self.messages)]
+        exts: list[tuple[str, str, Event]] = []  # of the nodes chosen so far
+        witnesses = self.witnesses.setdefault(f_items, {})
+        pair_key, tick, agents = self.pair_key, budget.tick, len(options)
+
+        def extend(k: int, key2: int, fresh: int, pending: int) -> None:
+            """The candidates where agents k, ... add the nodes still to
+            choose: ``pending`` new receives wait for a later send."""
+            if not pending:  # every agent from k on stays
+                tick()
+                if key2 not in found:
+                    grown = tuple(exts)
+                    witness = witnesses.get(grown)
+                    if witness is None:
+                        witness = witnesses[grown] = StepWitness(f_items, grown)
+                    found[key2] = witness
+            if len(exts) == room:
+                return
+            for j in range(k, agents):
+                closes = closing[j]
+                fed = not pending or not any(waiting[m] for m in closes)
+                for delta, node, is_send, m, new, conflicting, ext in options[j]:
+                    if conflicting & fresh:
+                        continue
+                    key3, fresh3 = key2 + delta, fresh | new
+                    exts.append(ext)
+                    if is_send:  # it feeds one waiting receive, or none
+                        receives = waiting[m]
+                        for i, r in enumerate(receives):
+                            del receives[i]
+                            if fed or not any(waiting[x] for x in closes):
+                                extend(j + 1, key3 + pair_key[node, r], fresh3, pending - 1)
+                            receives.insert(i, r)
+                        if fed:
+                            senders[m].append(node)
+                            extend(j + 1, key3, fresh3, pending)
+                            senders[m].pop()
+                    elif fed:  # it takes a free send, or waits for one
+                        free = senders[m]
+                        for i, s in enumerate(free):
+                            del free[i]
+                            extend(j + 1, key3 + pair_key[s, node], fresh3, pending)
+                            free.insert(i, s)
+                        if last.get(m, -1) > j:
+                            waiting[m].append(node)
+                            extend(j + 1, key3, fresh3, pending + 1)
+                            waiting[m].pop()
+                    exts.pop()
+                if not fed:  # agent j must send for a waiting receive
+                    return
+
+        extend(0, key, 0, 0)
 
 def step_graph(
     space: StrandSpace,
@@ -247,9 +482,15 @@ def step_graph(
     """All bundles within max_nodes with their step successors.
 
     A breadth-first search from the empty bundle builds each bundle's
-    successors forward (see the module docstring), one budget tick per
-    candidate bundle generated.  A cache hit charges the budget what the
-    graph cost, as a cold call would."""
+    successors forward (see the module docstring).  It works on integer
+    keys, a bundle's height code plus its edge mask times the number of
+    height codes, and decodes a key to its one shared `Bundle` when it
+    first reaches it.  Each candidate, one choice of growth and receive
+    matching under one witness map, ticks the budget once, in whatever
+    order the search meets it.  Each bundle's successors are sorted by
+    `Bundle.sort_key`, each with the witness of the first map that builds
+    it.  A cache hit charges the budget what the graph cost, as a cold
+    call would."""
     if max_nodes < 0:
         raise InputError("max_nodes must be non-negative")
     budget = ensure(budget)
@@ -259,97 +500,32 @@ def step_graph(
         budget.tick(cost)
         return graph
     used_before = budget.used
-    new_nodes = {
-        (s.id, i): _NewNode(
-            s.id, i, Node(s.id, i), term.positive, term.message,
-            (space.agent_of(s.id), s.id, term_to_event(term)),
-        )
-        for s in space.strands
-        for i, term in enumerate(s.trace, start=1)
-    }
-    strands_by_agent = [space.strands_of(a) for a in space.agents]
-    # every bundle reached -> (its one shared object, its sort key); the
-    # search is breadth-first, so a distance set on first reach is least
-    reached = {EMPTY_BUNDLE: (EMPTY_BUNDLE, EMPTY_BUNDLE.sort_key())}
-    distance = {EMPTY_BUNDLE: 0}
-    queue = deque([EMPTY_BUNDLE])
-
-    def successors_of(b1: Bundle) -> tuple:
-        found: dict[Bundle, StepWitness] = {}
-        count = b1.node_count()
-        identity = {s: s for s in b1.active_strands()}
-        for f in _witness_maps(space, b1):
-            if f == identity:
-                heights, edges = b1.height_map, b1.edges
-            else:
-                heights = {f[s]: h for s, h in b1.heights}
-                edges = frozenset(
-                    (Node(f[n1.strand], n1.index), Node(f[n2.strand], n2.index))
-                    for n1, n2 in b1.edges
-                )
-            senders = {n1 for n1, _ in edges}
-            free: dict[str, list[Node]] = {}
-            for sid, h in heights.items():
-                for i in range(1, h + 1):
-                    n = new_nodes[sid, i]
-                    if n.send and n.node not in senders:
-                        free.setdefault(n.message, []).append(n.node)
-            # per agent: the nodes it could add, one per strand below its length
-            growth = [
-                [new_nodes[t.id, heights.get(t.id, 0) + 1] for t in strands
-                 if heights.get(t.id, 0) < len(t)]
-                for strands in strands_by_agent
-            ]
-            sendable = free.keys() | {n.message for opts in growth for n in opts if n.send}
-            options = [
-                [None, *(n for n in opts if n.send or n.message in sendable)]
-                for opts in growth
-            ]
-            f_items = tuple(sorted(f.items()))
-            for combo in itertools.product(*options):
-                grown = [n for n in combo if n is not None]
-                if count + len(grown) > max_nodes:
-                    continue
-                if conf is not None:
-                    active = set(heights).union(n.strand for n in grown)
-                    if any(x in active and y in active for x, y in conf):
-                        continue
-                new_sends: dict[str, list[Node]] = {}
-                recvs: dict[str, list[Node]] = {}
-                for n in grown:
-                    (new_sends if n.send else recvs).setdefault(n.message, []).append(n.node)
-                per_message = [
-                    list(_matchings(rs, free.get(m, []) + new_sends.get(m, [])))
-                    for m, rs in recvs.items()
-                ]
-                grown_heights = dict(heights)
-                grown_heights.update((n.strand, n.height) for n in grown)
-                heights_key = tuple(sorted(grown_heights.items()))
-                for matching in itertools.product(*per_message):
-                    budget.tick()
-                    new_edges = [e for group in matching for e in group]
-                    b2 = Bundle(heights_key, edges.union(new_edges) if new_edges else edges)
-                    if b2 in found:
-                        continue
-                    shared = reached.get(b2)
-                    if shared is None:
-                        reached[b2] = (b2, b2.sort_key())
-                        distance[b2] = distance[b1] + 1
-                        queue.append(b2)
-                    else:
-                        b2 = shared[0]
-                    found[b2] = StepWitness(f_items, tuple(n.extension for n in grown))
-        return tuple(sorted(found.items(), key=lambda pair: reached[pair[0]][1]))
-
-    successors: dict[Bundle, tuple] = {}
+    keyed = _KeyedSpace(space, conf)
+    # the search is breadth-first, so a distance set on first reach is least
+    bundle = {0: EMPTY_BUNDLE}
+    distance = {0: 0}
+    successors: dict[int, dict[int, StepWitness]] = {}
+    queue = deque([0])
     while queue:
-        b1 = queue.popleft()
-        successors[b1] = successors_of(b1)
-    bundles = tuple(sorted(reached, key=lambda b: reached[b][1]))
+        k1 = queue.popleft()
+        found = successors[k1] = keyed.successors(k1, max_nodes, budget)
+        for k2 in found:
+            if k2 not in distance:
+                distance[k2] = distance[k1] + 1
+                bundle[k2] = keyed.bundle(k2)
+                queue.append(k2)
+    order = sorted(bundle, key=lambda k: bundle[k].sort_key())
+    rank = {k: r for r, k in enumerate(order)}
     graph = StepGraph(
-        bundles=bundles,
-        successors={b: successors[b] for b in bundles},
-        distance={b: distance[b] for b in bundles},
+        bundles=tuple(bundle[k] for k in order),
+        successors={
+            bundle[k1]: tuple(
+                (bundle[k2], successors[k1][k2])
+                for k2 in sorted(successors[k1], key=rank.__getitem__)
+            )
+            for k1 in order
+        },
+        distance={bundle[k]: distance[k] for k in order},
     )
     _GRAPH_CACHE[key] = (graph, budget.used - used_before)
     return graph

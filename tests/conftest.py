@@ -143,28 +143,56 @@ def ring_space(n: int) -> StrandSpace:
     )
 
 
+TERMS = st.sampled_from([positive("u"), negative("u"), positive("v"), negative("v")])
+
+
+def drawn_conflicts(draw, space):
+    """None in half the draws, else a drawn set of same-agent strand pairs."""
+    if not draw(st.booleans()):
+        return None
+    agent = space.assignment_map
+    pairs = [
+        (x.id, y.id)
+        for x in space.strands
+        for y in space.strands
+        if x.id < y.id and agent[x.id] == agent[y.id]
+    ]
+    return ConflictRelation(draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else [])
+
+
 @st.composite
 def small_spaces(draw):
     """(space, conf, max_nodes): 1-3 agents, 1-4 strands of 1-3 terms over
     the messages u and v, and, in half the draws, a conflict relation of
     same-agent strand pairs; max_nodes is at most 6 and the node count."""
     agents = draw(st.lists(st.sampled_from("abc"), min_size=1, max_size=3, unique=True))
-    terms = st.sampled_from([positive("u"), negative("u"), positive("v"), negative("v")])
     strands, assignment = [], {}
     for i in range(draw(st.integers(1, 4))):
-        strands.append(Strand(f"s{i}", tuple(draw(st.lists(terms, min_size=1, max_size=3)))))
+        strands.append(Strand(f"s{i}", tuple(draw(st.lists(TERMS, min_size=1, max_size=3)))))
         assignment[f"s{i}"] = draw(st.sampled_from(agents))
     space = StrandSpace.of(strands, agents, assignment)
-    conf = None
-    if draw(st.booleans()):
-        pairs = [
-            (x.id, y.id)
-            for x in space.strands
-            for y in space.strands
-            if x.id < y.id and assignment[x.id] == assignment[y.id]
-        ]
-        conf = ConflictRelation(draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else [])
+    conf = drawn_conflicts(draw, space)
     max_nodes = draw(st.integers(0, min(6, space.node_count())))
+    return space, conf, max_nodes
+
+
+@st.composite
+def twin_spaces(draw):
+    """(space, conf, max_nodes) in which each of 1-2 agents owns 2-3 strands
+    of 1-3 terms that share their first term, so that witness maps other
+    than the identity move prefixes between them; messages u and v,
+    conflicts in half the draws, max_nodes at most 5 and the node count."""
+    agents = draw(st.lists(st.sampled_from("ab"), min_size=1, max_size=2, unique=True))
+    strands, assignment = [], {}
+    for agent in agents:
+        first = draw(TERMS)
+        for _ in range(draw(st.integers(2, 3))):
+            sid = f"s{len(strands)}"
+            strands.append(Strand(sid, (first, *draw(st.lists(TERMS, max_size=2)))))
+            assignment[sid] = agent
+    space = StrandSpace.of(strands, agents, assignment)
+    conf = drawn_conflicts(draw, space)
+    max_nodes = draw(st.integers(0, min(5, space.node_count())))
     return space, conf, max_nodes
 
 

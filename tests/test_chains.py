@@ -3,7 +3,8 @@ from __future__ import annotations
 import pytest
 from hypothesis import given, settings
 
-from strandlab.bundles import EMPTY_BUNDLE, Bundle, enumerate_bundles
+from strandlab.budget import StateBudget
+from strandlab.bundles import EMPTY_BUNDLE, Bundle, ConflictRelation, enumerate_bundles
 from strandlab.chains import (
     ChainPrefix,
     bundle_distances,
@@ -18,7 +19,14 @@ from strandlab.core import Node, Strand, StrandSpace, negative, positive, recv, 
 from strandlab.errors import InputError
 from strandlab.systems import check_mp
 
-from conftest import bfs_distances, pairwise_step_graph, relay_space, ring_space, small_spaces
+from conftest import (
+    bfs_distances,
+    pairwise_step_graph,
+    relay_space,
+    ring_space,
+    small_spaces,
+    twin_spaces,
+)
 
 
 def prefix_jump_space() -> StrandSpace:
@@ -135,6 +143,59 @@ class TestStepGraph:
         assert graph.bundles == enumerate_bundles(space, conf, max_nodes)
         assert graph.successors == pairwise_step_graph(space, conf, max_nodes)
         assert graph.distance == bfs_distances(graph)
+
+    @given(twin_spaces())
+    @settings(max_examples=80, deadline=None)
+    def test_twin_strands_match_pairwise_check_step(self, drawn):
+        # every agent has strands sharing a first term, so witness maps
+        # other than the identity move prefixes, and the search re-encodes
+        # the moved bundle
+        space, conf, max_nodes = drawn
+        graph = step_graph(space, conf, max_nodes)
+        assert graph.bundles == enumerate_bundles(space, conf, max_nodes)
+        assert graph.successors == pairwise_step_graph(space, conf, max_nodes)
+        assert graph.distance == bfs_distances(graph)
+
+    def test_witness_map_onto_a_conflicting_pair(self, cold_cache):
+        # from {s1:1, s3:1} the map s1 -> s2 moves the +u prefix onto s2,
+        # which conflicts with s3: that base and every growth of it must be
+        # refused, though the grown strand itself conflicts with nothing
+        space = StrandSpace.of(
+            [
+                Strand("s1", (positive("u"), positive("v"))),
+                Strand("s2", (positive("u"), negative("v"))),
+                Strand("s3", (positive("w"),)),
+            ],
+            ["a"],
+            {"s1": "a", "s2": "a", "s3": "a"},
+        )
+        conf = ConflictRelation([("s2", "s3")])
+        graph = step_graph(space, conf, space.node_count())
+        assert len(graph.bundles) == 10
+        assert graph.successors == pairwise_step_graph(space, conf, space.node_count())
+
+    def test_scaling_counts(self, cold_cache):
+        # bundles, edges (the sum of successor counts) and budget ticks of
+        # cold step graphs of relays and rings; on these spaces every
+        # candidate is a distinct successor, so edges equal ticks
+        expected = {
+            ("relay", 2): (25, 105),
+            ("relay", 3): (125, 931),
+            ("relay", 4): (625, 7_889),
+            ("relay", 5): (3_125, 64_827),
+            ("ring", 3): (18, 80),
+            ("ring", 4): (47, 343),
+            ("ring", 5): (123, 1_475),
+            ("ring", 6): (322, 6_346),
+        }
+        make = {"relay": relay_space, "ring": ring_space}
+        for (family, size), (bundles, edges) in expected.items():
+            space = make[family](size)
+            budget = StateBudget()
+            graph = step_graph(space, None, space.node_count(), budget)
+            counts = (len(graph.bundles), sum(len(s) for s in graph.successors.values()))
+            assert counts == (bundles, edges), (family, size)
+            assert budget.used == edges, (family, size)
 
     def test_each_bundle_is_one_object(self, nack_space, cold_cache):
         graph = step_graph(nack_space.space, None, 6)
