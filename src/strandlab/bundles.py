@@ -118,17 +118,16 @@ class ConflictRelation(frozenset):
         return (min(s1, s2), max(s1, s2)) in self
 
 
-def validate_conflicts(space: StrandSpace, conf: ConflictRelation) -> list[str]:
-    """Problems with a conflict relation: unknown strands, cross-agent pairs."""
+def validate_conflicts(assignment: Mapping[str, str], conf: ConflictRelation) -> list[str]:
+    """Problems with a conflict relation over the strands an assignment
+    maps to their agents: unknown strands, cross-agent pairs."""
     problems = []
     for a, b in sorted(conf):
-        for sid in (a, b):
-            if sid not in space.assignment_map:
-                problems.append(f"conflict pair references unknown strand {sid!r}")
-                break
-        else:
-            if space.agent_of(a) != space.agent_of(b):
-                problems.append(f"conflict pair spans agents: ({a}, {b})")
+        unknown = next((sid for sid in (a, b) if sid not in assignment), None)
+        if unknown is not None:
+            problems.append(f"conflict pair references unknown strand {unknown!r}")
+        elif assignment[a] != assignment[b]:
+            problems.append(f"conflict pair spans agents: ({a}, {b})")
     return problems
 
 
@@ -225,7 +224,7 @@ def validate_bundle(
         problems.append(("B4", "causal graph has a cycle"))
 
     if conf is not None:
-        for msg in validate_conflicts(space, conf):
+        for msg in validate_conflicts(space.assignment_map, conf):
             problems.append(("B5", msg))
         active = set(bundle.active_strands())
         for a, b in sorted(conf):

@@ -11,8 +11,9 @@ A mode takes only the options it uses.  Of enumerate's modes, all but
 --translate take --max-nodes (default 8); check's modes are in `_CHECKS`.
 Any other option exits 2, and so does a negative value, with the same
 message in both subcommands ("error: --horizon must be non-negative").
-Both refuse a space, system or protocol file that `validate` rejects, with
-its first problem as the message.
+Both exit 2 on a file that parses into no well-formed value (see
+`documents`), with its first problem as the message; `validate` prints
+every problem and exits 1.  Only `validate` checks runs for MP1-MP3.
 
 Exit codes: 0 when everything holds, 1 when a modeled property fails,
 2 on usage, parse, or budget errors, and also 2, silently, when stdout is
@@ -27,14 +28,13 @@ import io
 import os
 import sys
 
-from .bundles import enumerate_bundles, validate_conflicts
+from .bundles import enumerate_bundles
 from .chains import enumerate_chain_prefixes, translate
 from .checks import (
     CheckResult, _describe_state, lemma_1, lemma_2, node_cap,
     theorem_1, theorem_2, theorem_3, theorem_4, theorem_5, theorem_6, theorem_7,
 )
-from .core import validate_space
-from .errors import InputError, StrandlabError
+from .errors import IllFormedError, InputError, StrandlabError
 from .documents import (
     BundlesDocument,
     ChainsDocument,
@@ -101,14 +101,9 @@ def _kind(cls) -> str:
 
 
 def _require(doc: Document, cls):
-    """``doc``, provided it is a ``cls`` file and, unless it is a runs
-    file, one that `validate` accepts.  Run sets are compared whatever
-    they hold, so a runs file is not walked for MP1-MP3 here."""
+    """``doc``, provided it is a ``cls`` file."""
     if not isinstance(doc, cls):
         raise InputError(f"a {_kind(cls)} file required, got a {_kind(type(doc))} file")
-    problems = [] if cls is RunsDocument else _PROBLEMS[cls](doc)
-    if problems:
-        raise InputError(problems[0])
     return doc
 
 
@@ -128,14 +123,6 @@ def _write_stdout(text: str) -> None:
         data = data[os.write(fd, data):]
 
 
-def _space_problems(doc: SpaceDocument) -> list[str]:
-    problems = list(validate_space(doc.space).problems)
-    if doc.conf is not None:
-        problems.extend(validate_conflicts(doc.space, doc.conf))
-    undeclared = sorted(doc.space.messages() - set(doc.messages))
-    return problems + [f"undeclared message: {m}" for m in undeclared]
-
-
 def _runs_problems(doc: RunsDocument) -> list[str]:
     # the least failing run, found per automaton node and edge
     universe = {
@@ -152,20 +139,14 @@ def _runs_problems(doc: RunsDocument) -> list[str]:
     ]
 
 
-# document class -> the problems `validate` prints, one a line
-_PROBLEMS = {
-    SpaceDocument: _space_problems,
-    SystemDocument: lambda y: y.histories.problems(),
-    ProtocolDocument: lambda p: p.protocol.problems(),
-    RunsDocument: _runs_problems,
-    BundlesDocument: lambda b: [],
-    ChainsDocument: lambda c: [],
-}
-
-
 def _cmd_validate(args) -> int:
-    doc = load_document(args.path)
-    problems = _PROBLEMS[type(doc)](doc)
+    # only here are runs checked for MP1-MP3, not in check --equal
+    try:
+        doc = load_document(args.path)
+    except IllFormedError as exc:
+        problems = exc.problems
+    else:
+        problems = _runs_problems(doc) if isinstance(doc, RunsDocument) else []
     for problem in problems:
         print(problem)
     if problems:

@@ -10,6 +10,9 @@ Two constructions:
     component carrying that component's full event sequence, plus one
     single-node receive strand per agent and message.
 
+Strand ids are ``agent__sent-u_recv-v``, ``agent__seq1`` and
+``agent__recv-u``, with each ``_`` of a name written ``_~`` (`_escape`).
+
 For the protocol construction, earlier stages of a component are covered
 by bundles that cut the full strand short, so no per-prefix strands are
 materialized.  Materializing every prefix as its own strand would let
@@ -36,16 +39,21 @@ class ExtendedSpace(NamedTuple):
     conf: ConflictRelation
 
 
+def _escape(name: str) -> str:
+    """``name`` with each ``_`` written ``_~``.  In an escaped name every
+    ``_`` is followed by ``~``, and in the separators of an id (``__``
+    and the ``_`` before an event) none is, so an id splits back into its
+    names one way only.  A name without ``_`` is its own escape."""
+    return name.replace("_", "_~")
+
+
 def _history_slug(h: History) -> str:
-    return "_".join(f"{e.kind}-{e.message}" for e in h)
+    return "_".join(f"{e.kind}-{_escape(e.message)}" for e in h)
 
 
 def extended_space_from_system(hs: HistorySet) -> ExtendedSpace:
     """One strand per nonempty admissible history, same-agent strands
     pairwise conflicting."""
-    problems = hs.problems()
-    if problems:
-        raise InputError(problems[0])
     strands: list[Strand] = []
     assignment: dict[str, str] = {}
     pairs: list[tuple[str, str]] = []
@@ -54,7 +62,7 @@ def extended_space_from_system(hs: HistorySet) -> ExtendedSpace:
         for h in hs.histories(agent):
             if not h:
                 continue
-            sid = f"{agent}__{_history_slug(h)}"
+            sid = f"{_escape(agent)}__{_history_slug(h)}"
             strands.append(Strand(sid, tuple(event_to_term(e) for e in h)))
             assignment[sid] = agent
             ids.append(sid)
@@ -85,13 +93,13 @@ def space_from_monotone(jp: JointProtocol) -> StrandSpace:
         for i, component in enumerate(monotone_components(jp.spec(agent)), start=1):
             if not component.events:
                 continue
-            sid = f"{agent}__seq{i}"
+            sid = f"{_escape(agent)}__seq{i}"
             strands.append(
                 Strand(sid, tuple(event_to_term(e) for e in component.events))
             )
             assignment[sid] = agent
         for u in sorted(jp.messages):
-            sid = f"{agent}__recv-{u}"
+            sid = f"{_escape(agent)}__recv-{_escape(u)}"
             strands.append(Strand(sid, (negative(u),)))
             assignment[sid] = agent
     return StrandSpace.of(strands, jp.agents, assignment)

@@ -2,9 +2,12 @@
 histories and global states.
 
 All values are immutable; nothing here has behavior beyond construction,
-equality, rendering and well-formedness checks.  Messages are opaque
-atoms: the internal structure of a message is irrelevant to the execution
-models, so a message is just its name.
+equality and rendering.  Messages are opaque atoms: the internal
+structure of a message is irrelevant to the execution models, so a
+message is just its name.
+
+A value is well formed once built: its constructor raises on ill-formed
+input, `StrandSpace` with an `IllFormedError` that lists every problem.
 
 Most value types of the package are tuples: a `NamedTuple` record, or a
 `namedtuple` subclass whose ``__new__`` validates.  Their fields are
@@ -27,7 +30,7 @@ from __future__ import annotations
 from collections import namedtuple
 from typing import Iterable, Iterator, Mapping, NamedTuple
 
-from .errors import InputError
+from .errors import IllFormedError, InputError
 
 POSITIVE = "+"
 NEGATIVE = "-"
@@ -145,8 +148,10 @@ class StrandSpace:
     """A finite set of strands together with an agent assignment.
 
     A plain (agent-free) space is represented with the identity
-    assignment: each strand is its own agent.  Equality, hash and repr
-    read the three fields, not the lookup maps built from them.
+    assignment: each strand is its own agent.  Ids are distinct, traces
+    nonempty, and the assignment maps exactly the strands to declared
+    agents.  Equality, hash and repr read the three fields, not the
+    lookup maps built from them.
     """
 
     __slots__ = ("strands", "agents", "assignment", "_by_id", "_agent_by_id", "_by_agent")
@@ -157,14 +162,29 @@ class StrandSpace:
         agents: tuple[str, ...],
         assignment: tuple[tuple[str, str], ...],  # (strand id, agent), sorted
     ):
+        amap = dict(assignment)
+        problems: list[str] = []
+        seen: set[str] = set()
+        for s in strands:
+            if s.id in seen:
+                problems.append(f"duplicate strand id: {s.id}")
+            seen.add(s.id)
+            if not s.trace:
+                problems.append(f"empty trace on strand {s.id}")
+        for s in strands:
+            if s.id not in amap:
+                problems.append(f"unassigned strand: {s.id}")
+            elif amap[s.id] not in agents:
+                problems.append(f"strand {s.id} assigned to undeclared agent {amap[s.id]}")
+        problems += [f"assignment references unknown strand: {i}" for i in amap if i not in seen]
+        if problems:
+            raise IllFormedError(problems)
         _set(self, "strands", strands)
         _set(self, "agents", agents)
         _set(self, "assignment", assignment)
-        amap = dict(assignment)
         by_agent: dict[str, list[Strand]] = {}
         for s in strands:
-            if s.id in amap:
-                by_agent.setdefault(amap[s.id], []).append(s)
+            by_agent.setdefault(amap[s.id], []).append(s)
         _set(self, "_by_id", {s.id: s for s in strands})
         _set(self, "_agent_by_id", amap)
         _set(self, "_by_agent", {a: tuple(ss) for a, ss in by_agent.items()})
@@ -252,38 +272,6 @@ def term_of(space: StrandSpace, node: Node) -> SignedTerm:
             f"(trace length {len(strand)})"
         )
     return strand.trace[node.index - 1]
-
-
-class SpaceReport(NamedTuple):
-    """Well-formedness report for a strand space; never raised."""
-
-    problems: tuple[str, ...]
-
-    @property
-    def ok(self) -> bool:
-        return not self.problems
-
-
-def validate_space(space: StrandSpace) -> SpaceReport:
-    """Report duplicate strand ids, empty traces and assignment gaps."""
-    problems: list[str] = []
-    seen: set[str] = set()
-    for s in space.strands:
-        if s.id in seen:
-            problems.append(f"duplicate strand id: {s.id}")
-        seen.add(s.id)
-        if len(s.trace) == 0:
-            problems.append(f"empty trace on strand {s.id}")
-    amap = space.assignment_map
-    for s in space.strands:
-        if s.id not in amap:
-            problems.append(f"unassigned strand: {s.id}")
-        elif amap[s.id] not in space.agents:
-            problems.append(f"strand {s.id} assigned to undeclared agent {amap[s.id]}")
-    for sid in amap:
-        if sid not in seen:
-            problems.append(f"assignment references unknown strand: {sid}")
-    return SpaceReport(tuple(problems))
 
 
 class GlobalState:

@@ -48,9 +48,10 @@ bytes are those of one `json.dumps` of the whole body.
 Parsing raises SchemaError for structural problems (bad JSON, wrong
 shapes, unparseable tokens) and for a system's histories of an agent it
 does not declare, which a `HistorySet` could not tell from a declared
-one.  Other semantic well-formedness — duplicate ids, undeclared
-references, cross-agent conflict pairs — is left to the validators,
-which report rather than throw.
+one.  An ill-formed space, history set or protocol raises its
+`IllFormedError`, listing every problem; a space document lists its
+unknown or cross-agent conflict pairs and undeclared messages after the
+space's own.  A runs document may still break MP1-MP3.
 """
 
 from __future__ import annotations
@@ -58,10 +59,10 @@ from __future__ import annotations
 import json
 from typing import Any, Callable, NamedTuple
 
-from .bundles import Bundle, ConflictRelation
+from .bundles import Bundle, ConflictRelation, validate_conflicts
 from .chains import ChainPrefix, StepWitness
 from .core import Event, GlobalState, Node, SignedTerm, Strand, StrandSpace
-from .errors import InputError, SchemaError
+from .errors import IllFormedError, InputError, SchemaError
 from .protocols import (
     NOOP,
     Action,
@@ -194,6 +195,8 @@ def parse_document(text: str) -> Document:
     _expect(kind in KINDS, f"kind must be one of {KINDS}, got {kind!r}")
     try:
         return _PARSERS[kind](body)
+    except IllFormedError:
+        raise
     except InputError as exc:
         # Constructor preconditions double as schema constraints here.
         raise SchemaError(str(exc)) from exc
@@ -231,7 +234,18 @@ def _parse_space(body: dict) -> SpaceDocument:
             )
             pairs.append((pair[0], pair[1]))
         conf = ConflictRelation(pairs)
-    space = StrandSpace.of(strands, agents, assignment)
+    # the space's own problems first, then the document's, which read the
+    # parsed strands and so are found even when the space is ill formed
+    try:
+        space, problems = StrandSpace.of(strands, agents, assignment), []
+    except IllFormedError as exc:
+        space, problems = None, list(exc.problems)
+    if conf is not None:
+        problems += validate_conflicts(assignment, conf)
+    used = {t.message for s in strands for t in s.trace}
+    problems += [f"undeclared message: {m}" for m in sorted(used - set(messages))]
+    if problems:
+        raise IllFormedError(problems)
     return SpaceDocument(space=space, conf=conf, messages=tuple(sorted(set(messages))))
 
 

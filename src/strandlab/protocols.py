@@ -28,7 +28,7 @@ from typing import Iterable, Mapping, NamedTuple
 
 from .budget import StateBudget
 from .core import Event, GlobalState, History, recv, sent
-from .errors import InputError
+from .errors import IllFormedError, InputError
 from .systems import RunAutomaton, explore, joint_round
 
 
@@ -145,11 +145,31 @@ def eval_protocol(p: ProtocolSpec, h: History) -> frozenset[Action]:
     raise InputError(f"unknown protocol spec: {type(p).__name__}")
 
 
-class JointProtocol(NamedTuple):
-    """One protocol per agent, over an explicit message universe."""
+class JointProtocol(namedtuple("JointProtocol", "per_agent messages")):
+    """One protocol per agent, over an explicit message universe that
+    declares every message the specs use: in monotone events, table
+    histories, actions and defaults, and in union members at any depth."""
 
-    per_agent: tuple[tuple[str, ProtocolSpec], ...]
-    messages: tuple[str, ...]
+    __slots__ = ()
+
+    def __new__(cls, per_agent: tuple[tuple[str, ProtocolSpec], ...], messages: tuple[str, ...]):
+        used: set[str] = set()
+        todo = [p for _, p in per_agent]
+        while todo:
+            p = todo.pop()
+            if isinstance(p, UnionSpec):
+                todo.extend(p.members)
+            elif isinstance(p, MonotoneSpec):
+                used.update(e.message for e in p.events)
+            else:
+                # the default as one more row, with no history
+                for history, actions in p.entries + (((), p.default),):
+                    used.update(e.message for e in history)
+                    used.update(a.message for a in actions if a.kind == "send")
+        undeclared = sorted(used - set(messages))
+        if undeclared:
+            raise IllFormedError(f"undeclared message: {m}" for m in undeclared)
+        return tuple.__new__(cls, (per_agent, messages))
 
     @classmethod
     def of(
@@ -169,25 +189,6 @@ class JointProtocol(NamedTuple):
             if a == agent:
                 return p
         raise InputError(f"unknown agent: {agent!r}")
-
-    def problems(self) -> list[str]:
-        """The messages the specs use but the universe does not declare,
-        as messages: in monotone events, table histories, actions and
-        defaults, and in union members at any depth."""
-        used: set[str] = set()
-        todo = [p for _, p in self.per_agent]
-        while todo:
-            p = todo.pop()
-            if isinstance(p, UnionSpec):
-                todo.extend(p.members)
-            elif isinstance(p, MonotoneSpec):
-                used.update(e.message for e in p.events)
-            else:
-                # the default as one more row, with no history
-                for history, actions in p.entries + (((), p.default),):
-                    used.update(e.message for e in history)
-                    used.update(a.message for a in actions if a.kind == "send")
-        return [f"undeclared message: {m}" for m in sorted(used - set(self.messages))]
 
 
 def tau_step(jp: JointProtocol, g: GlobalState) -> frozenset[GlobalState]:

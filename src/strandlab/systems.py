@@ -57,7 +57,7 @@ from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence
 from .budget import StateBudget, ensure
 from .bundles import agent_events, enumerate_bundles
 from .core import Event, GlobalState, History
-from .errors import InputError
+from .errors import IllFormedError, InputError
 
 MP2_STRONG = "strong"
 MP2_LITERAL = "literal"
@@ -251,20 +251,33 @@ class RunAutomaton(AbstractSet):
         )
 
 
-class HistorySet(NamedTuple):
-    """Per-agent finite sets of admissible local histories."""
+class HistorySet(namedtuple("HistorySet", "per_agent")):
+    """Per-agent finite sets of admissible local histories.  Each set holds
+    the empty history (time 0 is reachable) and each history's proper
+    prefixes (every intermediate state occurs): inputs are validated, not
+    silently closed."""
 
-    per_agent: tuple[tuple[str, tuple[History, ...]], ...]
+    __slots__ = ()
+
+    def __new__(cls, per_agent: tuple[tuple[str, tuple[History, ...]], ...]):
+        problems = []
+        for a, hs in per_agent:
+            pool = set(hs)
+            if () not in pool:
+                problems.append(f"history set for agent {a} lacks the empty history")
+            for h in hs:
+                if any(h[:k] not in pool for k in range(1, len(h))):
+                    problems.append(
+                        f"history set for agent {a} lacks a prefix of {list(map(str, h))}"
+                    )
+        if problems:
+            raise IllFormedError(problems)
+        return tuple.__new__(cls, (per_agent,))
 
     @classmethod
     def of(cls, mapping: Mapping[str, Iterable[History]]) -> "HistorySet":
-        return cls(
-            tuple(
-                sorted(
-                    (a, tuple(sorted(set(map(tuple, hs))))) for a, hs in mapping.items()
-                )
-            )
-        )
+        per_agent = ((a, tuple(sorted(set(map(tuple, hs))))) for a, hs in mapping.items())
+        return cls(tuple(sorted(per_agent)))
 
     @property
     def agents(self) -> tuple[str, ...]:
@@ -280,27 +293,6 @@ class HistorySet(NamedTuple):
         return frozenset(
             e.message for _, hs in self.per_agent for h in hs for e in h
         )
-
-    def problems(self) -> list[str]:
-        """Violations of the generation preconditions, as messages.
-
-        Every set must contain the empty history (time 0 is reachable) and
-        each history's proper prefixes (every intermediate state occurs).
-        Inputs are validated, not silently closed.
-        """
-        out = []
-        for a, hs in self.per_agent:
-            pool = set(hs)
-            if () not in pool:
-                out.append(f"history set for agent {a} lacks the empty history")
-            for h in hs:
-                for k in range(1, len(h)):
-                    if h[:k] not in pool:
-                        out.append(
-                            f"history set for agent {a} lacks a prefix of {list(map(str, h))}"
-                        )
-                        break
-        return out
 
 
 def _event_counts(g: GlobalState) -> tuple[Counter, Counter]:
@@ -492,10 +484,6 @@ def generate_system(
     Each round every agent stutters or appends an event keeping its history
     admissible, and the round's receives stay justified (strong MP2).
     """
-    problems = hs.problems()
-    if problems:
-        raise InputError(problems[0])
-
     nexts: dict[str, dict[History, list[Event]]] = {}
     for a in hs.agents:
         pool = set(hs.histories(a))

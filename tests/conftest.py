@@ -24,6 +24,7 @@ from strandlab.core import (
     term_of,
 )
 from strandlab.documents import ChainsDocument, RunsDocument, load_document, parse_event
+from strandlab.errors import IllFormedError
 from strandlab.systems import RunPrefix, check_mp
 
 FIXTURES = pathlib.Path(__file__).resolve().parent.parent / "fixtures"
@@ -31,6 +32,15 @@ FIXTURES = pathlib.Path(__file__).resolve().parent.parent / "fixtures"
 
 def fixture_path(name: str) -> pathlib.Path:
     return FIXTURES / f"{name}.json"
+
+
+def raised_problems(build) -> tuple[str, ...]:
+    """The problems of the `IllFormedError` that ``build()`` raises, after
+    checking that its message is the first of them."""
+    with pytest.raises(IllFormedError) as raised:
+        build()
+    assert str(raised.value) == raised.value.problems[0]
+    return raised.value.problems
 
 
 def brute_force_runs(agents, universe, horizon, admissible):

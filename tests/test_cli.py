@@ -75,15 +75,15 @@ class TestValidate:
         assert run_cli("validate", tmp_path / "absent.json") == 2
 
 
-# files that parse but that `validate` rejects, each with its one problem
-# and the modes that must refuse it
+# files that parse but that `validate` rejects, each with the lines it
+# prints and the modes that must refuse it with the first of them
 INVALID = {
     "duplicate strand id": (
         {"kind": "space", "messages": ["u"], "agents": ["a"], "strands": [
             {"id": "s", "agent": "a", "trace": ["+u"]},
             {"id": "s", "agent": "a", "trace": ["-u"]},
         ]},
-        "duplicate strand id: s",
+        ["duplicate strand id: s"],
         ("enumerate --bundles", "check --lemma 2", "check --theorem 1"),
     ),
     "undeclared agent": (
@@ -91,7 +91,7 @@ INVALID = {
             {"id": "s", "agent": "a", "trace": ["+u"]},
             {"id": "t", "agent": "zz", "trace": ["-u"]},
         ]},
-        "strand t assigned to undeclared agent zz",
+        ["strand t assigned to undeclared agent zz"],
         ("enumerate --translate", "check --theorem 1", "check --lemma 1"),
     ),
     "undeclared protocol message": (
@@ -99,8 +99,27 @@ INVALID = {
             "a": {"monotone": ["sent v"]},
             "b": {"monotone": ["recv v"]},
         }},
-        "undeclared message: v",
+        ["undeclared message: v"],
         ("enumerate --run-protocol", "check --theorem 6", "check --theorem 7"),
+    ),
+    # the space's own problem, then the document's, in that order; a file
+    # of the wrong kind is refused with its first problem too
+    "space and document problems": (
+        {"kind": "extended-space", "messages": ["u"], "agents": ["a", "b"], "strands": [
+            {"id": "s", "agent": "a", "trace": ["+u"]},
+            {"id": "s", "agent": "a", "trace": ["-v"]},
+            {"id": "t", "agent": "b", "trace": ["-u"]},
+        ], "conflicts": [["s", "t"]]},
+        ["duplicate strand id: s", "conflict pair spans agents: (s, t)", "undeclared message: v"],
+        ("enumerate --bundles", "check --lemma 1", "check --theorem 5"),
+    ),
+    "non-prefix-closed system": (
+        {"kind": "system", "agents": ["a"], "histories": {"a": [["sent u", "sent v"]]}},
+        [
+            "history set for agent a lacks the empty history",
+            "history set for agent a lacks a prefix of ['sent u', 'sent v']",
+        ],
+        ("enumerate --gen-system", "check --theorem 5"),
     ),
 }
 
@@ -108,23 +127,23 @@ INVALID = {
 class TestInvalidInputIsRefused:
     @pytest.mark.parametrize("case", sorted(INVALID))
     def test_validate_reports_the_problem(self, tmp_path, capsys, case):
-        body, problem, _ = INVALID[case]
+        body, problems, _ = INVALID[case]
         path = tmp_path / "bad.json"
         path.write_text(json.dumps(body))
         assert run_cli("validate", path) == 1
-        assert capsys.readouterr() == (problem + "\n", "")
+        assert capsys.readouterr() == ("".join(p + "\n" for p in problems), "")
 
     @pytest.mark.parametrize(
         "case,mode", [(case, mode) for case in sorted(INVALID) for mode in INVALID[case][2]]
     )
     def test_enumerate_and_check_exit_2(self, tmp_path, capsys, case, mode):
-        body, problem, _ = INVALID[case]
+        body, problems, _ = INVALID[case]
         path = tmp_path / "bad.json"
         path.write_text(json.dumps(body))
         command, *flags = mode.split()
         argv = [command, path, *flags] if command == "enumerate" else [command, *flags, path]
         assert run_cli(*argv) == 2
-        assert capsys.readouterr() == ("", f"error: {problem}\n")
+        assert capsys.readouterr() == ("", f"error: {problems[0]}\n")
 
 
 def runs_text(agents, horizon, runs) -> str:

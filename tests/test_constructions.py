@@ -5,15 +5,18 @@ from itertools import combinations
 import pytest
 
 from strandlab.bundles import validate_conflicts
+from strandlab.checks import theorem_5, theorem_7
 from strandlab.constructions import (
     extended_space_from_system,
     monotone_components,
     space_from_monotone,
 )
-from strandlab.core import negative, positive, recv, sent, validate_space
+from strandlab.core import negative, positive, recv, sent
 from strandlab.errors import InputError
 from strandlab.protocols import JointProtocol, MonotoneSpec, UnionSpec
 from strandlab.systems import HistorySet
+
+from conftest import raised_problems
 
 
 class TestExtendedSpaceFromSystem:
@@ -49,15 +52,30 @@ class TestExtendedSpaceFromSystem:
         assert agent2_pairs == expected
 
     def test_outputs_are_well_formed(self, r1_system, nack_system):
+        # the space is well formed, or building it would have raised
         for doc in (r1_system, nack_system):
             ext = extended_space_from_system(doc.histories)
-            assert validate_space(ext.space).ok
-            assert validate_conflicts(ext.space, ext.conf) == []
+            assert validate_conflicts(ext.space.assignment_map, ext.conf) == []
 
     def test_non_prefix_closed_input_rejected(self):
-        hs = HistorySet.of({"a": [(), (sent("u"), sent("v"))]})
-        with pytest.raises(InputError):
-            extended_space_from_system(hs)
+        # such a history set cannot be built, so it never reaches the
+        # construction
+        assert raised_problems(lambda: HistorySet.of({"a": [(), (sent("u"), sent("v"))]})) == (
+            "history set for agent a lacks a prefix of ['sent u', 'sent v']",
+        )
+
+    def test_underscored_names_give_distinct_ids(self):
+        # the one-event history "sent x_sent-y" and the two-event history
+        # "sent x", "sent y" used to share the id a__sent-x_sent-y
+        hs = HistorySet.of({
+            "a": [(), (sent("x_sent-y"),), (sent("x"),), (sent("x"), sent("y"))],
+            "b": [(), (recv("x_sent-y"),), (recv("y"),)],
+        })
+        ids = [s.id for s in extended_space_from_system(hs).space.strands]
+        assert "a__sent-x_~sent-y" in ids and "a__sent-x_sent-y" in ids
+        result = theorem_5(hs)
+        assert result.ok
+        assert "56 translated vs 56 generated run prefixes" in result.lines
 
 
 class TestMonotoneComponents:
@@ -98,7 +116,20 @@ class TestSpaceFromMonotone:
         assert traces["2__seq1"] == (negative("u1"), positive("u2"))
         recv_ids = [sid for sid in traces if "__recv-" in sid]
         assert len(recv_ids) == 6  # 2 agents x 3 messages
-        assert validate_space(space).ok
+
+    def test_underscored_names_give_distinct_ids(self):
+        # agent p's receive strand for message q__seq1 and agent
+        # p__recv-q's send strand used to share the id p__recv-q__seq1
+        jp = JointProtocol.of(
+            {"p": MonotoneSpec(()), "p__recv-q": MonotoneSpec((sent("q__seq1"),))},
+            ["q__seq1"],
+        )
+        assert sorted(s.id for s in space_from_monotone(jp).strands) == [
+            "p__recv-q_~_~seq1", "p_~_~recv-q__recv-q_~_~seq1", "p_~_~recv-q__seq1",
+        ]
+        result = theorem_7(jp, horizon=2)
+        assert result.ok
+        assert "7 translated vs 7 protocol run prefixes" in result.lines
 
     def test_non_monotone_protocol_rejected(self, nack_protocol):
         with pytest.raises(InputError):

@@ -13,7 +13,6 @@ from strandlab.core import (
     GlobalState,
     Node,
     SignedTerm,
-    SpaceReport,
     Strand,
     StrandSpace,
     event_term_bijection,
@@ -22,7 +21,6 @@ from strandlab.core import (
     recv,
     sent,
     term_of,
-    validate_space,
 )
 from strandlab.documents import (
     BundlesDocument,
@@ -42,6 +40,8 @@ from strandlab.systems import (
     RunAutomaton,
     RunPrefix,
 )
+
+from conftest import raised_problems
 
 tokens = st.text(
     alphabet=st.characters(whitelist_categories=("Ll", "Lu", "Nd")), min_size=1, max_size=6
@@ -113,21 +113,35 @@ class TestTermOf:
 class TestValidateSpace:
     def test_fixture_spaces_are_well_formed(self, r1_space, nack_space, ping_space):
         for doc in (r1_space, nack_space, ping_space):
-            assert validate_space(doc.space).ok
+            space = doc.space
+            assert StrandSpace.of(space.strands, space.agents, space.assignment_map) == space
 
     def test_empty_trace_reported(self):
-        space = StrandSpace.of([Strand("s", ())], ["a"], {"s": "a"})
-        report = validate_space(space)
-        assert any("empty trace" in p for p in report.problems)
+        assert raised_problems(lambda: StrandSpace.of([Strand("s", ())], ["a"], {"s": "a"})) == (
+            "empty trace on strand s",
+        )
 
     def test_unassigned_strand_reported(self):
-        space = StrandSpace.of([Strand("s", (positive("u"),))], ["a"], {})
-        report = validate_space(space)
-        assert any("unassigned strand" in p for p in report.problems)
+        assert raised_problems(
+            lambda: StrandSpace.of([Strand("s", (positive("u"),))], ["a"], {})
+        ) == ("unassigned strand: s",)
 
     def test_undeclared_agent_reported(self):
-        space = StrandSpace.of([Strand("s", (positive("u"),))], ["a"], {"s": "ghost"})
-        assert not validate_space(space).ok
+        assert raised_problems(
+            lambda: StrandSpace.of([Strand("s", (positive("u"),))], ["a"], {"s": "ghost"})
+        ) == ("strand s assigned to undeclared agent ghost",)
+
+    def test_every_problem_is_reported_in_order(self):
+        strands = [Strand("s", (positive("u"),)), Strand("s", ()), Strand("t", ())]
+        assert raised_problems(
+            lambda: StrandSpace.of(strands, ["a"], {"s": "a", "t": "ghost", "x": "a"})
+        ) == (
+            "duplicate strand id: s",
+            "empty trace on strand s",
+            "empty trace on strand t",
+            "strand t assigned to undeclared agent ghost",
+            "assignment references unknown strand: x",
+        )
 
 
 class TestGlobalState:
@@ -164,7 +178,8 @@ class TestGlobalState:
 # Every value type of the package: an instance, its field names in order,
 # two instances in increasing field order when the type is ordered, and the
 # bad inputs its constructor rejects.
-_SPACE = StrandSpace.identity([Strand("s", (positive("u"),))])
+_STRAND = Strand("s", (positive("u"),))
+_SPACE = StrandSpace.identity([_STRAND])
 _STATE = GlobalState.empty(["a", "b"]).extend({"a": sent("u")})
 _BUNDLE = Bundle.of({"s": 1})
 _WITNESS = StepWitness((("s", "s"),), (("s", "s", sent("u")),))
@@ -182,8 +197,9 @@ VALUE_TYPES = [
      (Strand("a", (positive("u"),)), Strand("a", (positive("v"),))),
      [("", ()), ("two words", ())]),
     (Node("s", 2), ("strand", "index"), (Node("s", 2), Node("s", 10)), []),
-    (_SPACE, ("strands", "agents", "assignment"), None, []),
-    (SpaceReport(("empty trace on strand s",)), ("problems",), None, []),
+    (_SPACE, ("strands", "agents", "assignment"), None,
+     [((_STRAND, Strand("s", (negative("u"),))), ("s",), (("s", "s"),)),
+      ((_STRAND,), ("s",), ())]),
     (_STATE, ("locals",), (GlobalState.empty(["a", "b"]), _STATE), []),
     (_BUNDLE, ("heights", "edges"), None, []),
     (BundleReport((("B2", "receive node <s,1> has no sender"),), False),
@@ -207,9 +223,10 @@ VALUE_TYPES = [
     (UnionSpec((MonotoneSpec(()),)), ("members",), None, [((),)]),
     (TableSpec.of({(): [NOOP]}), ("entries", "default"), None,
      [((), frozenset()), ((((), frozenset()),),)]),
-    (_PROTOCOL, ("per_agent", "messages"), None, []),
+    (_PROTOCOL, ("per_agent", "messages"), None,
+     [((("a", MonotoneSpec((sent("v"),))),), ("u",))]),
     (_RUN, ("states",), (_RUN, RunPrefix((_STATE,))), [((),)]),
-    (_HISTORIES, ("per_agent",), None, []),
+    (_HISTORIES, ("per_agent",), None, [((("a", ((sent("u"),),)),),)]),
     (MPReport(None, "at time 1: 1 receives of u but only 0 sends", None),
      ("mp1", "mp2", "mp3"), None, []),
     (EqualityReport(True, _RUNS, _RUNS), ("equal", "only_in_a", "only_in_b"), None, []),

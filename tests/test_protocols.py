@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from conftest import brute_force_runs
+from conftest import brute_force_runs, raised_problems
 from strandlab.core import GlobalState, recv, sent
 from strandlab.errors import InputError
 from strandlab.protocols import (
@@ -130,16 +130,16 @@ class TestUnionAndTable:
         # one undeclared message in each place a spec names one, the table
         # nested in a union
         table = TableSpec.of({(recv("w"),): [send("x")]}, default=[send("y")])
-        jp = JointProtocol.of(
-            {"a": MonotoneSpec((sent("v"), recv("u"))), "b": UnionSpec((U123, table))},
-            ["u", "u1", "u2", "u3"],
+        specs = {"a": MonotoneSpec((sent("v"), recv("u"))), "b": UnionSpec((U123, table))}
+        assert raised_problems(lambda: JointProtocol.of(specs, ["u", "u1", "u2", "u3"])) == tuple(
+            f"undeclared message: {m}" for m in "vwxy"
         )
-        assert jp.problems() == [f"undeclared message: {m}" for m in "vwxy"]
-        assert JointProtocol.of(dict(jp.per_agent), "uvwxy123").problems() == [
+        assert raised_problems(lambda: JointProtocol.of(specs, "uvwxy123")) == (
             "undeclared message: u1", "undeclared message: u2", "undeclared message: u3",
-        ]
-        assert nack_protocol.protocol.problems() == []
-        assert u1u2u3_protocol.protocol.problems() == []
+        )
+        JointProtocol.of(specs, ["u", "u1", "u2", "u3", "v", "w", "x", "y"])
+        for jp in (nack_protocol.protocol, u1u2u3_protocol.protocol):
+            assert JointProtocol(jp.per_agent, jp.messages) == jp
 
     def test_empty_union_rejected(self):
         with pytest.raises(InputError):

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from strandlab.core import GlobalState, Strand, StrandSpace, positive, recv, sent
 from strandlab.errors import InputError
-from conftest import brute_force_runs, run_sets
+from conftest import brute_force_runs, raised_problems, run_sets
 from strandlab.systems import (
     MP2_LITERAL,
     MP2_STRONG,
@@ -122,10 +122,11 @@ class TestGenerateSystem:
         assert len(runs) == 1
 
     def test_prefix_validation(self):
-        hs = HistorySet.of({"a": [(), (sent("u"), sent("v"))]})
-        assert hs.problems()
-        with pytest.raises(InputError):
-            generate_system(hs, 1)
+        # every problem, so nothing to generate from
+        assert raised_problems(lambda: HistorySet.of({"a": [(sent("u"), sent("v"))]})) == (
+            "history set for agent a lacks the empty history",
+            "history set for agent a lacks a prefix of ['sent u', 'sent v']",
+        )
 
     def test_relay_histories_capped_at_two_events(self, r1_system):
         # [PAPER] agent 2's admissible histories stop at two events
