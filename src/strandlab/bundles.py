@@ -18,11 +18,26 @@ B1 (finiteness) and B3 (downward closure) hold by construction.
 agent's strands up to the bundle's heights.  Message equivalence with a
 global state (identity assignment), theorem 2 and history preservation
 all compare these images.
+
+`KeyedSpace` packs a bundle into one integer key: `encode` builds a key
+from heights and edge pairs, `decode` splits it back and `bundle` turns
+it into a `Bundle`.  `enumerate_bundles` and the step search
+(`chains.step_graph`) both build and compare keys.  Strands are
+numbered in id order and nodes strand by strand, so strand i's nodes
+are ``offset[i]``, ``offset[i] + 1``, ... A key is ``code + mask * size``:
+
+  * ``code`` is the mixed-radix number whose digit for strand i, of radix
+    len(strand i) + 1 and place value ``radix[i]``, is that strand's
+    height; ``size`` is the number of codes;
+  * ``mask`` has one bit per same-message (send, receive) node pair of the
+    space, bit b for ``pairs[b]``; ``pair_key[a, b]`` is that bit times
+    ``size``, so an edge is added to a key by adding its pair key.
 """
 
 from __future__ import annotations
 
 import itertools
+from collections.abc import Hashable
 from typing import Iterable, Iterator, Mapping, NamedTuple
 
 from .budget import StateBudget, ensure
@@ -114,9 +129,6 @@ class ConflictRelation(frozenset):
             normalized.add((min(a, b), max(a, b)))
         return super().__new__(cls, normalized)
 
-    def conflicts(self, s1: str, s2: str) -> bool:
-        return (min(s1, s2), max(s1, s2)) in self
-
 
 def validate_conflicts(assignment: Mapping[str, str], conf: ConflictRelation) -> list[str]:
     """Problems with a conflict relation over the strands an assignment
@@ -142,15 +154,16 @@ def causal_edges(bundle: Bundle) -> list[CommEdge]:
     return sorted(bundle.edges) + list(_successor_edges(bundle))
 
 
-def _toposort(nodes: list[Node], edges: list[CommEdge]) -> list[Node] | None:
-    """Kahn's algorithm; None when the graph has a cycle."""
+def _toposort(nodes: list[Hashable], edges: list[tuple[Hashable, Hashable]]) -> list[Hashable] | None:
+    """Kahn's algorithm over `Node`s or `KeyedSpace` node numbers; None
+    when the graph has a cycle."""
     indeg = {n: 0 for n in nodes}
-    out: dict[Node, list[Node]] = {n: [] for n in nodes}
+    out: dict[Hashable, list[Hashable]] = {n: [] for n in nodes}
     for a, b in edges:
         out[a].append(b)
         indeg[b] += 1
     frontier = [n for n in nodes if indeg[n] == 0]
-    order: list[Node] = []
+    order: list[Hashable] = []
     while frontier:
         n = frontier.pop()
         order.append(n)
@@ -264,38 +277,69 @@ def strand_height(space: StrandSpace, bundle: Bundle, sid: str) -> int:
     return bundle.height(sid)
 
 
-def _height_vectors(
-    space: StrandSpace, conf: ConflictRelation | None, max_nodes: int
-) -> Iterator[dict[str, int]]:
-    strands = list(space.strands)
+class KeyedSpace:
+    """A space's strands, nodes and edge pairs as numbers, its bundles as
+    integer keys (see the module docstring), its conflicts as bitmasks."""
 
-    def rec(i: int, remaining: int, acc: dict[str, int]):
-        if i == len(strands):
-            yield dict(acc)
-            return
-        s = strands[i]
-        limit = min(len(s), remaining)
-        for h in range(0, limit + 1):
-            if h > 0 and conf is not None:
-                if any(
-                    conf.conflicts(s.id, other) for other, hh in acc.items() if hh > 0
-                ):
-                    continue
-            acc[s.id] = h
-            yield from rec(i + 1, remaining - h, acc)
-        del acc[s.id]
+    def __init__(self, space: StrandSpace, conf: ConflictRelation | None):
+        self.strands = sorted(space.strands, key=lambda s: s.id)
+        self.index = {s.id: i for i, s in enumerate(self.strands)}
+        self.ids = [s.id for s in self.strands]
+        self.lengths = [len(s) for s in self.strands]
+        self.radix, self.size = [], 1
+        self.offset, self.nodes, terms = [], [], []
+        for s in self.strands:
+            self.radix.append(self.size)
+            self.size *= len(s) + 1
+            self.offset.append(len(self.nodes))
+            self.nodes += (Node(s.id, j) for j in range(1, len(s) + 1))
+            terms += s.trace
+        self.strand_of = [i for i, s in enumerate(self.strands) for _ in s.trace]
+        number = {m: k for k, m in enumerate(sorted({t.message for t in terms}))}
+        self.message = [number[t.message] for t in terms]
+        self.messages = len(number)
+        self.send = [t.positive for t in terms]
+        # the same-message (send, receive) node pairs; mask bit b is pairs[b]
+        self.pairs: list[tuple[int, int]] = []
+        self.pair_key: dict[tuple[int, int], int] = {}
+        for a, ta in enumerate(terms):
+            for b, tb in enumerate(terms):
+                if ta.positive and not tb.positive and ta.message == tb.message:
+                    self.pair_key[a, b] = self.size << len(self.pairs)
+                    self.pairs.append((a, b))
+        self.conflicts = [0] * len(self.strands)
+        for x, y in conf or ():
+            if x in self.index and y in self.index:
+                self.conflicts[self.index[x]] |= 1 << self.index[y]
+                self.conflicts[self.index[y]] |= 1 << self.index[x]
 
-    yield from rec(0, max_nodes, {})
+    def decode(self, key: int) -> tuple[list[int], list[tuple[int, int]]]:
+        """The key's heights, one per strand number, and its edge pairs."""
+        mask, code = divmod(key, self.size)
+        heights = []
+        for length in self.lengths:
+            code, h = divmod(code, length + 1)
+            heights.append(h)
+        return heights, [self.pairs[b] for b in _bits(mask)]
+
+    def encode(self, heights: list[int], pairs: Iterable[tuple[int, int]]) -> int:
+        """The key of the bundle with these heights and edge pairs."""
+        return sum(h * r for h, r in zip(heights, self.radix)) + sum(self.pair_key[p] for p in pairs)
+
+    def bundle(self, key: int) -> Bundle:
+        heights, pairs = self.decode(key)
+        nodes = self.nodes
+        return Bundle(
+            tuple((sid, h) for sid, h in zip(self.ids, heights) if h),
+            frozenset((nodes[a], nodes[b]) for a, b in pairs),
+        )
 
 
-def _matchings(
-    receives: list[Node], sends: list[Node]
-) -> Iterator[tuple[CommEdge, ...]]:
-    """All injective assignments of distinct send nodes to the receives."""
-    if len(sends) < len(receives):
-        return
-    for chosen in itertools.permutations(sends, len(receives)):
-        yield tuple(zip(chosen, receives))
+def _bits(mask: int) -> Iterator[int]:
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
 
 
 def enumerate_bundles(
@@ -307,38 +351,41 @@ def enumerate_bundles(
     """All valid bundles with at most ``max_nodes`` nodes, in a fixed order.
 
     Bundles that differ only in their edge matching are distinct results.
+    Each candidate, one conflict-free height vector with one injective
+    matching of its receives to same-message sends, ticks the budget once.
     """
     if max_nodes < 0:
         raise InputError("max_nodes must be non-negative")
     budget = ensure(budget)
-    found: list[Bundle] = []
-    for heights in _height_vectors(space, conf, max_nodes):
-        base = Bundle.of(heights)
-        sends: dict[str, list[Node]] = {}
-        recvs: dict[str, list[Node]] = {}
-        for node in base.nodes():
-            term = term_of(space, node)
-            (sends if term.positive else recvs).setdefault(term.message, []).append(
-                node
-            )
-        per_message = []
-        feasible = True
-        for msg in sorted(set(sends) | set(recvs)):
-            options = list(_matchings(recvs.get(msg, []), sends.get(msg, [])))
-            if not options:
-                feasible = False
-                break
-            per_message.append(options)
-        if not feasible:
-            continue
-        for combo in itertools.product(*per_message):
+    keyed = KeyedSpace(space, conf)
+    lengths, radix, offset, conflicts = keyed.lengths, keyed.radix, keyed.offset, keyed.conflicts
+
+    def vectors(i: int, room: int, present: int, code: int, nodes: list[int]):
+        """Codes and node lists of the height vectors of strands i, ..."""
+        if i == len(lengths):
+            yield code, nodes
+            return
+        yield from vectors(i + 1, room, present, code, nodes)
+        if not conflicts[i] & present:
+            for h in range(1, min(lengths[i], room) + 1):
+                grown = nodes + list(range(offset[i], offset[i] + h))
+                yield from vectors(i + 1, room - h, present | 1 << i, code + h * radix[i], grown)
+
+    found = []
+    for code, nodes in vectors(0, max_nodes, 0, 0, []):
+        sends, recvs = [[] for _ in range(keyed.messages)], [[] for _ in range(keyed.messages)]
+        for n in nodes:
+            (sends if keyed.send[n] else recvs)[keyed.message[n]].append(n)
+        links = [(a, b) for a, b in zip(nodes, nodes[1:]) if keyed.strand_of[a] == keyed.strand_of[b]]
+        receives = [r for group in recvs for r in group]
+        # a message with fewer sends than receives has no matching
+        matchings = [itertools.permutations(s, len(r)) for s, r in zip(sends, recvs)]
+        for chosen in itertools.product(*matchings):
             budget.tick()
-            edges = frozenset(e for group in combo for e in group)
-            candidate = Bundle(base.heights, edges)
-            if _toposort(sorted(candidate.nodes()), causal_edges(candidate)) is not None:
-                found.append(candidate)
-    found.sort(key=Bundle.sort_key)
-    return tuple(found)
+            pairs = list(zip(itertools.chain(*chosen), receives))
+            if _toposort(nodes, links + pairs) is not None:
+                found.append(code + sum(keyed.pair_key[p] for p in pairs))
+    return tuple(sorted(map(keyed.bundle, found), key=Bundle.sort_key))
 
 
 def agent_events(space: StrandSpace, bundle: Bundle) -> dict[str, History]:

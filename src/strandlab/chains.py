@@ -42,19 +42,16 @@ those that fail its height test, so the first f that builds a b2 is
 its nodes in a causal order, f the identity), so the graph's bundles are
 those `enumerate_bundles` returns.
 
-The search runs on integer keys.  With the strands numbered in id order,
-a bundle's key packs its height code, the mixed-radix number whose digit
-for strand i, of radix len(strand i) + 1, is that strand's height, and
-its edge mask, with one bit per same-message (send, receive) node pair
-of the space.  Growing a strand adds a fixed delta to the code and a new
-edge adds its bit, so each candidate is built, and compared with those
-already found, as one integer.  f(b1) is re-encoded only when f is not
-the identity, and the prefix matches the maps are drawn from are one
-table per space.  Each agent's growth options are listed once per base;
-a new receive takes a free send at once or waits for a later agent's
-send, and a branch ends as soon as a waiting receive has no agent left
-that may send its message.  So every candidate, one (growth, matching)
-pair, is generated exactly once and ticks the budget once.
+The search runs on `bundles.KeyedSpace` keys (see the `bundles`
+docstring).  Growing a strand adds its place value to the key and a new
+edge its pair key, so each candidate is built, and compared with those
+found, as one integer.  f(b1) is re-encoded only when f is not the
+identity, and the prefix matches the maps are drawn from are one table
+per space.  Each agent's growth options are listed once per base; a new
+receive takes a free send at once or waits for a later agent's send, and
+a branch ends as soon as a waiting receive has no agent left that may
+send its message.  So every candidate, one (growth, matching) pair, is
+generated exactly once and ticks the budget once.
 
 A key is decoded to a `Bundle` when the search first reaches it, so each
 distinct bundle is one object, and each distinct (f, extensions) pair is
@@ -81,7 +78,7 @@ from collections import deque, namedtuple
 from typing import Iterator, NamedTuple
 
 from .budget import StateBudget, ensure
-from .bundles import EMPTY_BUNDLE, Bundle, CommEdge, ConflictRelation
+from .bundles import EMPTY_BUNDLE, Bundle, ConflictRelation, KeyedSpace
 from .core import Event, GlobalState, History, Node, StrandSpace, term_to_event
 from .errors import InputError
 from .systems import RunAutomaton, RunPrefix, explore
@@ -236,56 +233,12 @@ class _Growth(NamedTuple):
 _GRAPH_CACHE: dict = {}
 
 
-def _bits(mask: int) -> Iterator[int]:
-    while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low
-
-
-class _KeyedSpace:
-    """A space's bundles as integer keys, with the tables the step search
-    reads (see the module docstring).
-
-    Strands are numbered in id order and nodes strand by strand.  A key is
-    ``code + mask * size``: ``code`` has strand i's height as its digit of
-    radix len(strand i) + 1, ``size`` is the number of codes, and ``mask``
-    has one bit per same-message (send, receive) node pair of the space."""
+class _StepSpace(KeyedSpace):
+    """Keyed bundles with the step search and the tables it reads."""
 
     def __init__(self, space: StrandSpace, conf: ConflictRelation | None):
-        strands = sorted(space.strands, key=lambda s: s.id)
-        index = {s.id: i for i, s in enumerate(strands)}
-        self.ids = [s.id for s in strands]
-        self.lengths = [len(s) for s in strands]
-        self.radix, self.size = [], 1
-        self.offset, nodes, terms = [], [], []
-        for s in strands:
-            self.radix.append(self.size)
-            self.size *= len(s) + 1
-            self.offset.append(len(nodes))
-            nodes += (Node(s.id, j) for j in range(1, len(s) + 1))
-            terms += s.trace
-        self.strand_of = [i for i, s in enumerate(strands) for _ in s.trace]
-        number = {m: k for k, m in enumerate(sorted({t.message for t in terms}))}
-        self.message = [number[t.message] for t in terms]
-        self.messages = len(number)
-        self.send = [t.positive for t in terms]
-        # mask bit b is the edge self.edges[b]; pair_key is that bit times size
-        self.edges: list[CommEdge] = []
-        self.pairs: list[tuple[int, int]] = []
-        self.pair_key: dict[tuple[int, int], int] = {}
-        for a, ta in enumerate(terms):
-            for b, tb in enumerate(terms):
-                if ta.positive and not tb.positive and ta.message == tb.message:
-                    self.pair_key[a, b] = self.size << len(self.edges)
-                    self.edges.append((nodes[a], nodes[b]))
-                    self.pairs.append((a, b))
-        conflicts = [0] * len(strands)
-        for x, y in conf or ():
-            if x in index and y in index:
-                conflicts[index[x]] |= 1 << index[y]
-                conflicts[index[y]] |= 1 << index[x]
-        self.conflicts = conflicts
+        super().__init__(space, conf)
+        strands, index = self.strands, self.index
         # per agent, its strands' numbers in `strands_of` order: growth runs
         # over space.agents, the witness maps over the sorted agents
         self.agent_strands = [
@@ -298,7 +251,7 @@ class _KeyedSpace:
         self.growth: list[list[_Growth]] = [[] for _ in strands]
         for agent, numbers in zip(space.agents, self.agent_strands):
             for i in numbers:
-                s = strands[i]
+                s, node = strands[i], self.offset[i]
                 self.agent_of[i] = agent
                 self.match[i] = [
                     tuple(j for j in numbers if strands[j].trace[:h] == s.trace[:h])
@@ -306,23 +259,14 @@ class _KeyedSpace:
                 ]
                 self.growth[i] = [
                     _Growth(
-                        self.radix[i], self.offset[i] + h, term.positive,
-                        number[term.message], 0 if h else 1 << i,
-                        0 if h else conflicts[i], (agent, s.id, term_to_event(term)),
+                        self.radix[i], node + h, term.positive,
+                        self.message[node + h], 0 if h else 1 << i,
+                        0 if h else self.conflicts[i], (agent, s.id, term_to_event(term)),
                     )
                     for h, term in enumerate(s.trace)
                 ]
         # f -> extensions -> their one witness
         self.witnesses: dict[tuple, dict[tuple, StepWitness]] = {}
-
-    def bundle(self, key: int) -> Bundle:
-        mask, code = divmod(key, self.size)
-        heights = []
-        for sid, length in zip(self.ids, self.lengths):
-            code, h = divmod(code, length + 1)
-            if h:
-                heights.append((sid, h))
-        return Bundle(tuple(heights), frozenset(self.edges[b] for b in _bits(mask)))
 
     def _witness_maps(self, heights: list[int], active: list[int]) -> Iterator[dict | None]:
         """The maps f that `check_step` tries from a bundle, in its order,
@@ -348,13 +292,8 @@ class _KeyedSpace:
     def successors(self, key: int, max_nodes: int, budget: StateBudget) -> dict[int, StepWitness]:
         """The keys of the bundles the bundle ``key`` steps to, each with the
         witness of the first map f that builds it; one tick per candidate."""
-        mask, code = divmod(key, self.size)
-        heights = []
-        for length in self.lengths:
-            code, h = divmod(code, length + 1)
-            heights.append(h)
+        heights, pairs = self.decode(key)
         active = [i for i, h in enumerate(heights) if h]
-        pairs = [self.pairs[b] for b in _bits(mask)]
         room = max_nodes - sum(heights)
         ids, offset, strand_of = self.ids, self.offset, self.strand_of
         found: dict[int, StepWitness] = {}
@@ -368,8 +307,7 @@ class _KeyedSpace:
                 image[f[i]] = heights[i]
             shift = {i: offset[f[i]] - offset[i] for i in active}
             image_pairs = [(a + shift[strand_of[a]], b + shift[strand_of[b]]) for a, b in pairs]
-            image_key = sum(h * r for h, r in zip(image, self.radix))
-            image_key += sum(self.pair_key[p] for p in image_pairs)
+            image_key = self.encode(image, image_pairs)
             f_items = tuple((ids[i], ids[f[i]]) for i in active)
             image_active = [f[i] for i in active]
             self._grow(image, image_active, image_key, image_pairs, f_items, room, found, budget)
@@ -482,10 +420,9 @@ def step_graph(
     """All bundles within max_nodes with their step successors.
 
     A breadth-first search from the empty bundle builds each bundle's
-    successors forward (see the module docstring).  It works on integer
-    keys, a bundle's height code plus its edge mask times the number of
-    height codes, and decodes a key to its one shared `Bundle` when it
-    first reaches it.  Each candidate, one choice of growth and receive
+    successors forward (see the module docstring).  It works on bundle
+    keys and decodes a key to its one shared `Bundle` when it first
+    reaches it.  Each candidate, one choice of growth and receive
     matching under one witness map, ticks the budget once, in whatever
     order the search meets it.  Each bundle's successors are sorted by
     `Bundle.sort_key`, each with the witness of the first map that builds
@@ -500,7 +437,7 @@ def step_graph(
         budget.tick(cost)
         return graph
     used_before = budget.used
-    keyed = _KeyedSpace(space, conf)
+    keyed = _StepSpace(space, conf)
     # the search is breadth-first, so a distance set on first reach is least
     bundle = {0: EMPTY_BUNDLE}
     distance = {0: 0}

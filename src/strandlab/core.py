@@ -38,9 +38,18 @@ SENT = "sent"
 RECV = "recv"
 
 
+def token_problems(what: str, values: Iterable[str]) -> list[str]:
+    """A problem for each value that is not a nonempty token without whitespace."""
+    return [
+        f"{what} must be a nonempty token without whitespace: {v!r}"
+        for v in values
+        if not v or any(c.isspace() for c in v)
+    ]
+
+
 def _check_token(value: str, what: str) -> None:
-    if not value or any(c.isspace() for c in value):
-        raise InputError(f"{what} must be a nonempty token without whitespace: {value!r}")
+    for problem in token_problems(what, [value]):
+        raise InputError(problem)
 
 
 class SignedTerm(namedtuple("SignedTerm", "sign message")):

@@ -50,8 +50,11 @@ shapes, unparseable tokens) and for a system's histories of an agent it
 does not declare, which a `HistorySet` could not tell from a declared
 one.  An ill-formed space, history set or protocol raises its
 `IllFormedError`, listing every problem; a space document lists its
-unknown or cross-agent conflict pairs and undeclared messages after the
-space's own.  A runs document may still break MP1-MP3.
+unknown or cross-agent conflict pairs, declared messages that are not
+tokens and undeclared messages after the space's own, and a system
+document its agent names that are not tokens (theorem 5 makes strand ids
+of them) after the history set's.  A runs document may still break
+MP1-MP3.
 """
 
 from __future__ import annotations
@@ -61,7 +64,7 @@ from typing import Any, Callable, NamedTuple
 
 from .bundles import Bundle, ConflictRelation, validate_conflicts
 from .chains import ChainPrefix, StepWitness
-from .core import Event, GlobalState, Node, SignedTerm, Strand, StrandSpace
+from .core import Event, GlobalState, Node, SignedTerm, Strand, StrandSpace, token_problems
 from .errors import IllFormedError, InputError, SchemaError
 from .protocols import (
     NOOP,
@@ -242,6 +245,7 @@ def _parse_space(body: dict) -> SpaceDocument:
         space, problems = None, list(exc.problems)
     if conf is not None:
         problems += validate_conflicts(assignment, conf)
+    problems += token_problems("message", sorted(set(messages)))
     used = {t.message for s in strands for t in s.trace}
     problems += [f"undeclared message: {m}" for m in sorted(used - set(messages))]
     if problems:
@@ -260,7 +264,14 @@ def _parse_system(body: dict) -> SystemDocument:
             tuple(parse_event(e) for e in _list(h, f"each history of agent {agent}"))
             for h in entries
         ]
-    return SystemDocument(histories=HistorySet.of(mapping))
+    try:
+        histories, problems = HistorySet.of(mapping), []
+    except IllFormedError as exc:
+        histories, problems = None, list(exc.problems)
+    problems += token_problems("agent", sorted(set(agents)))
+    if problems:
+        raise IllFormedError(problems)
+    return SystemDocument(histories=histories)
 
 
 def _parse_spec(raw: Any) -> ProtocolSpec:

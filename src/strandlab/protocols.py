@@ -27,7 +27,7 @@ from itertools import product
 from typing import Iterable, Mapping, NamedTuple
 
 from .budget import StateBudget
-from .core import Event, GlobalState, History, recv, sent
+from .core import Event, GlobalState, History, recv, sent, token_problems
 from .errors import IllFormedError, InputError
 from .systems import RunAutomaton, explore, joint_round
 
@@ -145,30 +145,38 @@ def eval_protocol(p: ProtocolSpec, h: History) -> frozenset[Action]:
     raise InputError(f"unknown protocol spec: {type(p).__name__}")
 
 
+def spec_messages(p: ProtocolSpec) -> set[str]:
+    """The messages a spec uses: in monotone events, table histories,
+    actions and defaults, and in union members at any depth."""
+    used: set[str] = set()
+    todo = [p]
+    while todo:
+        p = todo.pop()
+        if isinstance(p, UnionSpec):
+            todo.extend(p.members)
+        elif isinstance(p, MonotoneSpec):
+            used.update(e.message for e in p.events)
+        else:
+            # the default as one more row, with no history
+            for history, actions in p.entries + (((), p.default),):
+                used.update(e.message for e in history)
+                used.update(a.message for a in actions if a.kind == "send")
+    return used
+
+
 class JointProtocol(namedtuple("JointProtocol", "per_agent messages")):
     """One protocol per agent, over an explicit message universe that
-    declares every message the specs use: in monotone events, table
-    histories, actions and defaults, and in union members at any depth."""
+    declares every message the specs use; agent and message names are tokens."""
 
     __slots__ = ()
 
     def __new__(cls, per_agent: tuple[tuple[str, ProtocolSpec], ...], messages: tuple[str, ...]):
-        used: set[str] = set()
-        todo = [p for _, p in per_agent]
-        while todo:
-            p = todo.pop()
-            if isinstance(p, UnionSpec):
-                todo.extend(p.members)
-            elif isinstance(p, MonotoneSpec):
-                used.update(e.message for e in p.events)
-            else:
-                # the default as one more row, with no history
-                for history, actions in p.entries + (((), p.default),):
-                    used.update(e.message for e in history)
-                    used.update(a.message for a in actions if a.kind == "send")
-        undeclared = sorted(used - set(messages))
-        if undeclared:
-            raise IllFormedError(f"undeclared message: {m}" for m in undeclared)
+        problems = token_problems("agent", [a for a, _ in per_agent])
+        problems += token_problems("message", messages)
+        used = set().union(*(spec_messages(p) for _, p in per_agent))
+        problems += [f"undeclared message: {m}" for m in sorted(used - set(messages))]
+        if problems:
+            raise IllFormedError(problems)
         return tuple.__new__(cls, (per_agent, messages))
 
     @classmethod
@@ -240,16 +248,7 @@ def is_monotone_realization(
         raise InputError("bound must be non-negative")
     candidate = MonotoneSpec(tuple(candidate))
     if messages is None:
-        pool = {e.message for e in candidate.events}
-        pool |= {e.message for h, _ in p.entries for e in h}
-        pool |= {
-            a.message
-            for _, acts in p.entries
-            for a in acts
-            if a.message is not None
-        }
-        pool |= {a.message for a in p.default if a.message is not None}
-        messages = pool
+        messages = spec_messages(candidate) | spec_messages(p)
     return all(
         eval_protocol(p, h) == eval_protocol(candidate, h)
         for h in all_histories(messages, bound)

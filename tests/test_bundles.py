@@ -4,6 +4,7 @@ import itertools
 
 import pytest
 
+from strandlab.budget import StateBudget
 from strandlab.bundles import (
     EMPTY_BUNDLE,
     Bundle,
@@ -26,7 +27,9 @@ from strandlab.core import (
     sent,
     term_of,
 )
-from strandlab.errors import InputError
+from strandlab.errors import BudgetExceededError, InputError
+
+from conftest import relay_space, ring_space
 
 
 def r1_exchange_bundle() -> Bundle:
@@ -205,6 +208,33 @@ class TestEnumerateBundles:
                 )
                 assert validate_bundle(space, reduced).ok
                 assert bundle_height(space, reduced) <= bundle_height(space, bundle)
+
+    def test_scaling_counts(self, r1_t5_space):
+        # bundles and budget ticks (one per candidate matching of a feasible
+        # height vector) at the full node cap, so STRANDLAB_MAX_STATES trips
+        # at the same candidate whatever order the vectors are walked in;
+        # in the two-strand cycle one candidate of two is cyclic
+        cycle = StrandSpace.identity(
+            [Strand("a", (negative("u"), positive("v"))), Strand("b", (negative("v"), positive("u")))]
+        )
+        expected = {
+            ("relay", 2): (relay_space(2), None, 25, 25),
+            ("relay", 3): (relay_space(3), None, 125, 125),
+            ("relay", 4): (relay_space(4), None, 625, 625),
+            ("relay", 5): (relay_space(5), None, 3_125, 3_125),
+            ("ring", 3): (ring_space(3), None, 18, 18),
+            ("ring", 4): (ring_space(4), None, 47, 47),
+            ("ring", 5): (ring_space(5), None, 123, 123),
+            ("ring", 6): (ring_space(6), None, 322, 322),
+            ("r1_t5", 12): (r1_t5_space.space, r1_t5_space.conf, 19, 19),
+            ("cycle", 4): (cycle, None, 1, 2),
+        }
+        for case, (space, conf, bundles, ticks) in expected.items():
+            budget = StateBudget()
+            found = enumerate_bundles(space, conf, space.node_count(), budget)
+            assert (len(found), budget.used) == (bundles, ticks), case
+            with pytest.raises(BudgetExceededError):
+                enumerate_bundles(space, conf, space.node_count(), StateBudget(ticks - 1))
 
 
 class TestMessageEquivalence:

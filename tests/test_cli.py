@@ -121,10 +121,57 @@ INVALID = {
         ],
         ("enumerate --gen-system", "check --theorem 5"),
     ),
+    # agent and message names become strand ids and events, so a name that
+    # is not a token is refused when parsed, not when a check builds from it
+    "agent name with whitespace": (
+        {"kind": "system", "agents": ["a b"], "histories": {"a b": [[], ["sent u"]]}},
+        ["agent must be a nonempty token without whitespace: 'a b'"],
+        ("enumerate --gen-system", "check --theorem 5"),
+    ),
+    "empty agent name": (
+        {"kind": "system", "agents": ["", "b"], "histories": {"b": [[], ["sent u"]]}},
+        ["agent must be a nonempty token without whitespace: ''"],
+        ("check --theorem 5",),
+    ),
+    "protocol names with whitespace": (
+        {"kind": "protocol", "messages": ["u", "u v"], "agents": {
+            "a": {"monotone": ["sent u"]},
+            "b c": {"monotone": ["recv u"]},
+        }},
+        [
+            "agent must be a nonempty token without whitespace: 'b c'",
+            "message must be a nonempty token without whitespace: 'u v'",
+        ],
+        ("enumerate --run-protocol", "check --theorem 6", "check --theorem 7"),
+    ),
+    "space message with whitespace": (
+        {"kind": "space", "messages": ["u", "u v"], "agents": ["a"], "strands": [
+            {"id": "s", "agent": "a", "trace": ["+u"]},
+            {"id": "t", "agent": "a", "trace": ["-w"]},
+        ]},
+        [
+            "message must be a nonempty token without whitespace: 'u v'",
+            "undeclared message: w",
+        ],
+        ("enumerate --bundles", "check --lemma 2"),
+    ),
 }
 
 
 class TestInvalidInputIsRefused:
+    def test_space_agent_names_are_not_checked(self, tmp_path, capsys):
+        # a space's agent names become no id, and theorem 1 regenerates the
+        # translation's runs from histories extracted under those names
+        body = {"kind": "space", "messages": ["u"], "agents": ["a b", "c"], "strands": [
+            {"id": "ping", "agent": "a b", "trace": ["+u"]},
+            {"id": "pong", "agent": "c", "trace": ["-u"]},
+        ]}
+        path = tmp_path / "spaced.json"
+        path.write_text(json.dumps(body))
+        assert run_cli("validate", path) == 0
+        assert run_cli("check", "--theorem", 1, path) == 0
+        assert capsys.readouterr().out.startswith("ok\nPASS translation is a strand system\n")
+
     @pytest.mark.parametrize("case", sorted(INVALID))
     def test_validate_reports_the_problem(self, tmp_path, capsys, case):
         body, problems, _ = INVALID[case]

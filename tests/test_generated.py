@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from strandlab.bundles import Bundle, agent_events, enumerate_bundles, message_equivalent
 from strandlab.chains import translate
@@ -17,13 +18,14 @@ from strandlab.checks import lemma_1, lemma_2, theorem_1, theorem_2, theorem_4
 from strandlab.core import GlobalState
 from strandlab.errors import InputError
 
-from conftest import brute_force_bundles, reference_message_equivalent, small_spaces
+from conftest import brute_force_bundles, reference_message_equivalent, small_spaces, twin_spaces
 
 
-@given(small_spaces())
-@settings(max_examples=60, deadline=None)
+@given(st.one_of(small_spaces(), twin_spaces()))
+@settings(max_examples=120, deadline=None)
 def test_enumerate_bundles_matches_brute_force(drawn):
-    # with and without conflicts: small_spaces draws both
+    # with and without conflicts: both strategies draw both, and twice the
+    # examples keep small_spaces' share of the draws
     space, conf, max_nodes = drawn
     assert enumerate_bundles(space, conf, max_nodes) == brute_force_bundles(space, conf, max_nodes)
 

@@ -21,6 +21,7 @@ from strandlab.protocols import (
     generate_runs,
     is_monotone_realization,
     send,
+    spec_messages,
     tau_step,
 )
 from strandlab.systems import check_mp
@@ -138,6 +139,7 @@ class TestUnionAndTable:
             "undeclared message: u1", "undeclared message: u2", "undeclared message: u3",
         )
         JointProtocol.of(specs, ["u", "u1", "u2", "u3", "v", "w", "x", "y"])
+        assert spec_messages(specs["b"]) == {"u1", "u2", "u3", "w", "x", "y"}
         for jp in (nack_protocol.protocol, u1u2u3_protocol.protocol):
             assert JointProtocol(jp.per_agent, jp.messages) == jp
 
