@@ -12,7 +12,10 @@ axiom checks that remain are:
     acyclic;
   * B5 (extended spaces only): no two conflicting strands both appear.
 
-B1 (finiteness) and B3 (downward closure) hold by construction.
+B1 (finiteness) and B3 (downward closure) hold by construction.  The
+conflict relation is the space's own (`StrandSpace.conflicts`), and its
+pairs are checked when the space is built, as the space's own problems,
+so B5 is only about the bundle: which strands are present.
 
 `agent_events` is what a bundle shows each agent: the events of the
 agent's strands up to the bundle's heights.  Message equivalence with a
@@ -41,7 +44,9 @@ from collections.abc import Hashable
 from typing import Iterable, Iterator, Mapping, NamedTuple
 
 from .budget import StateBudget, ensure
-from .core import GlobalState, History, Node, StrandSpace, term_of, term_to_event
+from .core import (  # ConflictRelation is re-exported
+    ConflictRelation, GlobalState, History, Node, StrandSpace, term_of, term_to_event,
+)
 from .errors import InputError
 
 CommEdge = tuple[Node, Node]
@@ -111,37 +116,6 @@ class BundleReport(NamedTuple):
                 seen.append(key)
         return tuple(seen)
 
-    def passes(self, key: str) -> bool:
-        return all(k != key for k, _ in self.problems)
-
-
-class ConflictRelation(frozenset):
-    """A symmetric set of same-agent strand pairs that may not co-occur.
-
-    Stored as a frozenset of sorted 2-tuples of strand ids.
-    """
-
-    def __new__(cls, pairs: Iterable[tuple[str, str]] = ()):
-        normalized = set()
-        for a, b in pairs:
-            if a == b:
-                raise InputError(f"conflict pair relates strand {a!r} to itself")
-            normalized.add((min(a, b), max(a, b)))
-        return super().__new__(cls, normalized)
-
-
-def validate_conflicts(assignment: Mapping[str, str], conf: ConflictRelation) -> list[str]:
-    """Problems with a conflict relation over the strands an assignment
-    maps to their agents: unknown strands, cross-agent pairs."""
-    problems = []
-    for a, b in sorted(conf):
-        unknown = next((sid for sid in (a, b) if sid not in assignment), None)
-        if unknown is not None:
-            problems.append(f"conflict pair references unknown strand {unknown!r}")
-        elif assignment[a] != assignment[b]:
-            problems.append(f"conflict pair spans agents: ({a}, {b})")
-    return problems
-
 
 def _successor_edges(bundle: Bundle) -> Iterator[CommEdge]:
     for s, h in bundle.heights:
@@ -174,12 +148,10 @@ def _toposort(nodes: list[Hashable], edges: list[tuple[Hashable, Hashable]]) -> 
     return order if len(order) == len(nodes) else None
 
 
-def validate_bundle(
-    space: StrandSpace, bundle: Bundle, conf: ConflictRelation | None = None
-) -> BundleReport:
+def validate_bundle(space: StrandSpace, bundle: Bundle) -> BundleReport:
     """Check the bundle axioms over the given space.
 
-    B5 is checked only when a conflict relation is supplied.  Unknown
+    B5 is checked only when the space has a conflict relation.  Unknown
     strand ids raise an input error rather than being reported: a bundle
     over the wrong space is a caller mistake, not an axiom failure.
     """
@@ -236,15 +208,14 @@ def validate_bundle(
     if _toposort(sorted(in_height), causal_edges(bundle)) is None:
         problems.append(("B4", "causal graph has a cycle"))
 
-    if conf is not None:
-        for msg in validate_conflicts(space.assignment_map, conf):
-            problems.append(("B5", msg))
+    conflicts = space.conflicts
+    if conflicts is not None:
         active = set(bundle.active_strands())
-        for a, b in sorted(conf):
+        for a, b in sorted(conflicts):
             if a in active and b in active:
                 problems.append(("B5", f"conflicting strands both present: ({a}, {b})"))
 
-    return BundleReport(tuple(problems), checked_b5=conf is not None)
+    return BundleReport(tuple(problems), checked_b5=conflicts is not None)
 
 
 def bundle_height(space: StrandSpace, bundle: Bundle) -> int:
@@ -281,7 +252,7 @@ class KeyedSpace:
     """A space's strands, nodes and edge pairs as numbers, its bundles as
     integer keys (see the module docstring), its conflicts as bitmasks."""
 
-    def __init__(self, space: StrandSpace, conf: ConflictRelation | None):
+    def __init__(self, space: StrandSpace):
         self.strands = sorted(space.strands, key=lambda s: s.id)
         self.index = {s.id: i for i, s in enumerate(self.strands)}
         self.ids = [s.id for s in self.strands]
@@ -308,10 +279,9 @@ class KeyedSpace:
                     self.pair_key[a, b] = self.size << len(self.pairs)
                     self.pairs.append((a, b))
         self.conflicts = [0] * len(self.strands)
-        for x, y in conf or ():
-            if x in self.index and y in self.index:
-                self.conflicts[self.index[x]] |= 1 << self.index[y]
-                self.conflicts[self.index[y]] |= 1 << self.index[x]
+        for x, y in space.conflicts or ():
+            self.conflicts[self.index[x]] |= 1 << self.index[y]
+            self.conflicts[self.index[y]] |= 1 << self.index[x]
 
     def decode(self, key: int) -> tuple[list[int], list[tuple[int, int]]]:
         """The key's heights, one per strand number, and its edge pairs."""
@@ -344,7 +314,6 @@ def _bits(mask: int) -> Iterator[int]:
 
 def enumerate_bundles(
     space: StrandSpace,
-    conf: ConflictRelation | None = None,
     max_nodes: int = 8,
     budget: StateBudget | None = None,
 ) -> tuple[Bundle, ...]:
@@ -357,7 +326,7 @@ def enumerate_bundles(
     if max_nodes < 0:
         raise InputError("max_nodes must be non-negative")
     budget = ensure(budget)
-    keyed = KeyedSpace(space, conf)
+    keyed = KeyedSpace(space)
     lengths, radix, offset, conflicts = keyed.lengths, keyed.radix, keyed.offset, keyed.conflicts
 
     def vectors(i: int, room: int, present: int, code: int, nodes: list[int]):

@@ -78,7 +78,7 @@ from collections import deque, namedtuple
 from typing import Iterator, NamedTuple
 
 from .budget import StateBudget, ensure
-from .bundles import EMPTY_BUNDLE, Bundle, ConflictRelation, KeyedSpace
+from .bundles import EMPTY_BUNDLE, Bundle, KeyedSpace
 from .core import Event, GlobalState, History, Node, StrandSpace, term_to_event
 from .errors import InputError
 from .systems import RunAutomaton, RunPrefix, explore
@@ -229,15 +229,15 @@ class _Growth(NamedTuple):
     extension: tuple[str, str, Event]  # the step's (agent, strand, event)
 
 
-# (space, conf, max_nodes) -> (graph, budget ticks its construction cost)
+# (space, max_nodes) -> (graph, budget ticks its construction cost)
 _GRAPH_CACHE: dict = {}
 
 
 class _StepSpace(KeyedSpace):
     """Keyed bundles with the step search and the tables it reads."""
 
-    def __init__(self, space: StrandSpace, conf: ConflictRelation | None):
-        super().__init__(space, conf)
+    def __init__(self, space: StrandSpace):
+        super().__init__(space)
         strands, index = self.strands, self.index
         # per agent, its strands' numbers in `strands_of` order: growth runs
         # over space.agents, the witness maps over the sorted agents
@@ -413,7 +413,6 @@ class _StepSpace(KeyedSpace):
 
 def step_graph(
     space: StrandSpace,
-    conf: ConflictRelation | None = None,
     max_nodes: int = 8,
     budget: StateBudget | None = None,
 ) -> StepGraph:
@@ -431,13 +430,13 @@ def step_graph(
     if max_nodes < 0:
         raise InputError("max_nodes must be non-negative")
     budget = ensure(budget)
-    key = (space, conf, max_nodes)
+    key = (space, max_nodes)
     if key in _GRAPH_CACHE:
         graph, cost = _GRAPH_CACHE[key]
         budget.tick(cost)
         return graph
     used_before = budget.used
-    keyed = _StepSpace(space, conf)
+    keyed = _StepSpace(space)
     # the search is breadth-first, so a distance set on first reach is least
     bundle = {0: EMPTY_BUNDLE}
     distance = {0: 0}
@@ -470,18 +469,16 @@ def step_graph(
 
 def bundle_distances(
     space: StrandSpace,
-    conf: ConflictRelation | None = None,
     max_nodes: int = 8,
     budget: StateBudget | None = None,
 ) -> dict[Bundle, int]:
     """Fewest chain steps to each reachable bundle: a copy of the step
     graph's own, which the graph cache shares."""
-    return dict(step_graph(space, conf, max_nodes, budget).distance)
+    return dict(step_graph(space, max_nodes, budget).distance)
 
 
 def enumerate_chain_prefixes(
     space: StrandSpace,
-    conf: ConflictRelation | None = None,
     horizon: int = 0,
     max_nodes: int = 8,
     budget: StateBudget | None = None,
@@ -490,7 +487,7 @@ def enumerate_chain_prefixes(
     if horizon < 0:
         raise InputError("horizon must be non-negative")
     budget = ensure(budget)
-    graph = step_graph(space, conf, max_nodes, budget)
+    graph = step_graph(space, max_nodes, budget)
     agents = space.agents
     prefixes: list[tuple[tuple[Bundle, ...], tuple[StepWitness, ...]]] = [
         ((EMPTY_BUNDLE,), ())
@@ -531,7 +528,6 @@ def run_from_chain(chain: ChainPrefix) -> RunPrefix:
 
 def translate(
     space: StrandSpace,
-    conf: ConflictRelation | None = None,
     horizon: int = 0,
     max_nodes: int = 8,
     budget: StateBudget | None = None,
@@ -548,7 +544,7 @@ def translate(
     if horizon < 0:
         raise InputError("horizon must be non-negative")
     budget = ensure(budget)
-    graph = step_graph(space, conf, max_nodes, budget)
+    graph = step_graph(space, max_nodes, budget)
 
     def successors(g: GlobalState, bundle_set: frozenset[Bundle]):
         groups: dict[tuple[tuple[str, Event], ...], set[Bundle]] = {}

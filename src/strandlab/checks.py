@@ -25,7 +25,7 @@ from __future__ import annotations
 from typing import Iterable, NamedTuple
 
 from .budget import StateBudget, ensure
-from .bundles import ConflictRelation, _longest_causal_path, agent_events, enumerate_bundles
+from .bundles import _longest_causal_path, agent_events, enumerate_bundles
 from .chains import bundle_distances, translate
 from .constructions import extended_space_from_system, space_from_monotone
 from .core import GlobalState, StrandSpace
@@ -96,9 +96,11 @@ def theorem_1(
     max_nodes: int | None = None,
     budget: StateBudget | None = None,
 ) -> CheckResult:
-    """Translating a strand space yields a strand system."""
+    """Translating a strand space yields a strand system.  The space's
+    conflict relation, if any, is dropped: theorem 4 reads it."""
+    space = space.without_conflicts()
     budget = ensure(budget)
-    runs = translate(space, None, horizon, node_cap(space, max_nodes), budget=budget)
+    runs = translate(space, horizon, node_cap(space, max_nodes), budget=budget)
     return strand_system_property(
         runs, space.messages(), space.agents, horizon,
         "translation is a strand system", budget,
@@ -117,9 +119,9 @@ def theorem_2(
     ident = space.with_identity_assignment()
     max_nodes = node_cap(ident, max_nodes)
     budget = ensure(budget)
-    runs = translate(ident, None, horizon, max_nodes, budget=budget)
+    runs = translate(ident, horizon, max_nodes, budget=budget)
     states = runs.occurring_states()
-    bundles = enumerate_bundles(ident, None, max_nodes, budget=budget)
+    bundles = enumerate_bundles(ident, max_nodes, budget=budget)
     lines = [f"{len(states)} occurring states, {len(bundles)} bundles"]
     # a state and a bundle are message-equivalent exactly when the state
     # is the bundle's image
@@ -146,8 +148,10 @@ def theorem_3(
     budget: StateBudget | None = None,
 ) -> CheckResult:
     """The natural relay space fails history preservation for the relay
-    system, and its translation strictly exceeds the system."""
+    system, and its translation strictly exceeds the system.  The space's
+    conflict relation, if any, is dropped."""
     name = "no space preserves the relay system's histories"
+    space = space.without_conflicts()
     max_nodes = node_cap(space, max_nodes)
     budget = ensure(budget)
     lines = []
@@ -175,7 +179,7 @@ def theorem_3(
         ok = False
         lines.append("clause 2 lacks the expected four-event witness")
 
-    translated = translate(space, None, 8, max_nodes, budget=budget)
+    translated = translate(space, 8, max_nodes, budget=budget)
     eq = systems_equal(translated, generate_system(hs, 8, budget=budget))
     if eq.equal or eq.only_in_b:
         ok = False
@@ -198,16 +202,15 @@ def theorem_3(
 
 def theorem_4(
     space: StrandSpace,
-    conf: ConflictRelation | None,
     horizon: int = 6,
     max_nodes: int | None = None,
     budget: StateBudget | None = None,
 ) -> CheckResult:
     """Translating a space with a conflict relation yields a strand system."""
-    if conf is None:
+    if space.conflicts is None:
         raise InputError("theorem 4 needs an extended space (with conflicts)")
     budget = ensure(budget)
-    runs = translate(space, conf, horizon, node_cap(space, max_nodes), budget=budget)
+    runs = translate(space, horizon, node_cap(space, max_nodes), budget=budget)
     return strand_system_property(
         runs, space.messages(), space.agents, horizon,
         "translation with conflicts is a strand system", budget,
@@ -237,12 +240,10 @@ def theorem_5(
     exactly the system the history set generates."""
     name = "history sets are realizable as conflict spaces"
     budget = ensure(budget)
-    ext = extended_space_from_system(hs)
-    translated = translate(
-        ext.space, ext.conf, horizon, node_cap(ext.space, None), budget=budget
-    )
+    space = extended_space_from_system(hs)
+    translated = translate(space, horizon, node_cap(space, None), budget=budget)
     generated = generate_system(hs, horizon, budget=budget)
-    header = f"{len(ext.space.strands)} strands, {len(ext.conf)} conflict pairs"
+    header = f"{len(space.strands)} strands, {len(space.conflicts)} conflict pairs"
     return _round_trip(name, header, translated, generated, "generated")
 
 
@@ -271,9 +272,7 @@ def theorem_7(
     name = "monotone protocols are realizable as strand spaces"
     budget = ensure(budget)
     space = space_from_monotone(jp)  # raises InputError when not monotone
-    translated = translate(
-        space, None, horizon, node_cap(space, max_nodes), budget=budget
-    )
+    translated = translate(space, horizon, node_cap(space, max_nodes), budget=budget)
     generated = generate_runs(jp, horizon, budget=budget)
     header = f"{len(space.strands)} strands derived from the protocol"
     return _round_trip(name, header, translated, generated, "protocol")
@@ -281,7 +280,6 @@ def theorem_7(
 
 def lemma_1(
     space: StrandSpace,
-    conf: ConflictRelation | None = None,
     max_nodes: int | None = None,
     budget: StateBudget | None = None,
 ) -> CheckResult:
@@ -293,7 +291,7 @@ def lemma_1(
     """
     name = "height grows at most two per chain step"
     budget = ensure(budget)
-    dist = bundle_distances(space, conf, node_cap(space, max_nodes), budget=budget)
+    dist = bundle_distances(space, node_cap(space, max_nodes), budget=budget)
     # bundles of the step relation are valid by construction
     violations = [
         (b, d)
@@ -323,8 +321,8 @@ def lemma_2(
     budget = ensure(budget)
     ident = space.with_identity_assignment()
     max_nodes = node_cap(ident, max_nodes)
-    bundles = enumerate_bundles(ident, None, max_nodes, budget=budget)
-    dist = bundle_distances(ident, None, max_nodes, budget=budget)
+    bundles = enumerate_bundles(ident, max_nodes, budget=budget)
+    dist = bundle_distances(ident, max_nodes, budget=budget)
     misses = [
         b
         for b in bundles

@@ -185,11 +185,11 @@ def _run(command: str, table: dict, name: str, args):
 # enumerate's defaults: horizon 4, bundles of at most 8 nodes
 _ENUMERATIONS = {
     "--bundles": ((SpaceDocument,), ("max_nodes",), lambda s, max_nodes=8:
-        BundlesDocument(enumerate_bundles(s.space, s.conf, max_nodes))),
+        BundlesDocument(enumerate_bundles(s.space, max_nodes))),
     "--chains": ((SpaceDocument,), ("horizon", "max_nodes"), lambda s, horizon=4, max_nodes=8:
-        ChainsDocument(s.space.agents, enumerate_chain_prefixes(s.space, s.conf, horizon, max_nodes))),
+        ChainsDocument(s.space.agents, enumerate_chain_prefixes(s.space, horizon, max_nodes))),
     "--translate": ((SpaceDocument,), ("horizon", "max_nodes"), lambda s, horizon=4, max_nodes=8:
-        RunsDocument(s.space.agents, horizon, translate(s.space, s.conf, horizon, max_nodes))),
+        RunsDocument(s.space.agents, horizon, translate(s.space, horizon, max_nodes))),
     "--gen-system": ((SystemDocument,), ("horizon",), lambda y, horizon=4:
         RunsDocument(y.histories.agents, horizon, generate_system(y.histories, horizon))),
     "--run-protocol": ((ProtocolDocument,), ("horizon",), lambda p, horizon=4:
@@ -226,9 +226,12 @@ def _equal(a: RunsDocument, b: RunsDocument) -> CheckResult:
 
 def _history_preserving(s: SpaceDocument, r: RunsDocument, max_nodes=None) -> CheckResult:
     """The verdict; the failures are printed above it, one a line."""
-    report = check_history_preserving(
-        s.space, r.runs, node_cap(s.space, max_nodes), conf=s.conf
-    )
+    # the declared agents, since a run over other agents shares no history
+    # with any bundle
+    agents = sorted(set(r.agents))
+    if agents != list(s.space.agents):
+        raise InputError(f"agent mismatch: space {list(s.space.agents)}, runs {agents}")
+    report = check_history_preserving(s.space, r.runs, node_cap(s.space, max_nodes))
     if report.ok:
         return CheckResult("histories are preserved in both directions", True, ())
     for agent, history in report.clause1_failures:
@@ -253,12 +256,12 @@ _CHECKS = {
     "--theorem 3": ((SpaceDocument, SystemDocument), ("max_nodes",),
                     lambda s, y, **o: theorem_3(s.space, y.histories, **o)),
     "--theorem 4": ((SpaceDocument,), ("horizon", "max_nodes"),
-                    lambda s, **o: theorem_4(s.space, s.conf, **o)),
+                    lambda s, **o: theorem_4(s.space, **o)),
     "--theorem 5": ((SystemDocument,), ("horizon",), lambda y, **o: theorem_5(y.histories, **o)),
     "--theorem 6": ((ProtocolDocument,), ("horizon",), lambda p, **o: theorem_6(p.protocol, **o)),
     "--theorem 7": ((ProtocolDocument,), ("horizon", "max_nodes"),
                     lambda p, **o: theorem_7(p.protocol, **o)),
-    "--lemma 1": ((SpaceDocument,), ("max_nodes",), lambda s, **o: lemma_1(s.space, s.conf, **o)),
+    "--lemma 1": ((SpaceDocument,), ("max_nodes",), lambda s, **o: lemma_1(s.space, **o)),
     "--lemma 2": ((SpaceDocument,), ("max_nodes",), lambda s, **o: lemma_2(s.space, **o)),
 }
 

@@ -2,9 +2,12 @@
 
 Two constructions:
 
-  * from a history set: one strand per agent and nonempty admissible
-    history, with same-agent strands pairwise conflicting so that a
-    bundle commits each agent to a single history;
+  * from a history set: an extended space, with one strand per agent
+    and nonempty admissible history, and same-agent strands pairwise
+    conflicting so that a bundle commits each agent to a single history.
+    The conflict relation is a field of the space, so its pairs are
+    checked with the space's own problems when it is built, here as in
+    a parsed document;
   * from a joint protocol whose every per-agent spec is monotone (or a
     union of monotone specs): one send-side strand per monotone
     component carrying that component's full event sequence, plus one
@@ -23,20 +26,11 @@ the protocol performs only once, producing runs the protocol cannot.
 from __future__ import annotations
 
 from itertools import combinations
-from typing import NamedTuple
 
-from .bundles import ConflictRelation
 from .core import History, Strand, StrandSpace, event_to_term, negative
 from .errors import InputError
 from .protocols import JointProtocol, MonotoneSpec, ProtocolSpec, UnionSpec
 from .systems import HistorySet
-
-
-class ExtendedSpace(NamedTuple):
-    """A strand space together with its conflict relation."""
-
-    space: StrandSpace
-    conf: ConflictRelation
 
 
 def _escape(name: str) -> str:
@@ -51,7 +45,7 @@ def _history_slug(h: History) -> str:
     return "_".join(f"{e.kind}-{_escape(e.message)}" for e in h)
 
 
-def extended_space_from_system(hs: HistorySet) -> ExtendedSpace:
+def extended_space_from_system(hs: HistorySet) -> StrandSpace:
     """One strand per nonempty admissible history, same-agent strands
     pairwise conflicting."""
     strands: list[Strand] = []
@@ -67,8 +61,7 @@ def extended_space_from_system(hs: HistorySet) -> ExtendedSpace:
             assignment[sid] = agent
             ids.append(sid)
         pairs.extend(combinations(sorted(ids), 2))
-    space = StrandSpace.of(strands, hs.agents, assignment)
-    return ExtendedSpace(space=space, conf=ConflictRelation(pairs))
+    return StrandSpace.of(strands, hs.agents, assignment, conflicts=pairs)
 
 
 def monotone_components(p: ProtocolSpec) -> list[MonotoneSpec]:

@@ -1,5 +1,5 @@
-"""Shared value model: messages, signed terms, events, strands, spaces,
-histories and global states.
+"""Shared value model: messages, signed terms, events, strands, conflict
+relations, spaces, histories and global states.
 
 All values are immutable; nothing here has behavior beyond construction,
 equality and rendering.  Messages are opaque atoms: the internal
@@ -7,7 +7,9 @@ structure of a message is irrelevant to the execution models, so a
 message is just its name.
 
 A value is well formed once built: its constructor raises on ill-formed
-input, `StrandSpace` with an `IllFormedError` that lists every problem.
+input, `StrandSpace` with an `IllFormedError` that lists every problem,
+those of its conflict pairs (unknown strands, cross-agent pairs) after
+its own.  So no enumerator or check meets an ill-formed relation.
 
 Most value types of the package are tuples: a `NamedTuple` record, or a
 `namedtuple` subclass whose ``__new__`` validates.  Their fields are
@@ -153,23 +155,45 @@ def _frozen(self, name, value=None):
     raise AttributeError(f"field {name!r} is read-only")
 
 
+class ConflictRelation(frozenset):
+    """A symmetric set of same-agent strand pairs that may not co-occur.
+
+    Stored as a frozenset of sorted 2-tuples of strand ids.
+    """
+
+    def __new__(cls, pairs: Iterable[tuple[str, str]] = ()):
+        normalized = set()
+        for a, b in pairs:
+            if a == b:
+                raise InputError(f"conflict pair relates strand {a!r} to itself")
+            normalized.add((min(a, b), max(a, b)))
+        return super().__new__(cls, normalized)
+
+
 class StrandSpace:
-    """A finite set of strands together with an agent assignment.
+    """A finite set of strands together with an agent assignment and, for
+    an extended space, a conflict relation.
 
     A plain (agent-free) space is represented with the identity
     assignment: each strand is its own agent.  Ids are distinct, traces
     nonempty, and the assignment maps exactly the strands to declared
-    agents.  Equality, hash and repr read the three fields, not the
-    lookup maps built from them.
+    agents.  ``conflicts`` is None for a space without a conflict
+    relation, which is not the same space as one with an empty relation;
+    each pair names two strands of the assignment with the same agent.
+    Equality, hash and repr read the four fields, not the lookup maps
+    built from them.
     """
 
-    __slots__ = ("strands", "agents", "assignment", "_by_id", "_agent_by_id", "_by_agent")
+    __slots__ = (
+        "strands", "agents", "assignment", "conflicts", "_by_id", "_agent_by_id", "_by_agent"
+    )
 
     def __init__(
         self,
         strands: tuple[Strand, ...],
         agents: tuple[str, ...],
         assignment: tuple[tuple[str, str], ...],  # (strand id, agent), sorted
+        conflicts: ConflictRelation | None = None,
     ):
         amap = dict(assignment)
         problems: list[str] = []
@@ -186,11 +210,18 @@ class StrandSpace:
             elif amap[s.id] not in agents:
                 problems.append(f"strand {s.id} assigned to undeclared agent {amap[s.id]}")
         problems += [f"assignment references unknown strand: {i}" for i in amap if i not in seen]
+        for a, b in sorted(conflicts or ()):
+            unknown = next((sid for sid in (a, b) if sid not in amap), None)
+            if unknown is not None:
+                problems.append(f"conflict pair references unknown strand {unknown!r}")
+            elif amap[a] != amap[b]:
+                problems.append(f"conflict pair spans agents: ({a}, {b})")
         if problems:
             raise IllFormedError(problems)
         _set(self, "strands", strands)
         _set(self, "agents", agents)
         _set(self, "assignment", assignment)
+        _set(self, "conflicts", conflicts)
         by_agent: dict[str, list[Strand]] = {}
         for s in strands:
             by_agent.setdefault(amap[s.id], []).append(s)
@@ -203,17 +234,17 @@ class StrandSpace:
     def __eq__(self, other):
         if other.__class__ is not StrandSpace:
             return NotImplemented
-        return (self.strands, self.agents, self.assignment) == (
-            other.strands, other.agents, other.assignment
+        return (self.strands, self.agents, self.assignment, self.conflicts) == (
+            other.strands, other.agents, other.assignment, other.conflicts
         )
 
     def __hash__(self) -> int:
-        return hash((self.strands, self.agents, self.assignment))
+        return hash((self.strands, self.agents, self.assignment, self.conflicts))
 
     def __repr__(self) -> str:
         return (
             f"StrandSpace(strands={self.strands!r}, agents={self.agents!r}, "
-            f"assignment={self.assignment!r})"
+            f"assignment={self.assignment!r}, conflicts={self.conflicts!r})"
         )
 
     @classmethod
@@ -222,11 +253,13 @@ class StrandSpace:
         strands: Iterable[Strand],
         agents: Iterable[str],
         assignment: Mapping[str, str],
+        conflicts: Iterable[tuple[str, str]] | None = None,
     ) -> "StrandSpace":
         return cls(
             strands=tuple(sorted(strands, key=lambda s: s.id)),
             agents=tuple(sorted(set(agents))),
             assignment=tuple(sorted(assignment.items())),
+            conflicts=None if conflicts is None else ConflictRelation(conflicts),
         )
 
     @classmethod
@@ -236,7 +269,14 @@ class StrandSpace:
         return cls.of(strands, (s.id for s in strands), {s.id: s.id for s in strands})
 
     def with_identity_assignment(self) -> "StrandSpace":
+        """The same strands, each its own agent, without conflicts."""
         return StrandSpace.identity(self.strands)
+
+    def without_conflicts(self) -> "StrandSpace":
+        """The plain space of the same strands and assignment."""
+        if self.conflicts is None:
+            return self
+        return StrandSpace(self.strands, self.agents, self.assignment)
 
     @property
     def assignment_map(self) -> dict[str, str]:

@@ -49,12 +49,14 @@ Parsing raises SchemaError for structural problems (bad JSON, wrong
 shapes, unparseable tokens) and for a system's histories of an agent it
 does not declare, which a `HistorySet` could not tell from a declared
 one.  An ill-formed space, history set or protocol raises its
-`IllFormedError`, listing every problem; a space document lists its
-unknown or cross-agent conflict pairs, declared messages that are not
-tokens and undeclared messages after the space's own, and a system
-document its agent names that are not tokens (theorem 5 makes strand ids
-of them) after the history set's.  A runs document may still break
-MP1-MP3.
+`IllFormedError`, listing every problem.  A space's conflict pairs that
+name an unknown strand or span two agents are the space's own problems,
+listed after its other ones, since the relation is a field of the
+`StrandSpace` (in the library as here).  A space document then lists its
+declared messages that are not tokens and its undeclared messages, and a
+system document its agent names that are not tokens (theorem 5 makes
+strand ids of them) after the history set's problems.  A runs document
+may still break MP1-MP3.
 """
 
 from __future__ import annotations
@@ -62,7 +64,7 @@ from __future__ import annotations
 import json
 from typing import Any, Callable, NamedTuple
 
-from .bundles import Bundle, ConflictRelation, validate_conflicts
+from .bundles import Bundle
 from .chains import ChainPrefix, StepWitness
 from .core import Event, GlobalState, Node, SignedTerm, Strand, StrandSpace, token_problems
 from .errors import IllFormedError, InputError, SchemaError
@@ -110,12 +112,11 @@ def parse_action(s: Any) -> Action:
 
 class SpaceDocument(NamedTuple):
     space: StrandSpace
-    conf: ConflictRelation | None
     messages: tuple[str, ...]
 
     @property
     def kind(self) -> str:
-        return "space" if self.conf is None else "extended-space"
+        return "space" if self.space.conflicts is None else "extended-space"
 
 
 class SystemDocument(NamedTuple):
@@ -225,9 +226,9 @@ def _parse_space(body: dict) -> SpaceDocument:
         trace = tuple(parse_term(t) for t in _list(raw.get("trace", []), "strand trace"))
         strands.append(Strand(raw["id"], trace))
         assignment[raw["id"]] = raw["agent"]
-    conf = None
+    conflicts = None
     if "conflicts" in body or body["kind"] == "extended-space":
-        pairs = []
+        conflicts = []
         for pair in _list(body.get("conflicts", []), "conflicts"):
             _expect(
                 isinstance(pair, list)
@@ -235,22 +236,19 @@ def _parse_space(body: dict) -> SpaceDocument:
                 and all(isinstance(x, str) for x in pair),
                 "each conflict entry must be a pair of strand ids",
             )
-            pairs.append((pair[0], pair[1]))
-        conf = ConflictRelation(pairs)
-    # the space's own problems first, then the document's, which read the
-    # parsed strands and so are found even when the space is ill formed
+            conflicts.append((pair[0], pair[1]))
+    # the space's own problems first, its conflict pairs' among them, then
+    # the document's, which are found even when the space is ill formed
     try:
-        space, problems = StrandSpace.of(strands, agents, assignment), []
+        space, problems = StrandSpace.of(strands, agents, assignment, conflicts), []
     except IllFormedError as exc:
         space, problems = None, list(exc.problems)
-    if conf is not None:
-        problems += validate_conflicts(assignment, conf)
     problems += token_problems("message", sorted(set(messages)))
     used = {t.message for s in strands for t in s.trace}
     problems += [f"undeclared message: {m}" for m in sorted(used - set(messages))]
     if problems:
         raise IllFormedError(problems)
-    return SpaceDocument(space=space, conf=conf, messages=tuple(sorted(set(messages))))
+    return SpaceDocument(space=space, messages=tuple(sorted(set(messages))))
 
 
 def _parse_system(body: dict) -> SystemDocument:
@@ -514,8 +512,8 @@ def dump_space(doc: SpaceDocument) -> str:
             for s in doc.space.strands
         ],
     }
-    if doc.conf is not None:
-        body["conflicts"] = sorted([a, b] for a, b in doc.conf)
+    if doc.space.conflicts is not None:
+        body["conflicts"] = sorted([a, b] for a, b in doc.space.conflicts)
     return _dumps(body)
 
 

@@ -586,12 +586,11 @@ def check_history_preserving(
     space,
     runs: Iterable[RunPrefix],
     max_nodes: int,
-    conf=None,
     budget: StateBudget | None = None,
 ) -> HistoryPreservingReport:
     """Compare run histories against bundle per-agent events, both ways."""
     bundle_profiles: dict[tuple[str, tuple[Event, ...]], object] = {}
-    for b in enumerate_bundles(space, conf, max_nodes, budget=budget):
+    for b in enumerate_bundles(space, max_nodes, budget=budget):
         for a, events in agent_events(space, b).items():
             bundle_profiles.setdefault((a, _event_multiset(events)), b)
 

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import strategies as st
 
 from strandlab import chains
-from strandlab.bundles import EMPTY_BUNDLE, Bundle, ConflictRelation, enumerate_bundles, validate_bundle
+from strandlab.bundles import EMPTY_BUNDLE, Bundle, enumerate_bundles, validate_bundle
 from strandlab.chains import ChainPrefix, StepWitness, check_step
 from strandlab.core import (
     GlobalState,
@@ -66,10 +66,10 @@ def brute_force_runs(agents, universe, horizon, admissible):
     return frozenset(runs)
 
 
-def pairwise_step_graph(space, conf, max_nodes):
+def pairwise_step_graph(space, max_nodes):
     """Reference step relation: `check_step` on every ordered pair of
     enumerated bundles, successors kept in enumeration order."""
-    bundles = enumerate_bundles(space, conf, max_nodes)
+    bundles = enumerate_bundles(space, max_nodes)
     successors = {}
     for b1 in bundles:
         succ = []
@@ -108,10 +108,11 @@ def reference_message_equivalent(space, g, bundle) -> bool:
     return True
 
 
-def brute_force_bundles(space, conf, max_nodes):
+def brute_force_bundles(space, max_nodes):
     """Reference bundle enumeration: every height vector within max_nodes
     and every set of same-message send->receive edges between its nodes,
-    kept when `validate_bundle` accepts it, in `Bundle.sort_key` order."""
+    kept when `validate_bundle` accepts it (B5 against the space's
+    conflicts), in `Bundle.sort_key` order."""
     found = []
     for heights in product(*(range(len(s) + 1) for s in space.strands)):
         if sum(heights) > max_nodes:
@@ -128,7 +129,7 @@ def brute_force_bundles(space, conf, max_nodes):
         ]
         for keep in product((False, True), repeat=len(pairs)):
             bundle = Bundle(base.heights, frozenset(e for e, k in zip(pairs, keep) if k))
-            if validate_bundle(space, bundle, conf).ok:
+            if validate_bundle(space, bundle).ok:
                 found.append(bundle)
     return tuple(sorted(found, key=Bundle.sort_key))
 
@@ -156,10 +157,11 @@ def ring_space(n: int) -> StrandSpace:
 TERMS = st.sampled_from([positive("u"), negative("u"), positive("v"), negative("v")])
 
 
-def drawn_conflicts(draw, space):
-    """None in half the draws, else a drawn set of same-agent strand pairs."""
+def with_drawn_conflicts(draw, space):
+    """The space, plain in half the draws, else with a drawn set of
+    same-agent strand pairs as its conflict relation."""
     if not draw(st.booleans()):
-        return None
+        return space
     agent = space.assignment_map
     pairs = [
         (x.id, y.id)
@@ -167,12 +169,13 @@ def drawn_conflicts(draw, space):
         for y in space.strands
         if x.id < y.id and agent[x.id] == agent[y.id]
     ]
-    return ConflictRelation(draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else [])
+    drawn = draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
+    return StrandSpace.of(space.strands, space.agents, space.assignment_map, drawn)
 
 
 @st.composite
 def small_spaces(draw):
-    """(space, conf, max_nodes): 1-3 agents, 1-4 strands of 1-3 terms over
+    """(space, max_nodes): 1-3 agents, 1-4 strands of 1-3 terms over
     the messages u and v, and, in half the draws, a conflict relation of
     same-agent strand pairs; max_nodes is at most 6 and the node count."""
     agents = draw(st.lists(st.sampled_from("abc"), min_size=1, max_size=3, unique=True))
@@ -180,15 +183,14 @@ def small_spaces(draw):
     for i in range(draw(st.integers(1, 4))):
         strands.append(Strand(f"s{i}", tuple(draw(st.lists(TERMS, min_size=1, max_size=3)))))
         assignment[f"s{i}"] = draw(st.sampled_from(agents))
-    space = StrandSpace.of(strands, agents, assignment)
-    conf = drawn_conflicts(draw, space)
+    space = with_drawn_conflicts(draw, StrandSpace.of(strands, agents, assignment))
     max_nodes = draw(st.integers(0, min(6, space.node_count())))
-    return space, conf, max_nodes
+    return space, max_nodes
 
 
 @st.composite
 def twin_spaces(draw):
-    """(space, conf, max_nodes) in which each of 1-2 agents owns 2-3 strands
+    """(space, max_nodes) in which each of 1-2 agents owns 2-3 strands
     of 1-3 terms that share their first term, so that witness maps other
     than the identity move prefixes between them; messages u and v,
     conflicts in half the draws, max_nodes at most 5 and the node count."""
@@ -200,10 +202,9 @@ def twin_spaces(draw):
             sid = f"s{len(strands)}"
             strands.append(Strand(sid, (first, *draw(st.lists(TERMS, max_size=2)))))
             assignment[sid] = agent
-    space = StrandSpace.of(strands, agents, assignment)
-    conf = drawn_conflicts(draw, space)
+    space = with_drawn_conflicts(draw, StrandSpace.of(strands, agents, assignment))
     max_nodes = draw(st.integers(0, min(5, space.node_count())))
-    return space, conf, max_nodes
+    return space, max_nodes
 
 
 def reference_parse_chains(text: str) -> ChainsDocument:

@@ -73,11 +73,9 @@ def test_criterion_01_bundle_axiom_attribution(r1_space, r1_t5_space):
 
     # pair two conflicting strands -> exactly B5
     conflicted = Bundle.of({"2__sent-u": 1, "2__sent-x": 1})
-    ok = ok and validate_bundle(
-        r1_t5_space.space, conflicted, r1_t5_space.conf
-    ).failed_axioms() == ("B5",)
+    ok = ok and validate_bundle(r1_t5_space.space, conflicted).failed_axioms() == ("B5",)
     # and the same bundle is fine for every other axiom
-    ok = ok and validate_bundle(r1_t5_space.space, conflicted).ok
+    ok = ok and validate_bundle(r1_t5_space.space.without_conflicts(), conflicted).ok
 
     report(1, "bundle axioms with exact attribution", ok)
 
@@ -86,9 +84,9 @@ def test_criterion_02_states_and_bundles_correspond(ping_space, r1_space, nack_s
     ok = True
     for doc in (ping_space, r1_space, nack_space):
         ident = doc.space.with_identity_assignment()
-        runs = translate(ident, None, 4, 8)
+        runs = translate(ident, 4, 8)
         states = {g for run in runs for g in run.states}
-        bundles = enumerate_bundles(ident, None, 8)
+        bundles = enumerate_bundles(ident, 8)
         ok = ok and all(
             any(message_equivalent(ident, g, b) for b in bundles) for g in states
         )
@@ -106,7 +104,7 @@ def test_criterion_03_chain_height_bound(r1_space, r1_t5_space, nack_space, ping
         (nack_space, 6),
         (ping_space, 2),
     ):
-        for chain in enumerate_chain_prefixes(doc.space, doc.conf, 5, max_nodes):
+        for chain in enumerate_chain_prefixes(doc.space, 5, max_nodes):
             n = chain.length
             ok = ok and bundle_height(doc.space, chain.final()) <= 2 * n
     report(3, "chain of length n never exceeds height 2n", ok)
@@ -121,8 +119,8 @@ def test_criterion_04_every_bundle_reachable(r1_space, r1_t5_space, nack_space, 
         (ping_space, 2),
     ):
         ident = doc.space.with_identity_assignment()
-        dist = bundle_distances(ident, None, max_nodes)
-        for bundle in enumerate_bundles(ident, None, max_nodes):
+        dist = bundle_distances(ident, max_nodes)
+        for bundle in enumerate_bundles(ident, max_nodes):
             ok = ok and dist.get(bundle, max_nodes + 1) <= bundle.node_count()
     report(4, "every bundle is the end of a short enough chain", ok)
 
@@ -136,7 +134,7 @@ def test_criterion_05_strand_system_property(
     for doc in (r1_space, nack_space, ping_space, r1_t5_space):
         universe = doc.space.messages()
         agents = doc.space.agents
-        runs = translate(doc.space, doc.conf, 6, 8)
+        runs = translate(doc.space, 6, 8)
         sources.append((universe, agents, runs))
     for doc in (nack_protocol, r1_choice_protocol, u1u2u3_protocol):
         jp = doc.protocol
@@ -156,7 +154,7 @@ def test_criterion_06_history_preservation_fails_on_interleaving(r1_space, r1_sy
         agent == "2" and len(events) == 4
         for agent, _, events in hp.clause2_failures
     )
-    eq = systems_equal(translate(r1_space.space, None, 8, 8), runs8)
+    eq = systems_equal(translate(r1_space.space, 8, 8), runs8)
     ok = ok and not eq.equal and not eq.only_in_b and bool(eq.only_in_a)
     report(6, "natural relay space strictly outruns the intended system", ok)
 
@@ -164,8 +162,8 @@ def test_criterion_06_history_preservation_fails_on_interleaving(r1_space, r1_sy
 def test_criterion_07_system_space_round_trip(r1_system, nack_system):
     ok = True
     for doc in (r1_system, nack_system):
-        ext = extended_space_from_system(doc.histories)
-        translated = translate(ext.space, ext.conf, 5, ext.space.node_count())
+        space = extended_space_from_system(doc.histories)
+        translated = translate(space, 5, space.node_count())
         ok = ok and translated == generate_system(doc.histories, 5)
     report(7, "history-set construction round-trips through translation", ok)
 
@@ -175,9 +173,9 @@ def test_criterion_08_monotone_round_trip_and_nack_gap(
 ):
     jp = u1u2u3_protocol.protocol
     space = space_from_monotone(jp)
-    ok = translate(space, None, 6, 8) == generate_runs(jp, 6)
+    ok = translate(space, 6, 8) == generate_runs(jp, 6)
 
-    naive = translate(nack_space.space, None, 6, 6)
+    naive = translate(nack_space.space, 6, 6)
     eq = systems_equal(naive, generate_runs(nack_protocol.protocol, 6))
     anomaly = (recv("u"), sent("ack"), sent("nack"))
     ok = ok and not eq.equal

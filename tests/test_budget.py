@@ -17,63 +17,63 @@ from strandlab.systems import generate_system
 from conftest import fixture_path
 
 
-def graph_cost(space, conf, max_nodes) -> int:
+def graph_cost(space, max_nodes) -> int:
     budget = StateBudget()
-    step_graph(space, conf, max_nodes, budget)
+    step_graph(space, max_nodes, budget)
     return budget.used
 
 
 def test_enumerate_bundles(r1_space):
     with pytest.raises(BudgetExceededError):
-        enumerate_bundles(r1_space.space, None, 8, budget=StateBudget(5))
+        enumerate_bundles(r1_space.space, 8, budget=StateBudget(5))
 
 
 def test_step_graph_cold(r1_space, cold_cache):
     with pytest.raises(BudgetExceededError):
-        step_graph(r1_space.space, None, 8, StateBudget(5))
+        step_graph(r1_space.space, 8, StateBudget(5))
 
 
 def test_step_graph_successor_phase(r1_space, cold_cache):
     # one tick per candidate bundle built: a limit of k raises at the next
     # candidate, after exactly k ticks
     space = r1_space.space
-    cost = graph_cost(space, None, 8)
-    graph = step_graph(space, None, 8)
+    cost = graph_cost(space, 8)
+    graph = step_graph(space, 8)
     assert cost >= sum(len(succ) for succ in graph.successors.values())
     for k in (0, 1, 3, cost - 1):
         chains._GRAPH_CACHE.clear()
         budget = StateBudget(k)
         with pytest.raises(BudgetExceededError):
-            step_graph(space, None, 8, budget)
+            step_graph(space, 8, budget)
         assert budget.used == k + 1
     chains._GRAPH_CACHE.clear()
     budget = StateBudget(cost)
-    step_graph(space, None, 8, budget)
+    step_graph(space, 8, budget)
     assert budget.used == cost
 
 
 def test_step_graph_cache_hit_is_charged(r1_space, cold_cache):
     cold = StateBudget()
-    step_graph(r1_space.space, None, 8, cold)
+    step_graph(r1_space.space, 8, cold)
     warm = StateBudget()
-    graph = step_graph(r1_space.space, None, 8, warm)
+    graph = step_graph(r1_space.space, 8, warm)
     assert len(graph.bundles) == 25
     assert warm.used == cold.used > 0
     with pytest.raises(BudgetExceededError):
-        step_graph(r1_space.space, None, 8, StateBudget(5))
+        step_graph(r1_space.space, 8, StateBudget(5))
 
 
 def test_translate(r1_space):
     # enough for the step graph, not for the runs at horizon 4
-    budget = StateBudget(graph_cost(r1_space.space, None, 8) + 10)
+    budget = StateBudget(graph_cost(r1_space.space, 8) + 10)
     with pytest.raises(BudgetExceededError):
-        translate(r1_space.space, None, 4, 8, budget=budget)
+        translate(r1_space.space, 4, 8, budget=budget)
 
 
 def test_enumerate_chain_prefixes(r1_space):
-    budget = StateBudget(graph_cost(r1_space.space, None, 8) + 10)
+    budget = StateBudget(graph_cost(r1_space.space, 8) + 10)
     with pytest.raises(BudgetExceededError):
-        enumerate_chain_prefixes(r1_space.space, None, 4, 8, budget=budget)
+        enumerate_chain_prefixes(r1_space.space, 4, 8, budget=budget)
 
 
 def test_generate_system(r1_system):
@@ -110,8 +110,8 @@ def test_translate_materialization(r1_space):
     # building the automaton fits; yielding its 75,115 runs, one tick each,
     # does not
     cost = StateBudget()
-    translate(r1_space.space, None, 8, 8, budget=cost)
-    runs = translate(r1_space.space, None, 8, 8, budget=StateBudget(cost.used + 10))
+    translate(r1_space.space, 8, 8, budget=cost)
+    runs = translate(r1_space.space, 8, 8, budget=StateBudget(cost.used + 10))
     assert len(runs) == 75_115
     with pytest.raises(BudgetExceededError):
         for _ in runs:

@@ -104,12 +104,13 @@ class TestValidateBundle:
 
     def test_conflicting_strands_fail_b5(self, r1_t5_space):
         bundle = Bundle.of({"2__sent-u": 1, "2__sent-x": 1})
-        report = validate_bundle(r1_t5_space.space, bundle, r1_t5_space.conf)
-        assert report.failed_axioms() == ("B5",)
+        report = validate_bundle(r1_t5_space.space, bundle)
+        assert report.failed_axioms() == ("B5",) and report.checked_b5
 
     def test_b5_not_checked_without_conf(self, r1_t5_space):
         bundle = Bundle.of({"2__sent-u": 1, "2__sent-x": 1})
-        assert validate_bundle(r1_t5_space.space, bundle).ok
+        report = validate_bundle(r1_t5_space.space.without_conflicts(), bundle)
+        assert report.ok and not report.checked_b5
 
     def test_unknown_strand_is_an_input_error(self, r1_space):
         with pytest.raises(InputError):
@@ -131,7 +132,7 @@ class TestHeights:
         assert bundle_height(space, Bundle.of({"s": 1})) == 0
 
     def test_height_matches_oracle_on_all_relay_bundles(self, r1_space):
-        for bundle in enumerate_bundles(r1_space.space, None, 8):
+        for bundle in enumerate_bundles(r1_space.space, 8):
             assert bundle_height(r1_space.space, bundle) == longest_path_oracle(
                 r1_space.space, bundle
             )
@@ -152,11 +153,11 @@ class TestHeights:
 class TestEnumerateBundles:
     def test_max_nodes_zero(self, r1_space):
         # [TRIVIAL]
-        assert enumerate_bundles(r1_space.space, None, 0) == (EMPTY_BUNDLE,)
+        assert enumerate_bundles(r1_space.space, 0) == (EMPTY_BUNDLE,)
 
     def test_full_exchange_bundle_present(self, r1_space):
         # [PAPER] a bundle containing all eight signed terms exists
-        bundles = enumerate_bundles(r1_space.space, None, 8)
+        bundles = enumerate_bundles(r1_space.space, 8)
         full = [b for b in bundles if b.node_count() == 8]
         assert len(full) == 1
         terms = sorted(str(term_of(r1_space.space, n)) for n in full[0].nodes())
@@ -164,7 +165,7 @@ class TestEnumerateBundles:
 
     def test_conflict_relation_filters(self, r1_t5_space):
         # [DERIVED] no bundle mixes agent 2's u-side and x-side strands
-        bundles = enumerate_bundles(r1_t5_space.space, r1_t5_space.conf, 8)
+        bundles = enumerate_bundles(r1_t5_space.space, 8)
         for bundle in bundles:
             active = set(bundle.active_strands())
             assert not (
@@ -174,12 +175,12 @@ class TestEnumerateBundles:
 
     def test_all_results_validate(self, r1_space, nack_space, r1_t5_space):
         for doc in (r1_space, nack_space, r1_t5_space):
-            for bundle in enumerate_bundles(doc.space, doc.conf, 6):
-                assert validate_bundle(doc.space, bundle, doc.conf).ok
+            for bundle in enumerate_bundles(doc.space, 6):
+                assert validate_bundle(doc.space, bundle).ok
 
     def test_enumeration_is_deterministic(self, nack_space):
-        first = enumerate_bundles(nack_space.space, None, 6)
-        second = enumerate_bundles(nack_space.space, None, 6)
+        first = enumerate_bundles(nack_space.space, 6)
+        second = enumerate_bundles(nack_space.space, 6)
         assert first == second
 
     def test_distinct_matchings_are_distinct_bundles(self):
@@ -190,13 +191,13 @@ class TestEnumerateBundles:
                 Strand("r", (negative("u"),)),
             ]
         )
-        bundles = enumerate_bundles(space, None, 3)
+        bundles = enumerate_bundles(space, 3)
         three_node = [b for b in bundles if b.node_count() == 3]
         assert len(three_node) == 2  # the receive can pair with either send
 
     def test_lemma2_reduction_preserves_validity_and_height(self, nack_space):
         space = nack_space.space
-        for bundle in enumerate_bundles(space, None, 6):
+        for bundle in enumerate_bundles(space, 6):
             for sid, k in bundle.heights:
                 top = Node(sid, k)
                 if not term_of(space, top).positive:
@@ -218,23 +219,23 @@ class TestEnumerateBundles:
             [Strand("a", (negative("u"), positive("v"))), Strand("b", (negative("v"), positive("u")))]
         )
         expected = {
-            ("relay", 2): (relay_space(2), None, 25, 25),
-            ("relay", 3): (relay_space(3), None, 125, 125),
-            ("relay", 4): (relay_space(4), None, 625, 625),
-            ("relay", 5): (relay_space(5), None, 3_125, 3_125),
-            ("ring", 3): (ring_space(3), None, 18, 18),
-            ("ring", 4): (ring_space(4), None, 47, 47),
-            ("ring", 5): (ring_space(5), None, 123, 123),
-            ("ring", 6): (ring_space(6), None, 322, 322),
-            ("r1_t5", 12): (r1_t5_space.space, r1_t5_space.conf, 19, 19),
-            ("cycle", 4): (cycle, None, 1, 2),
+            ("relay", 2): (relay_space(2), 25, 25),
+            ("relay", 3): (relay_space(3), 125, 125),
+            ("relay", 4): (relay_space(4), 625, 625),
+            ("relay", 5): (relay_space(5), 3_125, 3_125),
+            ("ring", 3): (ring_space(3), 18, 18),
+            ("ring", 4): (ring_space(4), 47, 47),
+            ("ring", 5): (ring_space(5), 123, 123),
+            ("ring", 6): (ring_space(6), 322, 322),
+            ("r1_t5", 12): (r1_t5_space.space, 19, 19),
+            ("cycle", 4): (cycle, 1, 2),
         }
-        for case, (space, conf, bundles, ticks) in expected.items():
+        for case, (space, bundles, ticks) in expected.items():
             budget = StateBudget()
-            found = enumerate_bundles(space, conf, space.node_count(), budget)
+            found = enumerate_bundles(space, space.node_count(), budget)
             assert (len(found), budget.used) == (bundles, ticks), case
             with pytest.raises(BudgetExceededError):
-                enumerate_bundles(space, conf, space.node_count(), StateBudget(ticks - 1))
+                enumerate_bundles(space, space.node_count(), StateBudget(ticks - 1))
 
 
 class TestMessageEquivalence:
@@ -272,7 +273,7 @@ class TestMessageEquivalence:
             ]
         )
         bundles = [
-            b for b in enumerate_bundles(space, None, 3) if b.node_count() == 3
+            b for b in enumerate_bundles(space, 3) if b.node_count() == 3
         ]
         g = GlobalState.of({"w1": (sent("u"),), "w2": (sent("u"),), "r": (recv("u"),)})
         assert all(message_equivalent(space, g, b) for b in bundles)

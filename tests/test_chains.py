@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 
 from strandlab.budget import StateBudget
-from strandlab.bundles import EMPTY_BUNDLE, Bundle, ConflictRelation, enumerate_bundles
+from strandlab.bundles import EMPTY_BUNDLE, Bundle, enumerate_bundles
 from strandlab.chains import (
     ChainPrefix,
     bundle_distances,
@@ -65,7 +65,7 @@ def r1_exchange_chain(space) -> ChainPrefix:
 class TestCheckStep:
     def test_stuttering_step(self, r1_space):
         # [TRIVIAL] every bundle steps to itself with no extensions
-        for bundle in enumerate_bundles(r1_space.space, None, 8):
+        for bundle in enumerate_bundles(r1_space.space, 8):
             witness = check_step(r1_space.space, bundle, bundle)
             assert witness is not None
             assert witness.extensions == ()
@@ -117,31 +117,31 @@ class TestStepGraph:
         # enumerated bundles: same bundles, successors, order and witnesses;
         # its distances against a breadth-first search over its successors
         cases = [
-            (r1_space.space, None),
-            (r1_t5_space.space, r1_t5_space.conf),
-            (nack_space.space, None),
-            (ping_space.space, None),
-            (r1_space.space.with_identity_assignment(), None),
-            (nack_space.space.with_identity_assignment(), None),
-            (ring_space(3), None),
-            (prefix_jump_space(), None),
-            (relay_space(3), None),
-            (ring_space(4), None),
+            r1_space.space,
+            r1_t5_space.space,
+            nack_space.space,
+            ping_space.space,
+            r1_space.space.with_identity_assignment(),
+            nack_space.space.with_identity_assignment(),
+            ring_space(3),
+            prefix_jump_space(),
+            relay_space(3),
+            ring_space(4),
         ]
-        for space, conf in cases:
+        for space in cases:
             n = space.node_count()
-            graph = step_graph(space, conf, n)
-            assert graph.bundles == enumerate_bundles(space, conf, n)
-            assert graph.successors == pairwise_step_graph(space, conf, n)
+            graph = step_graph(space, n)
+            assert graph.bundles == enumerate_bundles(space, n)
+            assert graph.successors == pairwise_step_graph(space, n)
             assert graph.distance == bfs_distances(graph)
 
     @given(small_spaces())
     @settings(max_examples=150, deadline=None)
     def test_drawn_spaces_match_pairwise_check_step(self, drawn):
-        space, conf, max_nodes = drawn
-        graph = step_graph(space, conf, max_nodes)
-        assert graph.bundles == enumerate_bundles(space, conf, max_nodes)
-        assert graph.successors == pairwise_step_graph(space, conf, max_nodes)
+        space, max_nodes = drawn
+        graph = step_graph(space, max_nodes)
+        assert graph.bundles == enumerate_bundles(space, max_nodes)
+        assert graph.successors == pairwise_step_graph(space, max_nodes)
         assert graph.distance == bfs_distances(graph)
 
     @given(twin_spaces())
@@ -150,10 +150,10 @@ class TestStepGraph:
         # every agent has strands sharing a first term, so witness maps
         # other than the identity move prefixes, and the search re-encodes
         # the moved bundle
-        space, conf, max_nodes = drawn
-        graph = step_graph(space, conf, max_nodes)
-        assert graph.bundles == enumerate_bundles(space, conf, max_nodes)
-        assert graph.successors == pairwise_step_graph(space, conf, max_nodes)
+        space, max_nodes = drawn
+        graph = step_graph(space, max_nodes)
+        assert graph.bundles == enumerate_bundles(space, max_nodes)
+        assert graph.successors == pairwise_step_graph(space, max_nodes)
         assert graph.distance == bfs_distances(graph)
 
     def test_witness_map_onto_a_conflicting_pair(self, cold_cache):
@@ -168,11 +168,11 @@ class TestStepGraph:
             ],
             ["a"],
             {"s1": "a", "s2": "a", "s3": "a"},
+            conflicts=[("s2", "s3")],
         )
-        conf = ConflictRelation([("s2", "s3")])
-        graph = step_graph(space, conf, space.node_count())
+        graph = step_graph(space, space.node_count())
         assert len(graph.bundles) == 10
-        assert graph.successors == pairwise_step_graph(space, conf, space.node_count())
+        assert graph.successors == pairwise_step_graph(space, space.node_count())
 
     def test_scaling_counts(self, cold_cache):
         # bundles, edges (the sum of successor counts) and budget ticks of
@@ -192,13 +192,13 @@ class TestStepGraph:
         for (family, size), (bundles, edges) in expected.items():
             space = make[family](size)
             budget = StateBudget()
-            graph = step_graph(space, None, space.node_count(), budget)
+            graph = step_graph(space, space.node_count(), budget)
             counts = (len(graph.bundles), sum(len(s) for s in graph.successors.values()))
             assert counts == (bundles, edges), (family, size)
             assert budget.used == edges, (family, size)
 
     def test_each_bundle_is_one_object(self, nack_space, cold_cache):
-        graph = step_graph(nack_space.space, None, 6)
+        graph = step_graph(nack_space.space, 6)
         shared = {b: b for b in graph.bundles}
         for succ in graph.successors.values():
             for b2, _ in succ:
@@ -209,15 +209,15 @@ class TestStepGraph:
         space = ping_space.space
         for call in (step_graph, bundle_distances):
             with pytest.raises(InputError):
-                call(space, None, -1)
+                call(space, -1)
         with pytest.raises(InputError):
-            translate(space, None, 2, -1)
+            translate(space, 2, -1)
 
 
 class TestChainEnumeration:
     def test_horizon_zero(self, r1_space):
         # [TRIVIAL]
-        chains = enumerate_chain_prefixes(r1_space.space, None, 0, 8)
+        chains = enumerate_chain_prefixes(r1_space.space, 0, 8)
         assert len(chains) == 1
         assert chains[0].bundles == (EMPTY_BUNDLE,)
 
@@ -225,12 +225,12 @@ class TestChainEnumeration:
         # [DERIVED] a chain of four single extensions ends in the full exchange
         chain = r1_exchange_chain(r1_space.space)
         final = chain.final()
-        chains = enumerate_chain_prefixes(r1_space.space, None, 4, 8)
+        chains = enumerate_chain_prefixes(r1_space.space, 4, 8)
         assert any(c.final() == final for c in chains)
 
     def test_conflicts_respected(self, r1_t5_space):
         # [DERIVED] no chain activates two conflicting agent-2 strands
-        chains = enumerate_chain_prefixes(r1_t5_space.space, r1_t5_space.conf, 3, 6)
+        chains = enumerate_chain_prefixes(r1_t5_space.space, 3, 6)
         for chain in chains:
             for bundle in chain.bundles:
                 active = set(bundle.active_strands())
@@ -240,7 +240,7 @@ class TestChainEnumeration:
 
     def test_per_step_growth_bounds(self, nack_space):
         space = nack_space.space
-        for chain in enumerate_chain_prefixes(space, None, 3, 6):
+        for chain in enumerate_chain_prefixes(space, 3, 6):
             for m in range(chain.length):
                 for agent in space.agents:
                     before = hist(chain, agent, m)
@@ -293,18 +293,18 @@ class TestHistAndRun:
 class TestTranslate:
     def test_horizon_zero(self, ping_space):
         # [TRIVIAL]
-        runs = translate(ping_space.space, None, 0, 2)
+        runs = translate(ping_space.space, 0, 2)
         assert len(runs) == 1
 
     def test_four_event_history_reachable_naturally(self, r1_space):
         # [PAPER] the natural relay space lets agent 2 interleave both pairs
-        runs = translate(r1_space.space, None, 8, 8)
+        runs = translate(r1_space.space, 8, 8)
         target = (sent("u"), recv("v"), sent("x"), recv("y"))
         assert any(run.final().history("2") == target for run in runs)
 
     def test_conflicts_block_four_events(self, r1_t5_space):
         # [DERIVED] with conflicts, agent 2 never reaches four events
-        runs = translate(r1_t5_space.space, r1_t5_space.conf, 8, 12)
+        runs = translate(r1_t5_space.space, 8, 12)
         assert all(
             len(g.history("2")) <= 2 for run in runs for g in run.states
         )
@@ -312,7 +312,7 @@ class TestTranslate:
     def test_translated_runs_satisfy_mp(self, nack_space):
         # the computational core of the strand-system theorem
         space = nack_space.space
-        for run in translate(space, None, 5, 6):
+        for run in translate(space, 5, 6):
             assert check_mp(space.messages(), space.agents, run).ok
 
     def test_translate_agrees_with_chain_enumeration(
@@ -320,12 +320,12 @@ class TestTranslate:
     ):
         # the explorer against reading off every chain, conflicts included
         for doc in (nack_space, r1_space, r1_t5_space):
-            space, conf = doc.space, doc.conf
+            space = doc.space
             n = space.node_count()
             via_chains = {
-                run_from_chain(c) for c in enumerate_chain_prefixes(space, conf, 3, n)
+                run_from_chain(c) for c in enumerate_chain_prefixes(space, 3, n)
             }
-            assert translate(space, conf, 3, n) == frozenset(via_chains)
+            assert translate(space, 3, n) == frozenset(via_chains)
 
 
 class TestLemmaBounds:
@@ -333,13 +333,13 @@ class TestLemmaBounds:
         from strandlab.bundles import bundle_height
 
         for doc in (r1_space, nack_space):
-            dist = bundle_distances(doc.space, None, 8)
+            dist = bundle_distances(doc.space, 8)
             for bundle, d in dist.items():
                 assert bundle_height(doc.space, bundle) <= 2 * d
 
     def test_identity_reachability_within_node_count(self, nack_space):
         ident = nack_space.space.with_identity_assignment()
-        dist = bundle_distances(ident, None, 6)
-        for bundle in enumerate_bundles(ident, None, 6):
+        dist = bundle_distances(ident, 6)
+        for bundle in enumerate_bundles(ident, 6):
             assert bundle in dist
             assert dist[bundle] <= bundle.node_count()

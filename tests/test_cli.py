@@ -113,6 +113,24 @@ INVALID = {
         ["duplicate strand id: s", "conflict pair spans agents: (s, t)", "undeclared message: v"],
         ("enumerate --bundles", "check --lemma 1", "check --theorem 5"),
     ),
+    # a conflict pair is refused by the space it belongs to, whichever
+    # mode reads the space
+    "conflict pair across agents": (
+        {"kind": "extended-space", "messages": ["u"], "agents": ["a", "b"], "strands": [
+            {"id": "s", "agent": "a", "trace": ["+u"]},
+            {"id": "t", "agent": "b", "trace": ["-u"]},
+        ], "conflicts": [["s", "t"]]},
+        ["conflict pair spans agents: (s, t)"],
+        ("enumerate --bundles", "check --theorem 4", "check --lemma 1"),
+    ),
+    "conflict pair with an unknown strand": (
+        {"kind": "extended-space", "messages": ["u"], "agents": ["a", "b"], "strands": [
+            {"id": "s", "agent": "a", "trace": ["+u"]},
+            {"id": "t", "agent": "b", "trace": ["-u"]},
+        ], "conflicts": [["s", "zz"]]},
+        ["conflict pair references unknown strand 'zz'"],
+        ("enumerate --translate", "check --theorem 4", "check --theorem 1"),
+    ),
     "non-prefix-closed system": (
         {"kind": "system", "agents": ["a"], "histories": {"a": [["sent u", "sent v"]]}},
         [
@@ -511,6 +529,16 @@ class TestCheck:
         assert run_cli("check", "--equal", empty, ping) == 2
         assert capsys.readouterr() == ("", "error: horizon mismatch: [1, 2]\n")
 
+    def test_history_preserving_compares_declared_agents(self, tmp_path, capsys):
+        # runs over agents the space does not have share no history with
+        # its bundles: a usage error, not a failed clause
+        runs = tmp_path / "runs.json"
+        runs.write_text(runs_text(["zz"], 1, [[{"zz": []}, {"zz": []}]]))
+        assert run_cli("check", "--history-preserving", fixture_path("ping_space"), runs) == 2
+        assert capsys.readouterr() == (
+            "", "error: agent mismatch: space ['a', 'b'], runs ['zz']\n"
+        )
+
     def test_history_preserving_pass(self, tmp_path, capsys):
         runs = tmp_path / "runs.json"
         run_cli(
@@ -581,6 +609,26 @@ class TestCheck:
         assert capsys.readouterr().err == (
             "error: theorem 4 needs an extended space (with conflicts)\n"
         )
+
+    def test_theorems_1_and_3_drop_the_space_s_conflicts(self, tmp_path, capsys):
+        # the same output as on the plain space of the same strands; only
+        # theorem 4 reads the conflicts
+        body = json.loads(fixture_path("r1_t5_space").read_text())
+        body["kind"] = "space"
+        del body["conflicts"]
+        plain = tmp_path / "plain.json"
+        plain.write_text(json.dumps(body))
+        outputs = []
+        for space in (fixture_path("r1_t5_space"), plain):
+            assert run_cli("check", "--theorem", 1, space, "--horizon", 3) == 0
+            assert run_cli(
+                "check", "--theorem", 3, space, fixture_path("r1_system"), "--max-nodes", 4
+            ) == 0
+            outputs.append(capsys.readouterr())
+        assert outputs[0] == outputs[1]
+        assert "445 run prefixes at horizon 3" in outputs[0].out
+        assert run_cli("check", "--theorem", 4, fixture_path("r1_t5_space"), "--horizon", 3) == 0
+        assert "37 run prefixes at horizon 3" in capsys.readouterr().out
 
     def test_wrong_document_kind_is_usage_error(self, capsys):
         swapped = (fixture_path("r1_system"), fixture_path("r1_space"))

@@ -4,7 +4,6 @@ from itertools import combinations
 
 import pytest
 
-from strandlab.bundles import validate_conflicts
 from strandlab.checks import theorem_5, theorem_7
 from strandlab.constructions import (
     extended_space_from_system,
@@ -22,40 +21,42 @@ from conftest import raised_problems
 class TestExtendedSpaceFromSystem:
     def test_all_empty_histories(self):
         # [TRIVIAL] nothing to realize: no strands, no conflicts
-        ext = extended_space_from_system(HistorySet.of({"a": [()], "b": [()]}))
-        assert ext.space.strands == ()
-        assert ext.conf == frozenset()
+        space = extended_space_from_system(HistorySet.of({"a": [()], "b": [()]}))
+        assert space.strands == ()
+        assert space.conflicts == frozenset()
 
     def test_single_history(self):
-        ext = extended_space_from_system(
+        space = extended_space_from_system(
             HistorySet.of({"a": [(), (sent("u"),)]})
         )
-        assert len(ext.space.strands) == 1
-        strand = ext.space.strands[0]
+        assert len(space.strands) == 1
+        strand = space.strands[0]
         assert strand.trace == (positive("u"),)
-        assert ext.space.agent_of(strand.id) == "a"
-        assert ext.conf == frozenset()
+        assert space.agent_of(strand.id) == "a"
+        assert space.conflicts == frozenset()
 
     def test_relay_system_shape(self, r1_system):
         # [PAPER] agents 1 and 3 contribute two strands each, agent 2 four;
         # agent 2's strands are pairwise conflicting
-        ext = extended_space_from_system(r1_system.histories)
+        space = extended_space_from_system(r1_system.histories)
         by_agent = {
-            a: sorted(s.id for s in ext.space.strands_of(a))
-            for a in ext.space.agents
+            a: sorted(s.id for s in space.strands_of(a))
+            for a in space.agents
         }
         assert [len(by_agent[a]) for a in ("1", "2", "3")] == [2, 4, 2]
         expected = {
             (min(x, y), max(x, y)) for x, y in combinations(by_agent["2"], 2)
         }
-        agent2_pairs = {p for p in ext.conf if p[0].startswith("2__")}
+        agent2_pairs = {p for p in space.conflicts if p[0].startswith("2__")}
         assert agent2_pairs == expected
 
     def test_outputs_are_well_formed(self, r1_system, nack_system):
-        # the space is well formed, or building it would have raised
+        # the space is well formed, or building it would have raised; its
+        # conflict pairs each join two strands of one agent
         for doc in (r1_system, nack_system):
-            ext = extended_space_from_system(doc.histories)
-            assert validate_conflicts(ext.space.assignment_map, ext.conf) == []
+            space = extended_space_from_system(doc.histories)
+            assert space.conflicts
+            assert all(space.agent_of(a) == space.agent_of(b) for a, b in space.conflicts)
 
     def test_non_prefix_closed_input_rejected(self):
         # such a history set cannot be built, so it never reaches the
@@ -71,7 +72,7 @@ class TestExtendedSpaceFromSystem:
             "a": [(), (sent("x_sent-y"),), (sent("x"),), (sent("x"), sent("y"))],
             "b": [(), (recv("x_sent-y"),), (recv("y"),)],
         })
-        ids = [s.id for s in extended_space_from_system(hs).space.strands]
+        ids = [s.id for s in extended_space_from_system(hs).strands]
         assert "a__sent-x_~sent-y" in ids and "a__sent-x_sent-y" in ids
         result = theorem_5(hs)
         assert result.ok

@@ -4,11 +4,11 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from strandlab.bundles import EMPTY_BUNDLE, Bundle, BundleReport, ConflictRelation
+from strandlab.bundles import EMPTY_BUNDLE, Bundle, BundleReport
 from strandlab.chains import ChainPrefix, StepGraph, StepWitness
 from strandlab.checks import CheckResult
-from strandlab.constructions import ExtendedSpace
 from strandlab.core import (
+    ConflictRelation,
     Event,
     GlobalState,
     Node,
@@ -143,6 +143,37 @@ class TestValidateSpace:
             "assignment references unknown strand: x",
         )
 
+    def test_conflict_pairs_are_the_space_s_own_problems(self):
+        # an unknown strand and a cross-agent pair, in the lines `validate`
+        # prints, after the space's own problems
+        strands = [Strand("s", (positive("u"),)), Strand("t", (negative("u"),)), Strand("t", ())]
+        assignment = {"s": "a", "t": "b"}
+        assert raised_problems(
+            lambda: StrandSpace.of(strands[:2], ["a", "b"], assignment, [("s", "zz")])
+        ) == ("conflict pair references unknown strand 'zz'",)
+        assert raised_problems(
+            lambda: StrandSpace.of(strands[:2], ["a", "b"], assignment, [("s", "t")])
+        ) == ("conflict pair spans agents: (s, t)",)
+        assert raised_problems(
+            lambda: StrandSpace.of(strands, ["a", "b"], assignment, [("t", "s"), ("s", "zz")])
+        ) == (
+            "duplicate strand id: t",
+            "empty trace on strand t",
+            "conflict pair spans agents: (s, t)",
+            "conflict pair references unknown strand 'zz'",
+        )
+
+    def test_plain_and_empty_relations_differ(self):
+        plain = StrandSpace.identity([Strand("s", (positive("u"),))])
+        empty = StrandSpace.of(plain.strands, plain.agents, plain.assignment_map, [])
+        assert plain.conflicts is None and empty.conflicts == ConflictRelation()
+        assert plain != empty and empty.without_conflicts() == plain
+        fields = (empty.strands, empty.agents, empty.assignment, empty.conflicts)
+        assert hash(empty) == hash(fields) != hash(plain)
+        assert repr(empty).endswith(", conflicts=ConflictRelation())")
+        assert plain.without_conflicts() is plain
+        assert empty.with_identity_assignment() == plain
+
 
 class TestGlobalState:
     def test_empty_state(self):
@@ -197,9 +228,10 @@ VALUE_TYPES = [
      (Strand("a", (positive("u"),)), Strand("a", (positive("v"),))),
      [("", ()), ("two words", ())]),
     (Node("s", 2), ("strand", "index"), (Node("s", 2), Node("s", 10)), []),
-    (_SPACE, ("strands", "agents", "assignment"), None,
+    (_SPACE, ("strands", "agents", "assignment", "conflicts"), None,
      [((_STRAND, Strand("s", (negative("u"),))), ("s",), (("s", "s"),)),
-      ((_STRAND,), ("s",), ())]),
+      ((_STRAND,), ("s",), ()),
+      ((_STRAND,), ("s",), (("s", "s"),), ConflictRelation([("s", "t")]))]),
     (_STATE, ("locals",), (GlobalState.empty(["a", "b"]), _STATE), []),
     (_BUNDLE, ("heights", "edges"), None, []),
     (BundleReport((("B2", "receive node <s,1> has no sender"),), False),
@@ -210,8 +242,7 @@ VALUE_TYPES = [
     (StepGraph((EMPTY_BUNDLE,), {EMPTY_BUNDLE: ()}, {EMPTY_BUNDLE: 0}),
      ("bundles", "successors", "distance"), None, []),
     (CheckResult("name", True, ("a line",)), ("name", "ok", "lines"), None, []),
-    (ExtendedSpace(_SPACE, ConflictRelation()), ("space", "conf"), None, []),
-    (SpaceDocument(_SPACE, None, ("u",)), ("space", "conf", "messages"), None, []),
+    (SpaceDocument(_SPACE, ("u",)), ("space", "messages"), None, []),
     (SystemDocument(_HISTORIES), ("histories",), None, []),
     (ProtocolDocument(_PROTOCOL), ("protocol",), None, []),
     (RunsDocument(("a",), 0, _RUNS), ("agents", "horizon", "runs"), None, []),

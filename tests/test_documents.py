@@ -84,11 +84,11 @@ class TestRoundTrips:
         assert parse_document(dump_document(doc)) == doc
 
     def test_generated_bundles_document(self, nack_space):
-        doc = BundlesDocument(enumerate_bundles(nack_space.space, None, 6))
+        doc = BundlesDocument(enumerate_bundles(nack_space.space, 6))
         assert parse_document(dump_document(doc)) == doc
 
     def test_generated_chains_document(self, ping_space):
-        chains = enumerate_chain_prefixes(ping_space.space, None, 2, 2)
+        chains = enumerate_chain_prefixes(ping_space.space, 2, 2)
         doc = ChainsDocument(agents=ping_space.space.agents, chains=chains)
         assert parse_document(dump_document(doc)) == doc
 
@@ -119,7 +119,7 @@ def fixture_runs(name: str, horizon: int) -> RunsDocument:
     doc = load_document(fixture_path(name))
     if isinstance(doc, SpaceDocument):
         space = doc.space
-        runs = translate(space, doc.conf, horizon, space.node_count())
+        runs = translate(space, horizon, space.node_count())
         agents = space.agents
     elif isinstance(doc, SystemDocument):
         runs = generate_system(doc.histories, horizon)
@@ -168,7 +168,7 @@ class TestSharedEncoding:
     )
     def test_chains(self, name, horizon, max_nodes):
         space = load_document(fixture_path(name))
-        chains = enumerate_chain_prefixes(space.space, space.conf, horizon, max_nodes)
+        chains = enumerate_chain_prefixes(space.space, horizon, max_nodes)
         doc = ChainsDocument(agents=space.space.agents, chains=chains)
         text = dump_document(doc)
         assert text == reference_dump(doc)

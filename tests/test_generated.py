@@ -12,11 +12,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from strandlab.bundles import Bundle, agent_events, enumerate_bundles, message_equivalent
-from strandlab.chains import translate
+from strandlab.bundles import (
+    Bundle, BundleReport, agent_events, enumerate_bundles, message_equivalent, validate_bundle,
+)
+from strandlab.chains import enumerate_chain_prefixes, run_from_chain, translate
 from strandlab.checks import lemma_1, lemma_2, theorem_1, theorem_2, theorem_4
 from strandlab.core import GlobalState
 from strandlab.errors import InputError
+from strandlab.systems import RunAutomaton
 
 from conftest import brute_force_bundles, reference_message_equivalent, small_spaces, twin_spaces
 
@@ -26,8 +29,24 @@ from conftest import brute_force_bundles, reference_message_equivalent, small_sp
 def test_enumerate_bundles_matches_brute_force(drawn):
     # with and without conflicts: both strategies draw both, and twice the
     # examples keep small_spaces' share of the draws
-    space, conf, max_nodes = drawn
-    assert enumerate_bundles(space, conf, max_nodes) == brute_force_bundles(space, conf, max_nodes)
+    space, max_nodes = drawn
+    bundles = enumerate_bundles(space, max_nodes)
+    assert bundles == brute_force_bundles(space, max_nodes)
+    # every axiom holds, B5 included: the enumerator prunes by the relation
+    # the validator reads, the space's own
+    passed = BundleReport((), checked_b5=space.conflicts is not None)
+    assert all(validate_bundle(space, b) == passed for b in bundles)
+
+
+@given(small_spaces(), st.integers(0, 3))
+@settings(max_examples=100, deadline=None)
+def test_translate_matches_chain_enumeration(drawn, horizon):
+    # the explorer against reading off every chain, conflicts included
+    space, max_nodes = drawn
+    via_chains = {
+        run_from_chain(c) for c in enumerate_chain_prefixes(space, horizon, max_nodes)
+    }
+    assert translate(space, horizon, max_nodes) == RunAutomaton.of(via_chains)
 
 
 @given(small_spaces())
@@ -36,9 +55,9 @@ def test_message_equivalent_matches_strand_by_strand(drawn):
     # every (state, bundle) pair: the bundles' own images and the states
     # the translation reaches, so that both answers occur
     ident = drawn[0].with_identity_assignment()
-    max_nodes = drawn[2]
-    bundles = enumerate_bundles(ident, None, max_nodes)
-    states = set(translate(ident, None, 2, max_nodes).occurring_states())
+    max_nodes = drawn[1]
+    bundles = enumerate_bundles(ident, max_nodes)
+    states = set(translate(ident, 2, max_nodes).occurring_states())
     states.update(GlobalState.of(agent_events(ident, b)) for b in bundles)
     for g in states:
         for b in bundles:
@@ -56,13 +75,13 @@ def test_message_equivalent_rejects_unknown_strand(ping_space):
 @settings(max_examples=40, deadline=None)
 def test_translation_theorems_and_lemmas_hold(drawn):
     # at the default node cap, the whole space
-    space, conf, _ = drawn
-    if conf is None:
+    space, _ = drawn
+    if space.conflicts is None:
         result = theorem_1(space, horizon=3)
     else:
-        result = theorem_4(space, conf, horizon=3)
+        result = theorem_4(space, horizon=3)
     assert result.ok, result.render()
-    for result in (lemma_1(space, conf), lemma_2(space)):
+    for result in (lemma_1(space), lemma_2(space)):
         assert result.ok, result.render()
 
 
@@ -88,8 +107,8 @@ def test_theorem_2_lines_match_strand_by_strand(monkeypatch, nack_space, r1_spac
     for doc, horizon in ((nack_space, 3), (r1_space, 2)):
         ident = doc.space.with_identity_assignment()
         n = ident.node_count()
-        states = translate(ident, None, horizon, n).occurring_states()
-        bundles = checks.enumerate_bundles(ident, None, n)
+        states = translate(ident, horizon, n).occurring_states()
+        bundles = checks.enumerate_bundles(ident, n)
         orphans = [
             g for g in sorted(states)
             if not any(reference_message_equivalent(ident, g, b) for b in bundles)
@@ -117,6 +136,6 @@ def test_lemma_1_names_least_violation(monkeypatch, r1_space):
     )
     result = checks.lemma_1(r1_space.space)
     assert not result.ok
-    dist = real(r1_space.space, None, r1_space.space.node_count())
+    dist = real(r1_space.space, r1_space.space.node_count())
     assert sum(d == 1 for d in dist.values()) > 1
     assert result.lines[1] == "violation: bundle (('s12', 1),) has height 3 at distance 1"

@@ -56,7 +56,7 @@ def reported(runs_a, runs_b):
 @pytest.fixture(scope="session")
 def r1_theorem_3_pair(r1_space, r1_system):
     """Theorem 3's run sets at horizon 8, as automata and materialized."""
-    translated = translate(r1_space.space, None, 8, 8)
+    translated = translate(r1_space.space, 8, 8)
     system = generate_system(r1_system.histories, 8)
     return translated, system, frozenset(translated), frozenset(system)
 
@@ -67,7 +67,7 @@ class TestRunAutomaton:
         self, source, r1_space, nack_protocol, u1u2u3_protocol
     ):
         make = {
-            "r1 translation": lambda h: translate(r1_space.space, None, h, 8),
+            "r1 translation": lambda h: translate(r1_space.space, h, 8),
             "nack protocol": lambda h: generate_runs(nack_protocol.protocol, h),
             "u1u2u3 protocol": lambda h: generate_runs(u1u2u3_protocol.protocol, h),
         }[source]
@@ -173,20 +173,20 @@ class TestSystemsEqualReference:
 
     def test_theorem_5_pairs(self, r1_system, nack_system):
         for doc in (r1_system, nack_system):
-            ext = extended_space_from_system(doc.histories)
-            translated = translate(ext.space, ext.conf, 5, ext.space.node_count())
+            space = extended_space_from_system(doc.histories)
+            translated = translate(space, 5, space.node_count())
             generated = generate_system(doc.histories, 5)
             assert reported(translated, generated) == reference_equal(translated, generated)
 
     def test_theorem_7_pair(self, u1u2u3_protocol):
         jp = u1u2u3_protocol.protocol
         space = space_from_monotone(jp)
-        translated = translate(space, None, 6, space.node_count())
+        translated = translate(space, 6, space.node_count())
         generated = generate_runs(jp, 6)
         assert reported(translated, generated) == reference_equal(translated, generated)
 
     def test_nack_anomaly(self, nack_space, nack_protocol):
-        naive = translate(nack_space.space, None, 6, 6)
+        naive = translate(nack_space.space, 6, 6)
         runs = generate_runs(nack_protocol.protocol, 6)
         expected = reference_equal(naive, runs)
         assert not expected[0]
