@@ -17,6 +17,12 @@ conflict relation is the space's own (`StrandSpace.conflicts`), and its
 pairs are checked when the space is built, as the space's own problems,
 so B5 is only about the bundle: which strands are present.
 
+`enumerate_bundles` rests on one fact: a nonempty bundle minus a maximal
+node (a strand's top node that feeds no edge), and minus its incoming
+edge if it is a receive, is a bundle.  So it grows bundles from the empty
+one a node at a time.  A new node has no out-edge, so no cycle can form
+and no acyclicity test is needed.  Each distinct bundle ticks the budget.
+
 `agent_events` is what a bundle shows each agent: the events of the
 agent's strands up to the bundle's heights.  Message equivalence with a
 global state (identity assignment), theorem 2 and history preservation
@@ -39,8 +45,6 @@ are ``offset[i]``, ``offset[i] + 1``, ... A key is ``code + mask * size``:
 
 from __future__ import annotations
 
-import itertools
-from collections.abc import Hashable
 from typing import Iterable, Iterator, Mapping, NamedTuple
 
 from .budget import StateBudget, ensure
@@ -128,16 +132,16 @@ def causal_edges(bundle: Bundle) -> list[CommEdge]:
     return sorted(bundle.edges) + list(_successor_edges(bundle))
 
 
-def _toposort(nodes: list[Hashable], edges: list[tuple[Hashable, Hashable]]) -> list[Hashable] | None:
-    """Kahn's algorithm over `Node`s or `KeyedSpace` node numbers; None
-    when the graph has a cycle."""
+def _toposort(nodes: list[Node], edges: list[CommEdge]) -> list[Node] | None:
+    """Kahn's algorithm over a bundle's causal graph; None when it has a
+    cycle."""
     indeg = {n: 0 for n in nodes}
-    out: dict[Hashable, list[Hashable]] = {n: [] for n in nodes}
+    out: dict[Node, list[Node]] = {n: [] for n in nodes}
     for a, b in edges:
         out[a].append(b)
         indeg[b] += 1
     frontier = [n for n in nodes if indeg[n] == 0]
-    order: list[Hashable] = []
+    order: list[Node] = []
     while frontier:
         n = frontier.pop()
         order.append(n)
@@ -320,41 +324,36 @@ def enumerate_bundles(
     """All valid bundles with at most ``max_nodes`` nodes, in a fixed order.
 
     Bundles that differ only in their edge matching are distinct results.
-    Each candidate, one conflict-free height vector with one injective
-    matching of its receives to same-message sends, ticks the budget once.
+    Level k is the bundles of k nodes: those of level k - 1, each with the
+    next node of one strand (a fresh one only if it conflicts with none
+    present), a new receive fed by a send that feeds no edge yet.  So
+    no cycle test is needed (see the module docstring), and each distinct
+    bundle found, the empty one included, ticks the budget once.
     """
     if max_nodes < 0:
         raise InputError("max_nodes must be non-negative")
     budget = ensure(budget)
     keyed = KeyedSpace(space)
-    lengths, radix, offset, conflicts = keyed.lengths, keyed.radix, keyed.offset, keyed.conflicts
-
-    def vectors(i: int, room: int, present: int, code: int, nodes: list[int]):
-        """Codes and node lists of the height vectors of strands i, ..."""
-        if i == len(lengths):
-            yield code, nodes
-            return
-        yield from vectors(i + 1, room, present, code, nodes)
-        if not conflicts[i] & present:
-            for h in range(1, min(lengths[i], room) + 1):
-                grown = nodes + list(range(offset[i], offset[i] + h))
-                yield from vectors(i + 1, room - h, present | 1 << i, code + h * radix[i], grown)
-
-    found = []
-    for code, nodes in vectors(0, max_nodes, 0, 0, []):
-        sends, recvs = [[] for _ in range(keyed.messages)], [[] for _ in range(keyed.messages)]
-        for n in nodes:
-            (sends if keyed.send[n] else recvs)[keyed.message[n]].append(n)
-        links = [(a, b) for a, b in zip(nodes, nodes[1:]) if keyed.strand_of[a] == keyed.strand_of[b]]
-        receives = [r for group in recvs for r in group]
-        # a message with fewer sends than receives has no matching
-        matchings = [itertools.permutations(s, len(r)) for s, r in zip(sends, recvs)]
-        for chosen in itertools.product(*matchings):
-            budget.tick()
-            pairs = list(zip(itertools.chain(*chosen), receives))
-            if _toposort(nodes, links + pairs) is not None:
-                found.append(code + sum(keyed.pair_key[p] for p in pairs))
-    return tuple(sorted(map(keyed.bundle, found), key=Bundle.sort_key))
+    radix, offset, pair_key = keyed.radix, keyed.offset, keyed.pair_key
+    budget.tick()
+    levels = [{0}]
+    for _ in range(max_nodes):
+        grown: set[int] = set()
+        for key in levels[-1]:
+            heights, pairs = keyed.decode(key)
+            present = sum(1 << i for i, h in enumerate(heights) if h)
+            used = {a for a, _ in pairs}
+            nodes = [a for i, h in enumerate(heights) for a in range(offset[i], offset[i] + h)]
+            for i, h in enumerate(heights):
+                if h == keyed.lengths[i] or not h and keyed.conflicts[i] & present:
+                    continue
+                n, child = offset[i] + h, key + radix[i]
+                new = {child} if keyed.send[n] else {
+                    child + pair_key[a, n] for a in nodes if (a, n) in pair_key and a not in used}
+                budget.tick(len(new - grown))
+                grown |= new
+        levels.append(grown)
+    return tuple(sorted((keyed.bundle(k) for level in levels for k in level), key=Bundle.sort_key))
 
 
 def agent_events(space: StrandSpace, bundle: Bundle) -> dict[str, History]:

@@ -3,6 +3,8 @@ from __future__ import annotations
 import itertools
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from strandlab.budget import StateBudget
 from strandlab.bundles import (
@@ -29,7 +31,7 @@ from strandlab.core import (
 )
 from strandlab.errors import BudgetExceededError, InputError
 
-from conftest import relay_space, ring_space
+from conftest import relay_space, ring_space, small_spaces, twin_spaces
 
 
 def r1_exchange_bundle() -> Bundle:
@@ -195,26 +197,34 @@ class TestEnumerateBundles:
         three_node = [b for b in bundles if b.node_count() == 3]
         assert len(three_node) == 2  # the receive can pair with either send
 
-    def test_lemma2_reduction_preserves_validity_and_height(self, nack_space):
-        space = nack_space.space
-        for bundle in enumerate_bundles(space, 6):
-            for sid, k in bundle.heights:
-                top = Node(sid, k)
-                if not term_of(space, top).positive:
-                    continue
-                if any(sender == top for sender, _ in bundle.edges):
-                    continue
+    @given(st.one_of(small_spaces(), twin_spaces()))
+    @settings(max_examples=100, deadline=None)
+    def test_dropping_a_maximal_node_leaves_an_enumerated_bundle(self, drawn):
+        # the fact the enumerator's growth rests on: a nonempty bundle has a
+        # maximal node (its strand's top node, feeding no edge if a send),
+        # and without it, and a receive's incoming edge, it is a bundle of
+        # the enumeration, no higher than before (the reduction of lemma 2)
+        space, max_nodes = drawn
+        bundles = enumerate_bundles(space, max_nodes)
+        known = set(bundles)
+        for bundle in bundles:
+            tops = [Node(sid, k) for sid, k in bundle.heights]
+            maximal = [n for n in tops if all(sender != n for sender, _ in bundle.edges)]
+            assert maximal or bundle.is_empty()
+            for top in maximal:
                 reduced = Bundle.of(
-                    {**bundle.height_map, sid: k - 1}, bundle.edges
+                    {**bundle.height_map, top.strand: top.index - 1},
+                    [e for e in bundle.edges if e[1] != top],
                 )
-                assert validate_bundle(space, reduced).ok
+                assert reduced in known
                 assert bundle_height(space, reduced) <= bundle_height(space, bundle)
 
     def test_scaling_counts(self, r1_t5_space):
-        # bundles and budget ticks (one per candidate matching of a feasible
-        # height vector) at the full node cap, so STRANDLAB_MAX_STATES trips
-        # at the same candidate whatever order the vectors are walked in;
-        # in the two-strand cycle one candidate of two is cyclic
+        # bundles and budget ticks (one per distinct bundle found, the empty
+        # one included) at the full node cap, so STRANDLAB_MAX_STATES trips
+        # at the same bundle count whatever order the growth takes; the
+        # two-strand cycle has only the empty bundle, since each strand
+        # starts with a receive that no send can feed
         cycle = StrandSpace.identity(
             [Strand("a", (negative("u"), positive("v"))), Strand("b", (negative("v"), positive("u")))]
         )
@@ -223,12 +233,13 @@ class TestEnumerateBundles:
             ("relay", 3): (relay_space(3), 125, 125),
             ("relay", 4): (relay_space(4), 625, 625),
             ("relay", 5): (relay_space(5), 3_125, 3_125),
+            ("relay", 6): (relay_space(6), 15_625, 15_625),
             ("ring", 3): (ring_space(3), 18, 18),
             ("ring", 4): (ring_space(4), 47, 47),
             ("ring", 5): (ring_space(5), 123, 123),
             ("ring", 6): (ring_space(6), 322, 322),
             ("r1_t5", 12): (r1_t5_space.space, 19, 19),
-            ("cycle", 4): (cycle, 1, 2),
+            ("cycle", 4): (cycle, 1, 1),
         }
         for case, (space, bundles, ticks) in expected.items():
             budget = StateBudget()
