@@ -41,6 +41,11 @@ def _path(name: str) -> str:
     return f"fixtures/{name}.json"
 
 
+def _file(name: str) -> str:
+    """A small hand-written file of the tests, beside the fixtures."""
+    return f"tests/files/{name}.json"
+
+
 def cases() -> list[list[str]]:
     """Every argv of the table, in its order."""
     from strandlab.documents import load_document
@@ -70,6 +75,29 @@ def cases() -> list[list[str]]:
         ["enumerate", _path("r1_space"), "--bundles", "--horizon", "0"],
         ["enumerate", _path("r1_space"), "--bundles", "--max-nodes", "-1"],
         ["check", "--lemma", "1", _path("r1_space"), _path("r1_space")],
+        # run sets compared: equal in another order, differing either way,
+        # and of two horizons, nonempty and empty
+        ["check", "--equal", _file("ping_runs"), _file("ping_runs_reordered")],
+        ["check", "--equal", _file("ping_runs"), _file("ping_runs_unreceived")],
+        ["check", "--equal", _file("ping_runs_unreceived"), _file("ping_runs")],
+        ["check", "--equal", _file("empty_h2"), _file("ping_runs")],
+        ["check", "--equal", _file("ping_runs"), _file("ping_runs_h3")],
+        ["check", "--equal", _file("empty_h2"), _file("empty_h3")],
+        # run histories against bundles: preserved, violated, other agents
+        ["check", "--history-preserving", _path("ping_space"), _file("ping_runs")],
+        ["check", "--history-preserving", _path("ping_space"), _file("ping_runs_unreceived")],
+        ["check", "--history-preserving", _path("ping_space"), _file("ping_runs_twice")],
+        ["check", "--history-preserving", _path("ping_space"), _file("other-agents")],
+        # invalid files and names that need escaping
+        ["check", "--lemma", "2", _file("dup")],
+        ["validate", _file("undeclared")],
+        ["check", "--theorem", "5", _file("undeclared")],
+        ["validate", _file("multi")],
+        ["check", "--lemma", "1", _file("multi")],
+        ["check", "--theorem", "5", _file("collide-system")],
+        ["check", "--theorem", "7", _file("collide-protocol")],
+        ["validate", _file("spaced-agent")],
+        ["check", "--theorem", "5", _file("spaced-agent")],
     ]
     return argvs
 
