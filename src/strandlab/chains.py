@@ -555,4 +555,4 @@ def translate(
         return [(g.extend(dict(key)), frozenset(bs)) for key, bs in groups.items()]
 
     start = (GlobalState.empty(space.agents), frozenset({EMPTY_BUNDLE}))
-    return explore([start], successors, horizon, budget)
+    return explore([start], successors, space.agents, horizon, budget)

@@ -34,7 +34,6 @@ from .protocols import JointProtocol, generate_runs
 from .systems import (
     HistorySet,
     RunAutomaton,
-    RunPrefix,
     check_history_preserving,
     extract_histories,
     generate_system,
@@ -65,23 +64,20 @@ def node_cap(space: StrandSpace, max_nodes: int | None) -> int:
 
 
 def strand_system_property(
-    runs: Iterable[RunPrefix],
+    runs: RunAutomaton,
     universe: Iterable[str],
-    agents: Iterable[str],
-    horizon: int,
     name: str,
     budget: StateBudget | None = None,
 ) -> CheckResult:
     """The runs pass MP1-MP3 and are regenerated exactly by the system of
-    their own extracted histories."""
-    runs = RunAutomaton.of(runs)
-    lines = [f"{len(runs)} run prefixes at horizon {horizon}"]
-    bad = mp_violations(universe, agents, runs)
+    their own extracted histories, at their horizon."""
+    lines = [f"{len(runs)} run prefixes at horizon {runs.horizon}"]
+    bad = mp_violations(universe, runs)
     if bad:
         lines.append(f"{len(bad)} runs violate MP1-MP3, e.g. {_describe_state(bad.least().final())}")
         return CheckResult(name, False, tuple(lines))
     lines.append("all runs satisfy MP1-MP3")
-    regen = generate_system(extract_histories(runs), horizon, budget=budget)
+    regen = generate_system(extract_histories(runs), runs.horizon, budget=budget)
     eq = systems_equal(runs, regen)
     if eq.equal:
         lines.append("regeneration from extracted histories is exact")
@@ -102,8 +98,7 @@ def theorem_1(
     budget = ensure(budget)
     runs = translate(space, horizon, node_cap(space, max_nodes), budget=budget)
     return strand_system_property(
-        runs, space.messages(), space.agents, horizon,
-        "translation is a strand system", budget,
+        runs, space.messages(), "translation is a strand system", budget
     )
 
 
@@ -212,8 +207,7 @@ def theorem_4(
     budget = ensure(budget)
     runs = translate(space, horizon, node_cap(space, max_nodes), budget=budget)
     return strand_system_property(
-        runs, space.messages(), space.agents, horizon,
-        "translation with conflicts is a strand system", budget,
+        runs, space.messages(), "translation with conflicts is a strand system", budget
     )
 
 
@@ -255,10 +249,7 @@ def theorem_6(
     """A joint protocol's runs form a strand system."""
     budget = ensure(budget)
     runs = generate_runs(jp, horizon, budget=budget)
-    return strand_system_property(
-        runs, jp.messages, jp.agents, horizon,
-        "protocol runs form a strand system", budget,
-    )
+    return strand_system_property(runs, jp.messages, "protocol runs form a strand system", budget)
 
 
 def theorem_7(

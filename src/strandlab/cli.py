@@ -34,20 +34,13 @@ from .checks import (
     CheckResult, _describe_state, lemma_1, lemma_2, node_cap,
     theorem_1, theorem_2, theorem_3, theorem_4, theorem_5, theorem_6, theorem_7,
 )
+from .core import StrandSpace
 from .errors import IllFormedError, InputError, StrandlabError
-from .documents import (
-    BundlesDocument,
-    ChainsDocument,
-    Document,
-    ProtocolDocument,
-    RunsDocument,
-    SpaceDocument,
-    SystemDocument,
-    dump_document,
-    load_document,
-)
-from .protocols import generate_runs
+from .documents import BundlesDocument, ChainsDocument, Document, dump_document, load_document
+from .protocols import JointProtocol, generate_runs
 from .systems import (
+    HistorySet,
+    RunAutomaton,
     check_history_preserving,
     check_mp,
     generate_system,
@@ -96,14 +89,15 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _kind(cls) -> str:
-    return cls.__name__.removesuffix("Document").lower()
+# each type a file parses to, by the name of its kind
+_KINDS = {StrandSpace: "space", HistorySet: "system", JointProtocol: "protocol",
+          RunAutomaton: "runs", BundlesDocument: "bundles", ChainsDocument: "chains"}
 
 
 def _require(doc: Document, cls):
     """``doc``, provided it is a ``cls`` file."""
     if not isinstance(doc, cls):
-        raise InputError(f"a {_kind(cls)} file required, got a {_kind(type(doc))} file")
+        raise InputError(f"a {_KINDS[cls]} file required, got a {_KINDS[type(doc)]} file")
     return doc
 
 
@@ -123,15 +117,13 @@ def _write_stdout(text: str) -> None:
         data = data[os.write(fd, data):]
 
 
-def _runs_problems(doc: RunsDocument) -> list[str]:
+def _runs_problems(runs: RunAutomaton) -> list[str]:
     # the least failing run, found per automaton node and edge
-    universe = {
-        e.message for g in doc.runs.occurring_states() for _, h in g.items() for e in h
-    }
-    bad = mp_violations(universe, doc.agents, doc.runs).least()
+    universe = {e.message for g in runs.occurring_states() for _, h in g.items() for e in h}
+    bad = mp_violations(universe, runs).least()
     if bad is None:
         return []
-    report = check_mp(universe, doc.agents, bad)
+    report = check_mp(universe, runs.agents, bad)
     return [
         f"{label}: {problem}"
         for label, problem in (("MP1", report.mp1), ("MP2", report.mp2), ("MP3", report.mp3))
@@ -146,7 +138,7 @@ def _cmd_validate(args) -> int:
     except IllFormedError as exc:
         problems = exc.problems
     else:
-        problems = _runs_problems(doc) if isinstance(doc, RunsDocument) else []
+        problems = _runs_problems(doc) if isinstance(doc, RunAutomaton) else []
     for problem in problems:
         print(problem)
     if problems:
@@ -178,22 +170,21 @@ def _run(command: str, table: dict, name: str, args):
 
 
 # Each table maps a mode to (kinds of its input files, the options among
-# --horizon and --max-nodes that it takes, the call on the loaded documents
-# with those of its options that were given, as keywords).  A call reaches
+# --horizon and --max-nodes that it takes, the call on what the files load
+# to with those of its options that were given, as keywords).  A call reaches
 # the layer functions through this module's globals.
 
 # enumerate's defaults: horizon 4, bundles of at most 8 nodes
 _ENUMERATIONS = {
-    "--bundles": ((SpaceDocument,), ("max_nodes",), lambda s, max_nodes=8:
-        BundlesDocument(enumerate_bundles(s.space, max_nodes))),
-    "--chains": ((SpaceDocument,), ("horizon", "max_nodes"), lambda s, horizon=4, max_nodes=8:
-        ChainsDocument(s.space.agents, enumerate_chain_prefixes(s.space, horizon, max_nodes))),
-    "--translate": ((SpaceDocument,), ("horizon", "max_nodes"), lambda s, horizon=4, max_nodes=8:
-        RunsDocument(s.space.agents, horizon, translate(s.space, horizon, max_nodes))),
-    "--gen-system": ((SystemDocument,), ("horizon",), lambda y, horizon=4:
-        RunsDocument(y.histories.agents, horizon, generate_system(y.histories, horizon))),
-    "--run-protocol": ((ProtocolDocument,), ("horizon",), lambda p, horizon=4:
-        RunsDocument(p.protocol.agents, horizon, generate_runs(p.protocol, horizon))),
+    "--bundles": ((StrandSpace,), ("max_nodes",), lambda s, max_nodes=8:
+        BundlesDocument(enumerate_bundles(s, max_nodes))),
+    "--chains": ((StrandSpace,), ("horizon", "max_nodes"), lambda s, horizon=4, max_nodes=8:
+        ChainsDocument(s.agents, enumerate_chain_prefixes(s, horizon, max_nodes))),
+    "--translate": ((StrandSpace,), ("horizon", "max_nodes"), lambda s, horizon=4, max_nodes=8:
+        translate(s, horizon, max_nodes)),
+    "--gen-system": ((HistorySet,), ("horizon",), lambda y, horizon=4: generate_system(y, horizon)),
+    "--run-protocol": ((JointProtocol,), ("horizon",), lambda p, horizon=4:
+        generate_runs(p, horizon)),
 }
 
 
@@ -212,11 +203,8 @@ def _cmd_enumerate(args) -> int:
     return EXIT_OK
 
 
-def _equal(a: RunsDocument, b: RunsDocument) -> CheckResult:
-    # the declared horizons, since an empty run set has none of its own
-    if a.horizon != b.horizon:
-        raise InputError(f"horizon mismatch: {sorted({a.horizon, b.horizon})}")
-    report = systems_equal(a.runs, b.runs)
+def _equal(a: RunAutomaton, b: RunAutomaton) -> CheckResult:
+    report = systems_equal(a, b)
     if report.equal:
         return CheckResult("the two run sets are equal", True, ())
     side = "first" if report.only_in_a else "second"
@@ -224,14 +212,9 @@ def _equal(a: RunsDocument, b: RunsDocument) -> CheckResult:
     return CheckResult(f"run sets differ; only in {side} set: {witness}", False, ())
 
 
-def _history_preserving(s: SpaceDocument, r: RunsDocument, max_nodes=None) -> CheckResult:
+def _history_preserving(s: StrandSpace, r: RunAutomaton, max_nodes=None) -> CheckResult:
     """The verdict; the failures are printed above it, one a line."""
-    # the declared agents, since a run over other agents shares no history
-    # with any bundle
-    agents = sorted(set(r.agents))
-    if agents != list(s.space.agents):
-        raise InputError(f"agent mismatch: space {list(s.space.agents)}, runs {agents}")
-    report = check_history_preserving(s.space, r.runs, node_cap(s.space, max_nodes))
+    report = check_history_preserving(s, r, node_cap(s, max_nodes))
     if report.ok:
         return CheckResult("histories are preserved in both directions", True, ())
     for agent, history in report.clause1_failures:
@@ -247,22 +230,18 @@ def _history_preserving(s: SpaceDocument, r: RunsDocument, max_nodes=None) -> Ch
 # check's defaults are the check functions' own; --max-nodes defaults to
 # the node count of the space the check enumerates
 _CHECKS = {
-    "--equal": ((RunsDocument, RunsDocument), (), _equal),
-    "--history-preserving": ((SpaceDocument, RunsDocument), ("max_nodes",), _history_preserving),
-    "--theorem 1": ((SpaceDocument,), ("horizon", "max_nodes"),
-                    lambda s, **o: theorem_1(s.space, **o)),
-    "--theorem 2": ((SpaceDocument,), ("horizon", "max_nodes"),
-                    lambda s, **o: theorem_2(s.space, **o)),
-    "--theorem 3": ((SpaceDocument, SystemDocument), ("max_nodes",),
-                    lambda s, y, **o: theorem_3(s.space, y.histories, **o)),
-    "--theorem 4": ((SpaceDocument,), ("horizon", "max_nodes"),
-                    lambda s, **o: theorem_4(s.space, **o)),
-    "--theorem 5": ((SystemDocument,), ("horizon",), lambda y, **o: theorem_5(y.histories, **o)),
-    "--theorem 6": ((ProtocolDocument,), ("horizon",), lambda p, **o: theorem_6(p.protocol, **o)),
-    "--theorem 7": ((ProtocolDocument,), ("horizon", "max_nodes"),
-                    lambda p, **o: theorem_7(p.protocol, **o)),
-    "--lemma 1": ((SpaceDocument,), ("max_nodes",), lambda s, **o: lemma_1(s.space, **o)),
-    "--lemma 2": ((SpaceDocument,), ("max_nodes",), lambda s, **o: lemma_2(s.space, **o)),
+    "--equal": ((RunAutomaton, RunAutomaton), (), _equal),
+    "--history-preserving": ((StrandSpace, RunAutomaton), ("max_nodes",), _history_preserving),
+    "--theorem 1": ((StrandSpace,), ("horizon", "max_nodes"), lambda s, **o: theorem_1(s, **o)),
+    "--theorem 2": ((StrandSpace,), ("horizon", "max_nodes"), lambda s, **o: theorem_2(s, **o)),
+    "--theorem 3": ((StrandSpace, HistorySet), ("max_nodes",),
+                    lambda s, y, **o: theorem_3(s, y, **o)),
+    "--theorem 4": ((StrandSpace,), ("horizon", "max_nodes"), lambda s, **o: theorem_4(s, **o)),
+    "--theorem 5": ((HistorySet,), ("horizon",), lambda y, **o: theorem_5(y, **o)),
+    "--theorem 6": ((JointProtocol,), ("horizon",), lambda p, **o: theorem_6(p, **o)),
+    "--theorem 7": ((JointProtocol,), ("horizon", "max_nodes"), lambda p, **o: theorem_7(p, **o)),
+    "--lemma 1": ((StrandSpace,), ("max_nodes",), lambda s, **o: lemma_1(s, **o)),
+    "--lemma 2": ((StrandSpace,), ("max_nodes",), lambda s, **o: lemma_2(s, **o)),
 }
 
 

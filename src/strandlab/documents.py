@@ -1,31 +1,37 @@
 """Model-file parsing and serialization.
 
 One JSON schema family with a top-level "kind" covers every document the
-tools read or write:
+tools read or write.  A model file parses to its model, and the model
+dumps back to the file; bundles and chains, which have no model type of
+their own, parse to a `BundlesDocument` or `ChainsDocument`:
 
-  space / extended-space
+  space / extended-space                           -> StrandSpace
       {"kind", "messages": [...], "agents": [...],
        "strands": [{"id", "agent", "trace": ["+u", ...]}],
        "conflicts": [["s1", "s2"], ...]}        (conflicts optional)
-  system
+  system                                           -> HistorySet
       {"kind", "agents": [...], "histories": {agent: [["sent u", ...], ...]}}
-  protocol
+  protocol                                         -> JointProtocol
       {"kind", "messages": [...], "agents": {agent: spec}}
       spec ::= {"monotone": ["sent u", ...]}
              | {"union": [spec, ...]}
              | {"table": [{"history": [...], "actions": ["send u", ...]}],
                 "default": ["no-op"]}
-  runs
+  runs                                             -> RunAutomaton
       {"kind", "agents": [...], "horizon": T,
        "runs": [[{agent: ["sent u", ...]}, ...], ...]}
-  bundles
+  bundles                                          -> BundlesDocument
       {"kind", "bundles": [{"heights": {sid: h},
                             "edges": [[[sid, i], [sid, j]], ...]}]}
-  chains
+  chains                                           -> ChainsDocument
       {"kind", "agents": [...],
        "chains": [{"bundles": [...],
                    "steps": [{"f": {s: t},
                               "extensions": [{"agent", "strand", "event"}]}]}]}
+
+A space file's "messages" are checked, not kept: a space dumps the
+messages its strands use.  Every kind's agent names are kept sorted and
+without repeats.  A space with conflicts dumps as an extended-space.
 
 Signed terms render as "+u"/"-u", events as "sent u"/"recv u", actions as
 "send u"/"no-op".  Serialization is deterministic (sorted keys and
@@ -52,11 +58,11 @@ one.  An ill-formed space, history set or protocol raises its
 `IllFormedError`, listing every problem.  A space's conflict pairs that
 name an unknown strand or span two agents are the space's own problems,
 listed after its other ones, since the relation is a field of the
-`StrandSpace` (in the library as here).  A space document then lists its
+`StrandSpace` (in the library as here).  A space file then lists its
 declared messages that are not tokens and its undeclared messages, and a
-system document its agent names that are not tokens (theorem 5 makes
-strand ids of them) after the history set's problems.  A runs document
-may still break MP1-MP3.
+system file its agent names that are not tokens (theorem 5 makes strand
+ids of them) after the history set's problems.  A runs file may still
+break MP1-MP3.
 """
 
 from __future__ import annotations
@@ -107,30 +113,7 @@ def parse_action(s: Any) -> Action:
     raise SchemaError(f"expected an action like 'send u' or 'no-op', got {s!r}")
 
 
-# --- typed documents ----------------------------------------------------
-
-
-class SpaceDocument(NamedTuple):
-    space: StrandSpace
-    messages: tuple[str, ...]
-
-    @property
-    def kind(self) -> str:
-        return "space" if self.space.conflicts is None else "extended-space"
-
-
-class SystemDocument(NamedTuple):
-    histories: HistorySet
-
-
-class ProtocolDocument(NamedTuple):
-    protocol: JointProtocol
-
-
-class RunsDocument(NamedTuple):
-    agents: tuple[str, ...]
-    horizon: int
-    runs: RunAutomaton
+# --- documents without a model type -------------------------------------
 
 
 class BundlesDocument(NamedTuple):
@@ -143,12 +126,7 @@ class ChainsDocument(NamedTuple):
 
 
 Document = (
-    SpaceDocument
-    | SystemDocument
-    | ProtocolDocument
-    | RunsDocument
-    | BundlesDocument
-    | ChainsDocument
+    StrandSpace | HistorySet | JointProtocol | RunAutomaton | BundlesDocument | ChainsDocument
 )
 
 
@@ -214,7 +192,7 @@ def load_document(path) -> Document:
         raise SchemaError(f"cannot read {path}: {exc}") from exc
 
 
-def _parse_space(body: dict) -> SpaceDocument:
+def _parse_space(body: dict) -> StrandSpace:
     messages = _str_list(body.get("messages", []), "messages")
     agents = _str_list(body.get("agents", []), "agents")
     strands = []
@@ -238,7 +216,7 @@ def _parse_space(body: dict) -> SpaceDocument:
             )
             conflicts.append((pair[0], pair[1]))
     # the space's own problems first, its conflict pairs' among them, then
-    # the document's, which are found even when the space is ill formed
+    # the file's, which are found even when the space is ill formed
     try:
         space, problems = StrandSpace.of(strands, agents, assignment, conflicts), []
     except IllFormedError as exc:
@@ -248,10 +226,10 @@ def _parse_space(body: dict) -> SpaceDocument:
     problems += [f"undeclared message: {m}" for m in sorted(used - set(messages))]
     if problems:
         raise IllFormedError(problems)
-    return SpaceDocument(space=space, messages=tuple(sorted(set(messages))))
+    return space
 
 
-def _parse_system(body: dict) -> SystemDocument:
+def _parse_system(body: dict) -> HistorySet:
     agents = _str_list(body.get("agents", []), "agents")
     histories = _obj(body.get("histories", {}), "histories")
     mapping = {a: [()] for a in agents}
@@ -269,7 +247,7 @@ def _parse_system(body: dict) -> SystemDocument:
     problems += token_problems("agent", sorted(set(agents)))
     if problems:
         raise IllFormedError(problems)
-    return SystemDocument(histories=histories)
+    return histories
 
 
 def _parse_spec(raw: Any) -> ProtocolSpec:
@@ -297,18 +275,17 @@ def _parse_spec(raw: Any) -> ProtocolSpec:
     raise SchemaError("protocol spec needs one of: monotone, union, table")
 
 
-def _parse_protocol(body: dict) -> ProtocolDocument:
+def _parse_protocol(body: dict) -> JointProtocol:
     messages = _str_list(body.get("messages", []), "messages")
     agents = _obj(body.get("agents", {}), "agents")
     mapping = {agent: _parse_spec(spec) for agent, spec in agents.items()}
-    return ProtocolDocument(protocol=JointProtocol.of(mapping, messages))
+    return JointProtocol.of(mapping, messages)
 
 
-def _parse_runs(body: dict) -> RunsDocument:
-    agents = tuple(sorted(_str_list(body.get("agents", []), "agents")))
-    horizon = _nat(body.get("horizon"), "horizon")
-    keys = set(agents)
+def _parse_runs(body: dict) -> RunAutomaton:
+    keys = set(_str_list(body.get("agents", []), "agents"))
     names = sorted(keys)  # a state's agents: the declared ones without repeats
+    horizon = _nat(body.get("horizon"), "horizon")
     # each distinct event and state is built once, then shared
     events: dict[str, Event] = {}
     states: dict[tuple[tuple[str, ...], ...], GlobalState] = {}
@@ -322,7 +299,7 @@ def _parse_runs(body: dict) -> RunsDocument:
     def state(raw: Any) -> GlobalState:
         raw = _obj(raw, "global state")
         if raw.keys() != keys:
-            raise SchemaError(f"global state agents {sorted(raw)} != {list(agents)}")
+            raise SchemaError(f"global state agents {sorted(raw)} != {names}")
         histories = [raw[a] for a in names]
         _expect(all(type(h) is list for h in histories), "each history must be a list")
         key = tuple(map(tuple, histories))
@@ -356,7 +333,7 @@ def _parse_runs(body: dict) -> RunsDocument:
         previous = previous[:shared] + tuple(map(state, raw_run[shared:]))
         previous_raw = raw_run
         runs.append(RunPrefix(previous))
-    return RunsDocument(agents=agents, horizon=horizon, runs=RunAutomaton.of(runs))
+    return RunAutomaton.of(runs, names, horizon)
 
 
 def _parse_node(raw: Any) -> Node:
@@ -409,7 +386,7 @@ def _parse_step(raw: Any) -> StepWitness:
 
 
 def _parse_chains(body: dict) -> ChainsDocument:
-    agents = tuple(sorted(_str_list(body.get("agents", []), "agents")))
+    agents = tuple(sorted(set(_str_list(body.get("agents", []), "agents"))))
     # each distinct bundle and step is parsed once per spelling (the repr
     # of its JSON value), and equal values share one object
     parsed: dict[tuple[Callable, str], Any] = {}
@@ -498,34 +475,27 @@ def _dumps(body: dict, **nested: str) -> str:
     return _object_text(entries, 0) + "\n"
 
 
-def dump_space(doc: SpaceDocument) -> str:
+def dump_space(space: StrandSpace) -> str:
     body: dict = {
-        "kind": doc.kind,
-        "messages": sorted(doc.messages),
-        "agents": list(doc.space.agents),
+        "kind": "space" if space.conflicts is None else "extended-space",
+        "messages": sorted(space.messages()),
+        "agents": list(space.agents),
         "strands": [
-            {
-                "id": s.id,
-                "agent": doc.space.agent_of(s.id),
-                "trace": [str(t) for t in s.trace],
-            }
-            for s in doc.space.strands
+            {"id": s.id, "agent": space.agent_of(s.id), "trace": [str(t) for t in s.trace]}
+            for s in space.strands
         ],
     }
-    if doc.space.conflicts is not None:
-        body["conflicts"] = sorted([a, b] for a, b in doc.space.conflicts)
+    if space.conflicts is not None:
+        body["conflicts"] = sorted([a, b] for a, b in space.conflicts)
     return _dumps(body)
 
 
-def dump_system(doc: SystemDocument) -> str:
+def dump_system(hs: HistorySet) -> str:
     return _dumps(
         {
             "kind": "system",
-            "agents": list(doc.histories.agents),
-            "histories": {
-                a: [[str(e) for e in h] for h in doc.histories.histories(a)]
-                for a in doc.histories.agents
-            },
+            "agents": list(hs.agents),
+            "histories": {a: [[str(e) for e in h] for h in hs.histories(a)] for a in hs.agents},
         }
     )
 
@@ -547,8 +517,7 @@ def _spec_body(p: ProtocolSpec) -> dict:
     }
 
 
-def dump_protocol(doc: ProtocolDocument) -> str:
-    jp = doc.protocol
+def dump_protocol(jp: JointProtocol) -> str:
     return _dumps(
         {
             "kind": "protocol",
@@ -562,12 +531,12 @@ def _state_body(g: GlobalState) -> dict:
     return {a: [str(e) for e in h] for a, h in g.items()}
 
 
-def dump_runs(doc: RunsDocument) -> str:
+def dump_runs(runs: RunAutomaton) -> str:
     state = _shared_text(_state_body, 3)
-    runs = [_list_text([state(g) for g in run.states], 2) for run in doc.runs]
+    texts = [_list_text([state(g) for g in run.states], 2) for run in runs]
     return _dumps(
-        {"kind": "runs", "agents": list(doc.agents), "horizon": doc.horizon},
-        runs=_list_text(runs, 1),
+        {"kind": "runs", "agents": list(runs.agents), "horizon": runs.horizon},
+        runs=_list_text(texts, 1),
     )
 
 
@@ -616,10 +585,10 @@ def dump_chains(doc: ChainsDocument) -> str:
 
 
 _DUMPERS = {
-    SpaceDocument: dump_space,
-    SystemDocument: dump_system,
-    ProtocolDocument: dump_protocol,
-    RunsDocument: dump_runs,
+    StrandSpace: dump_space,
+    HistorySet: dump_system,
+    JointProtocol: dump_protocol,
+    RunAutomaton: dump_runs,
     BundlesDocument: dump_bundles,
     ChainsDocument: dump_chains,
 }

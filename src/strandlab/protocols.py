@@ -223,6 +223,7 @@ def generate_runs(
     return explore(
         [(GlobalState.empty(jp.agents), None)],
         lambda g, _: [(g2, None) for g2 in tau_step(jp, g)],
+        jp.agents,
         horizon,
         budget,
     )

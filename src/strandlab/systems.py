@@ -23,12 +23,16 @@ reading for comparison.
 A run set is a `RunAutomaton`, a layered DAG whose level-d nodes are
 the distinct (global state, search state) pairs that prefixes reach in d
 rounds; its paths from level 0 to the horizon are the run prefixes.
-Each node keeps its successors as one map from global state to node
-index, which serves iteration, membership and the walks alike.
-The prefix tree of a plain set of runs (`RunAutomaton.of`) is built by
+Like a system of the paper, it is a set of runs of fixed agents, and a
+run set with no runs still has its agents and its horizon (as many
+levels, all empty).  Each node keeps its successors as one map from
+global state to node index, which serves iteration, membership and the
+walks alike.  The prefix tree of a plain set of runs
+(`RunAutomaton.of`, given their agents and horizon) is built by
 inserting the runs one by one, each from the deepest node it shares with
 the run before it.  Every other automaton is an exploration: `explore`
-walks successors round by round.  History sets (`generate_system`) and
+walks successors round by round, and its caller names the agents and
+the horizon.  History sets (`generate_system`) and
 protocols (`protocols.generate_runs`) feed it `joint_round`: each agent
 stutters or appends one of its options, and MP2 filters the outcome.
 The runs passing a per-state and per-round condition
@@ -36,13 +40,15 @@ The runs passing a per-state and per-round condition
 another (`_only_in`) are explorations of an existing automaton.
 `mp_violations` is one such difference, the runs minus those passing
 MP1-MP3 (the other way round it is empty), with each condition decided
-once per distinct state or round; `systems_equal` takes both.
+once per distinct state or round; `systems_equal` takes both, after
+checking that the two horizons agree.
 Counts, membership, occurring states and least witnesses are read off
 nodes and edges; `RunPrefix` values are built only when a caller
 iterates a set.
 
 History preservation compares the histories of the occurring states
-with `bundles.agent_events` of every bundle, as per-agent multisets.
+with `bundles.agent_events` of every bundle, as per-agent multisets, for
+runs over the space's agents.
 """
 
 from __future__ import annotations
@@ -95,8 +101,11 @@ class RunPrefix(namedtuple("RunPrefix", "states")):
 
 
 class RunAutomaton(AbstractSet):
-    """A set of run prefixes of one horizon, as a layered DAG.
+    """A set of run prefixes of one horizon over fixed agents, as a
+    layered DAG.
 
+    ``agents`` are the sorted agent names and the horizon is the number
+    of levels of ``children``; both are kept when the set is empty.
     Level d holds the nodes a prefix can be in after d rounds.  Each node's
     successors are one map from global state to node index:
     ``children[d][i]`` maps node i of level d's successors to their indices
@@ -111,11 +120,13 @@ class RunAutomaton(AbstractSet):
 
     def __init__(
         self,
+        agents: tuple[str, ...],
         roots: dict[GlobalState, int],
         children: Sequence[Sequence[dict[GlobalState, int]]],
         accepts: Sequence[bool],
         budget: StateBudget,
     ):
+        self.agents = agents
         self.roots = roots
         self.children = children
         self.accepts = accepts
@@ -128,21 +139,20 @@ class RunAutomaton(AbstractSet):
         self._completions = completions
 
     @classmethod
-    def of(cls, runs: Iterable[RunPrefix]) -> "RunAutomaton":
-        """The prefix tree of a run set, built by inserting each run in
-        turn; an automaton is returned as is.  A run is inserted from the
-        deepest node it shares with the run before it, found by identity
-        of their leading state objects, so a list in which neighbours share
-        prefixes costs about one step per distinct prefix; in any order the
-        tree is the same, since below that node each state is looked up in
-        its parent's child map.  One budget tick per edge."""
-        if isinstance(runs, RunAutomaton):
-            return runs
-        runs = list(runs)
-        horizons = sorted({r.horizon for r in runs})
-        if len(horizons) > 1:
-            raise InputError(f"horizon mismatch: {horizons}")
-        horizon = horizons[0] if horizons else 0
+    def of(
+        cls, runs: Iterable[RunPrefix], agents: Iterable[str], horizon: int
+    ) -> "RunAutomaton":
+        """The prefix tree of a set of runs of the given agents and
+        horizon, built by inserting each run in turn.  A run is inserted
+        from the deepest node it shares with the run before it, found by
+        identity of their leading state objects, so a list in which
+        neighbours share prefixes costs about one step per distinct
+        prefix; in any order the tree is the same, since below that node
+        each state is looked up in its parent's child map.  One budget
+        tick per edge.  The states' agents are not compared with
+        ``agents``: a run over others fails MP1."""
+        if horizon < 0:
+            raise InputError("horizon must be non-negative")
         budget = StateBudget()
         # nodes[d][i]: the child map of node i of level d
         nodes: list[list[dict[GlobalState, int]]] = [[] for _ in range(horizon + 1)]
@@ -152,6 +162,8 @@ class RunAutomaton(AbstractSet):
         previous: tuple[GlobalState, ...] = ()
         for run in runs:
             states = run.states
+            if len(states) != horizon + 1:
+                raise InputError(f"horizon mismatch: {sorted({run.horizon, horizon})}")
             shared = 0
             for g, g0 in zip(states, previous):
                 if g is not g0:
@@ -170,7 +182,8 @@ class RunAutomaton(AbstractSet):
                     path[d + 1] = nodes[d][i]
             previous = states
         children = [[_sorted(kids) for kids in level] for level in nodes[:-1]]
-        return cls(_sorted(roots), children, [True] * len(nodes[-1]), budget)
+        agents = tuple(sorted(set(agents)))
+        return cls(agents, _sorted(roots), children, [True] * len(nodes[-1]), budget)
 
     @property
     def horizon(self) -> int:
@@ -245,6 +258,7 @@ class RunAutomaton(AbstractSet):
         return explore(
             kept(0, None, self.roots),
             lambda g, node: kept(node[0] + 1, g, self.children[node[0]][node[1]]),
+            self.agents,
             self.horizon,
             self.budget,
             accepts=lambda node: self.accepts[node[1]],
@@ -385,16 +399,14 @@ def check_mp(
     return MPReport(mp1=mp1, mp2=mp2_failure, mp3=mp3)
 
 
-def mp_violations(
-    universe: Iterable[str], agents: Iterable[str], runs: Iterable[RunPrefix]
-) -> RunAutomaton:
-    """The runs that fail MP1-MP3 (strong MP2).  MP1 and MP2 are decided
-    once per distinct global state and MP3 once per distinct round (pair
-    of states), however many automaton nodes and edges repeat them; only
-    the emptiness of the initial state depends on the time."""
-    runs = RunAutomaton.of(runs)
+def mp_violations(universe: Iterable[str], runs: RunAutomaton) -> RunAutomaton:
+    """The runs that fail MP1-MP3 (strong MP2), MP1 over the run set's
+    agents.  MP1 and MP2 are decided once per distinct global state and
+    MP3 once per distinct round (pair of states), however many automaton
+    nodes and edges repeat them; only the emptiness of the initial state
+    depends on the time."""
     universe = frozenset(universe)
-    agents = tuple(sorted(set(agents)))
+    agents = runs.agents
 
     @cache
     def mp1_mp2(g: GlobalState) -> bool:
@@ -437,13 +449,15 @@ def _sorted(kids: dict[GlobalState, int]) -> dict[GlobalState, int]:
 def explore(
     starts: Iterable[tuple[GlobalState, object]],
     successors: Callable[[GlobalState, object], Iterable[tuple[GlobalState, object]]],
+    agents: tuple[str, ...],
     horizon: int,
     budget: StateBudget | None = None,
     accepts: Callable[[object], bool] | None = None,
 ) -> RunAutomaton:
     """All run prefixes of exactly `horizon` rounds from the `starts`,
-    pairs of initial global state and search state, as an automaton whose
-    level-d nodes are the distinct pairs reached in d rounds.
+    pairs of initial global state and search state, as a run set over the
+    sorted ``agents`` whose level-d nodes are the distinct pairs reached
+    in d rounds.
     ``successors(g, search)`` lists pairs with distinct next global
     states, so paths and run prefixes correspond one to one, and each
     node's child map is built as its edges are added, then sorted once.
@@ -471,7 +485,7 @@ def explore(
         children.append(rows)
         level = nxt
     final = [accepts is None or accepts(search) for _, search in level]
-    return RunAutomaton(roots, children, final, budget)
+    return RunAutomaton(agents, roots, children, final, budget)
 
 
 def generate_system(
@@ -496,12 +510,14 @@ def generate_system(
         options = {a: nexts[a][h] for a, h in g.items()}
         return [(g2, None) for g2 in joint_round(g, options)]
 
-    return explore([(GlobalState.empty(hs.agents), None)], successors, horizon, budget)
+    return explore(
+        [(GlobalState.empty(hs.agents), None)], successors, hs.agents, horizon, budget
+    )
 
 
-def extract_histories(runs: Iterable[RunPrefix]) -> HistorySet:
+def extract_histories(runs: RunAutomaton) -> HistorySet:
     """All local histories occurring anywhere in the given runs."""
-    states = RunAutomaton.of(runs).occurring_states()
+    states = runs.occurring_states()
     if not states:
         raise InputError("cannot extract histories from an empty run set")
     acc: dict[str, set[History]] = {}
@@ -538,26 +554,24 @@ def _only_in(x: RunAutomaton, y: RunAutomaton) -> RunAutomaton:
     return explore(
         paired(0, x.roots, y.roots),
         successors,
+        x.agents,
         x.horizon,
         x.budget,
         accepts=lambda node: x.accepts[node[1]] and (node[2] is None or not y.accepts[node[2]]),
     )
 
 
-def systems_equal(
-    runs_a: Iterable[RunPrefix], runs_b: Iterable[RunPrefix]
-) -> EqualityReport:
-    """Set equality of two run-prefix sets at the same horizon.
+def systems_equal(a: RunAutomaton, b: RunAutomaton) -> EqualityReport:
+    """Set equality of two run sets of the same horizon, empty or not;
+    two horizons are an `InputError`.
 
-    A plain set first becomes its prefix tree.  The runs only in a and
-    only in b are automata read off the product of the two, so their sizes
-    come from path counts and their least runs from a descent, without
-    materializing either set."""
-    a, b = RunAutomaton.of(runs_a), RunAutomaton.of(runs_b)
-    if not a or not b:
-        return EqualityReport(equal=not a and not b, only_in_a=a, only_in_b=b)
+    The runs only in a and only in b are automata read off the product of
+    the two, so their sizes come from path counts and their least runs
+    from a descent, without materializing either set."""
     if a.horizon != b.horizon:
         raise InputError(f"horizon mismatch: {sorted({a.horizon, b.horizon})}")
+    if not a or not b:
+        return EqualityReport(equal=not a and not b, only_in_a=a, only_in_b=b)
     only_a, only_b = _only_in(a, b), _only_in(b, a)
     return EqualityReport(equal=not only_a and not only_b, only_in_a=only_a, only_in_b=only_b)
 
@@ -584,11 +598,15 @@ class HistoryPreservingReport(NamedTuple):
 
 def check_history_preserving(
     space,
-    runs: Iterable[RunPrefix],
+    runs: RunAutomaton,
     max_nodes: int,
     budget: StateBudget | None = None,
 ) -> HistoryPreservingReport:
-    """Compare run histories against bundle per-agent events, both ways."""
+    """Compare run histories against bundle per-agent events, both ways.
+    Runs over other agents than the space's are an `InputError`: they
+    share no history with any bundle."""
+    if runs.agents != space.agents:
+        raise InputError(f"agent mismatch: space {list(space.agents)}, runs {list(runs.agents)}")
     bundle_profiles: dict[tuple[str, tuple[Event, ...]], object] = {}
     for b in enumerate_bundles(space, max_nodes, budget=budget):
         for a, events in agent_events(space, b).items():
@@ -597,7 +615,7 @@ def check_history_preserving(
     # the least history per multiset, so the witnesses do not depend on
     # the order in which states are visited
     run_profiles: dict[tuple[str, tuple[Event, ...]], History] = {}
-    for g in RunAutomaton.of(runs).occurring_states():
+    for g in runs.occurring_states():
         for a, h in g.items():
             key = (a, _event_multiset(h))
             if key not in run_profiles or h < run_profiles[key]:

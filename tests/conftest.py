@@ -23,9 +23,9 @@ from strandlab.core import (
     sent,
     term_of,
 )
-from strandlab.documents import ChainsDocument, RunsDocument, load_document, parse_event
+from strandlab.documents import ChainsDocument, load_document, parse_event
 from strandlab.errors import IllFormedError
-from strandlab.systems import RunPrefix, check_mp
+from strandlab.systems import RunAutomaton, RunPrefix, check_mp
 
 FIXTURES = pathlib.Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -174,14 +174,19 @@ def with_drawn_conflicts(draw, space):
 
 
 @st.composite
-def small_spaces(draw):
+def small_spaces(draw, space_nodes: int = 12):
     """(space, max_nodes): 1-3 agents, 1-4 strands of 1-3 terms over
-    the messages u and v, and, in half the draws, a conflict relation of
-    same-agent strand pairs; max_nodes is at most 6 and the node count."""
+    the messages u and v, at most ``space_nodes`` nodes in all (the last
+    strands drawn shorter, or not at all), and, in half the draws, a
+    conflict relation of same-agent strand pairs; max_nodes is at most 6
+    and the node count.  At the default every draw fits."""
     agents = draw(st.lists(st.sampled_from("abc"), min_size=1, max_size=3, unique=True))
     strands, assignment = [], {}
     for i in range(draw(st.integers(1, 4))):
-        strands.append(Strand(f"s{i}", tuple(draw(st.lists(TERMS, min_size=1, max_size=3)))))
+        room = min(3, space_nodes - sum(len(s.trace) for s in strands))
+        if room < 1:
+            break
+        strands.append(Strand(f"s{i}", tuple(draw(st.lists(TERMS, min_size=1, max_size=room)))))
         assignment[f"s{i}"] = draw(st.sampled_from(agents))
     space = with_drawn_conflicts(draw, StrandSpace.of(strands, agents, assignment))
     max_nodes = draw(st.integers(0, min(6, space.node_count())))
@@ -253,16 +258,16 @@ def reference_parse_runs(text: str) -> frozenset[RunPrefix]:
 
 
 def reference_dump(doc) -> str:
-    """Reference dump of a runs or chains document: the whole body built
+    """Reference dump of a run set or chains document: the whole body built
     run by run or chain by chain, then one `json.dumps`."""
-    if isinstance(doc, RunsDocument):
+    if isinstance(doc, RunAutomaton):
         body = {
             "kind": "runs",
             "agents": list(doc.agents),
             "horizon": doc.horizon,
             "runs": [
                 [{a: [str(e) for e in h] for a, h in g.items()} for g in run.states]
-                for run in sorted(doc.runs)
+                for run in sorted(doc)
             ],
         }
     else:

@@ -52,7 +52,7 @@ def cases() -> list[list[str]]:
 
     argvs = [["validate", _path(f)] for f in FIXTURES]
     for s in SPACES:
-        nodes = str(load_document(ROOT / _path(s)).space.node_count())
+        nodes = str(load_document(ROOT / _path(s)).node_count())
         argvs.append(["enumerate", _path(s), "--bundles"])
         argvs.append(["enumerate", _path(s), "--bundles", "--max-nodes", nodes])
         for check in (["--lemma", "1"], ["--lemma", "2"], ["--theorem", "1"], ["--theorem", "2"]):

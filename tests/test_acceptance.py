@@ -45,7 +45,7 @@ def report(num: int, name: str, ok: bool) -> None:
 
 
 def test_criterion_01_bundle_axiom_attribution(r1_space, r1_t5_space):
-    space = r1_space.space
+    space = r1_space
     exchange = Bundle.of(
         {"s12": 2, "s21": 2},
         [(Node("s12", 1), Node("s21", 1)), (Node("s21", 2), Node("s12", 2))],
@@ -73,17 +73,17 @@ def test_criterion_01_bundle_axiom_attribution(r1_space, r1_t5_space):
 
     # pair two conflicting strands -> exactly B5
     conflicted = Bundle.of({"2__sent-u": 1, "2__sent-x": 1})
-    ok = ok and validate_bundle(r1_t5_space.space, conflicted).failed_axioms() == ("B5",)
+    ok = ok and validate_bundle(r1_t5_space, conflicted).failed_axioms() == ("B5",)
     # and the same bundle is fine for every other axiom
-    ok = ok and validate_bundle(r1_t5_space.space.without_conflicts(), conflicted).ok
+    ok = ok and validate_bundle(r1_t5_space.without_conflicts(), conflicted).ok
 
     report(1, "bundle axioms with exact attribution", ok)
 
 
 def test_criterion_02_states_and_bundles_correspond(ping_space, r1_space, nack_space):
     ok = True
-    for doc in (ping_space, r1_space, nack_space):
-        ident = doc.space.with_identity_assignment()
+    for space in (ping_space, r1_space, nack_space):
+        ident = space.with_identity_assignment()
         runs = translate(ident, 4, 8)
         states = {g for run in runs for g in run.states}
         bundles = enumerate_bundles(ident, 8)
@@ -98,27 +98,27 @@ def test_criterion_02_states_and_bundles_correspond(ping_space, r1_space, nack_s
 
 def test_criterion_03_chain_height_bound(r1_space, r1_t5_space, nack_space, ping_space):
     ok = True
-    for doc, max_nodes in (
+    for space, max_nodes in (
         (r1_space, 8),
         (r1_t5_space, 8),
         (nack_space, 6),
         (ping_space, 2),
     ):
-        for chain in enumerate_chain_prefixes(doc.space, 5, max_nodes):
+        for chain in enumerate_chain_prefixes(space, 5, max_nodes):
             n = chain.length
-            ok = ok and bundle_height(doc.space, chain.final()) <= 2 * n
+            ok = ok and bundle_height(space, chain.final()) <= 2 * n
     report(3, "chain of length n never exceeds height 2n", ok)
 
 
 def test_criterion_04_every_bundle_reachable(r1_space, r1_t5_space, nack_space, ping_space):
     ok = True
-    for doc, max_nodes in (
+    for space, max_nodes in (
         (r1_space, 8),
         (r1_t5_space, 8),
         (nack_space, 6),
         (ping_space, 2),
     ):
-        ident = doc.space.with_identity_assignment()
+        ident = space.with_identity_assignment()
         dist = bundle_distances(ident, max_nodes)
         for bundle in enumerate_bundles(ident, max_nodes):
             ok = ok and dist.get(bundle, max_nodes + 1) <= bundle.node_count()
@@ -131,13 +131,9 @@ def test_criterion_05_strand_system_property(
 ):
     ok = True
     sources = []
-    for doc in (r1_space, nack_space, ping_space, r1_t5_space):
-        universe = doc.space.messages()
-        agents = doc.space.agents
-        runs = translate(doc.space, 6, 8)
-        sources.append((universe, agents, runs))
-    for doc in (nack_protocol, r1_choice_protocol, u1u2u3_protocol):
-        jp = doc.protocol
+    for space in (r1_space, nack_space, ping_space, r1_t5_space):
+        sources.append((space.messages(), space.agents, translate(space, 6, 8)))
+    for jp in (nack_protocol, r1_choice_protocol, u1u2u3_protocol):
         sources.append((frozenset(jp.messages), jp.agents, generate_runs(jp, 6)))
     for universe, agents, runs in sources:
         ok = ok and all(check_mp(universe, agents, run).ok for run in runs)
@@ -147,36 +143,36 @@ def test_criterion_05_strand_system_property(
 
 
 def test_criterion_06_history_preservation_fails_on_interleaving(r1_space, r1_system):
-    runs8 = generate_system(r1_system.histories, 8)
-    hp = check_history_preserving(r1_space.space, runs8, max_nodes=8)
+    runs8 = generate_system(r1_system, 8)
+    hp = check_history_preserving(r1_space, runs8, max_nodes=8)
     ok = not hp.clause1_failures
     ok = ok and any(
         agent == "2" and len(events) == 4
         for agent, _, events in hp.clause2_failures
     )
-    eq = systems_equal(translate(r1_space.space, 8, 8), runs8)
+    eq = systems_equal(translate(r1_space, 8, 8), runs8)
     ok = ok and not eq.equal and not eq.only_in_b and bool(eq.only_in_a)
     report(6, "natural relay space strictly outruns the intended system", ok)
 
 
 def test_criterion_07_system_space_round_trip(r1_system, nack_system):
     ok = True
-    for doc in (r1_system, nack_system):
-        space = extended_space_from_system(doc.histories)
+    for hs in (r1_system, nack_system):
+        space = extended_space_from_system(hs)
         translated = translate(space, 5, space.node_count())
-        ok = ok and translated == generate_system(doc.histories, 5)
+        ok = ok and translated == generate_system(hs, 5)
     report(7, "history-set construction round-trips through translation", ok)
 
 
 def test_criterion_08_monotone_round_trip_and_nack_gap(
     u1u2u3_protocol, nack_protocol, nack_space
 ):
-    jp = u1u2u3_protocol.protocol
+    jp = u1u2u3_protocol
     space = space_from_monotone(jp)
     ok = translate(space, 6, 8) == generate_runs(jp, 6)
 
-    naive = translate(nack_space.space, 6, 6)
-    eq = systems_equal(naive, generate_runs(nack_protocol.protocol, 6))
+    naive = translate(nack_space, 6, 6)
+    eq = systems_equal(naive, generate_runs(nack_protocol, 6))
     anomaly = (recv("u"), sent("ack"), sent("nack"))
     ok = ok and not eq.equal
     ok = ok and any(

@@ -25,18 +25,18 @@ def graph_cost(space, max_nodes) -> int:
 
 def test_enumerate_bundles(r1_space):
     with pytest.raises(BudgetExceededError):
-        enumerate_bundles(r1_space.space, 8, budget=StateBudget(5))
+        enumerate_bundles(r1_space, 8, budget=StateBudget(5))
 
 
 def test_step_graph_cold(r1_space, cold_cache):
     with pytest.raises(BudgetExceededError):
-        step_graph(r1_space.space, 8, StateBudget(5))
+        step_graph(r1_space, 8, StateBudget(5))
 
 
 def test_step_graph_successor_phase(r1_space, cold_cache):
     # one tick per candidate bundle built: a limit of k raises at the next
     # candidate, after exactly k ticks
-    space = r1_space.space
+    space = r1_space
     cost = graph_cost(space, 8)
     graph = step_graph(space, 8)
     assert cost >= sum(len(succ) for succ in graph.successors.values())
@@ -54,36 +54,36 @@ def test_step_graph_successor_phase(r1_space, cold_cache):
 
 def test_step_graph_cache_hit_is_charged(r1_space, cold_cache):
     cold = StateBudget()
-    step_graph(r1_space.space, 8, cold)
+    step_graph(r1_space, 8, cold)
     warm = StateBudget()
-    graph = step_graph(r1_space.space, 8, warm)
+    graph = step_graph(r1_space, 8, warm)
     assert len(graph.bundles) == 25
     assert warm.used == cold.used > 0
     with pytest.raises(BudgetExceededError):
-        step_graph(r1_space.space, 8, StateBudget(5))
+        step_graph(r1_space, 8, StateBudget(5))
 
 
 def test_translate(r1_space):
     # enough for the step graph, not for the runs at horizon 4
-    budget = StateBudget(graph_cost(r1_space.space, 8) + 10)
+    budget = StateBudget(graph_cost(r1_space, 8) + 10)
     with pytest.raises(BudgetExceededError):
-        translate(r1_space.space, 4, 8, budget=budget)
+        translate(r1_space, 4, 8, budget=budget)
 
 
 def test_enumerate_chain_prefixes(r1_space):
-    budget = StateBudget(graph_cost(r1_space.space, 8) + 10)
+    budget = StateBudget(graph_cost(r1_space, 8) + 10)
     with pytest.raises(BudgetExceededError):
-        enumerate_chain_prefixes(r1_space.space, 4, 8, budget=budget)
+        enumerate_chain_prefixes(r1_space, 4, 8, budget=budget)
 
 
 def test_generate_system(r1_system):
     with pytest.raises(BudgetExceededError):
-        generate_system(r1_system.histories, 6, budget=StateBudget(10))
+        generate_system(r1_system, 6, budget=StateBudget(10))
 
 
 def test_generate_runs(nack_protocol):
     with pytest.raises(BudgetExceededError):
-        generate_runs(nack_protocol.protocol, 6, budget=StateBudget(10))
+        generate_runs(nack_protocol, 6, budget=StateBudget(10))
 
 
 def test_cli_budget_error_is_a_usage_error(monkeypatch, capsys):
@@ -110,8 +110,8 @@ def test_translate_materialization(r1_space):
     # building the automaton fits; yielding its 75,115 runs, one tick each,
     # does not
     cost = StateBudget()
-    translate(r1_space.space, 8, 8, budget=cost)
-    runs = translate(r1_space.space, 8, 8, budget=StateBudget(cost.used + 10))
+    translate(r1_space, 8, 8, budget=cost)
+    runs = translate(r1_space, 8, 8, budget=StateBudget(cost.used + 10))
     assert len(runs) == 75_115
     with pytest.raises(BudgetExceededError):
         for _ in runs:

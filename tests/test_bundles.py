@@ -60,18 +60,18 @@ def longest_path_oracle(space, bundle) -> int:
 class TestValidateBundle:
     def test_empty_bundle_passes(self, r1_space):
         # [TRIVIAL] all axioms are vacuous
-        assert validate_bundle(r1_space.space, EMPTY_BUNDLE).ok
+        assert validate_bundle(r1_space, EMPTY_BUNDLE).ok
 
     def test_relay_exchange_passes(self, r1_space):
         # [PAPER] the u-then-v exchange picture
-        assert validate_bundle(r1_space.space, r1_exchange_bundle()).ok
+        assert validate_bundle(r1_space, r1_exchange_bundle()).ok
 
     def test_unmatched_receive_fails_b2(self, r1_space):
         # [TRIVIAL] dropping the v edge leaves <s12,2> without a sender
         bundle = Bundle.of(
             {"s12": 2, "s21": 2}, [(Node("s12", 1), Node("s21", 1))]
         )
-        report = validate_bundle(r1_space.space, bundle)
+        report = validate_bundle(r1_space, bundle)
         assert report.failed_axioms() == ("B2",)
         assert any("s12,2" in msg for _, msg in report.problems)
 
@@ -106,27 +106,27 @@ class TestValidateBundle:
 
     def test_conflicting_strands_fail_b5(self, r1_t5_space):
         bundle = Bundle.of({"2__sent-u": 1, "2__sent-x": 1})
-        report = validate_bundle(r1_t5_space.space, bundle)
+        report = validate_bundle(r1_t5_space, bundle)
         assert report.failed_axioms() == ("B5",) and report.checked_b5
 
     def test_b5_not_checked_without_conf(self, r1_t5_space):
         bundle = Bundle.of({"2__sent-u": 1, "2__sent-x": 1})
-        report = validate_bundle(r1_t5_space.space.without_conflicts(), bundle)
+        report = validate_bundle(r1_t5_space.without_conflicts(), bundle)
         assert report.ok and not report.checked_b5
 
     def test_unknown_strand_is_an_input_error(self, r1_space):
         with pytest.raises(InputError):
-            validate_bundle(r1_space.space, Bundle.of({"ghost": 1}))
+            validate_bundle(r1_space, Bundle.of({"ghost": 1}))
 
 
 class TestHeights:
     def test_empty_bundle_height(self, r1_space):
         # [TRIVIAL]
-        assert bundle_height(r1_space.space, EMPTY_BUNDLE) == 0
+        assert bundle_height(r1_space, EMPTY_BUNDLE) == 0
 
     def test_exchange_height(self, r1_space):
         # [DERIVED] longest causal path over 4 nodes has 3 edges
-        assert bundle_height(r1_space.space, r1_exchange_bundle()) == 3
+        assert bundle_height(r1_space, r1_exchange_bundle()) == 3
 
     def test_single_send_height(self):
         # [TRIVIAL] one node, no edges
@@ -134,40 +134,40 @@ class TestHeights:
         assert bundle_height(space, Bundle.of({"s": 1})) == 0
 
     def test_height_matches_oracle_on_all_relay_bundles(self, r1_space):
-        for bundle in enumerate_bundles(r1_space.space, 8):
-            assert bundle_height(r1_space.space, bundle) == longest_path_oracle(
-                r1_space.space, bundle
+        for bundle in enumerate_bundles(r1_space, 8):
+            assert bundle_height(r1_space, bundle) == longest_path_oracle(
+                r1_space, bundle
             )
 
     def test_invalid_bundle_rejected(self, r1_space):
         with pytest.raises(InputError):
-            bundle_height(r1_space.space, Bundle.of({"s21": 1}))
+            bundle_height(r1_space, Bundle.of({"s21": 1}))
 
     def test_strand_height(self, r1_space):
         bundle = r1_exchange_bundle()
-        assert strand_height(r1_space.space, EMPTY_BUNDLE, "s12") == 0
-        assert strand_height(r1_space.space, bundle, "s12") == 2
-        assert strand_height(r1_space.space, bundle, "s23") == 0
+        assert strand_height(r1_space, EMPTY_BUNDLE, "s12") == 0
+        assert strand_height(r1_space, bundle, "s12") == 2
+        assert strand_height(r1_space, bundle, "s23") == 0
         with pytest.raises(InputError):
-            strand_height(r1_space.space, bundle, "ghost")
+            strand_height(r1_space, bundle, "ghost")
 
 
 class TestEnumerateBundles:
     def test_max_nodes_zero(self, r1_space):
         # [TRIVIAL]
-        assert enumerate_bundles(r1_space.space, 0) == (EMPTY_BUNDLE,)
+        assert enumerate_bundles(r1_space, 0) == (EMPTY_BUNDLE,)
 
     def test_full_exchange_bundle_present(self, r1_space):
         # [PAPER] a bundle containing all eight signed terms exists
-        bundles = enumerate_bundles(r1_space.space, 8)
+        bundles = enumerate_bundles(r1_space, 8)
         full = [b for b in bundles if b.node_count() == 8]
         assert len(full) == 1
-        terms = sorted(str(term_of(r1_space.space, n)) for n in full[0].nodes())
+        terms = sorted(str(term_of(r1_space, n)) for n in full[0].nodes())
         assert terms == ["+u", "+v", "+x", "+y", "-u", "-v", "-x", "-y"]
 
     def test_conflict_relation_filters(self, r1_t5_space):
         # [DERIVED] no bundle mixes agent 2's u-side and x-side strands
-        bundles = enumerate_bundles(r1_t5_space.space, 8)
+        bundles = enumerate_bundles(r1_t5_space, 8)
         for bundle in bundles:
             active = set(bundle.active_strands())
             assert not (
@@ -176,13 +176,13 @@ class TestEnumerateBundles:
             )
 
     def test_all_results_validate(self, r1_space, nack_space, r1_t5_space):
-        for doc in (r1_space, nack_space, r1_t5_space):
-            for bundle in enumerate_bundles(doc.space, 6):
-                assert validate_bundle(doc.space, bundle).ok
+        for space in (r1_space, nack_space, r1_t5_space):
+            for bundle in enumerate_bundles(space, 6):
+                assert validate_bundle(space, bundle).ok
 
     def test_enumeration_is_deterministic(self, nack_space):
-        first = enumerate_bundles(nack_space.space, 6)
-        second = enumerate_bundles(nack_space.space, 6)
+        first = enumerate_bundles(nack_space, 6)
+        second = enumerate_bundles(nack_space, 6)
         assert first == second
 
     def test_distinct_matchings_are_distinct_bundles(self):
@@ -238,7 +238,7 @@ class TestEnumerateBundles:
             ("ring", 4): (ring_space(4), 47, 47),
             ("ring", 5): (ring_space(5), 123, 123),
             ("ring", 6): (ring_space(6), 322, 322),
-            ("r1_t5", 12): (r1_t5_space.space, 19, 19),
+            ("r1_t5", 12): (r1_t5_space, 19, 19),
             ("cycle", 4): (cycle, 1, 1),
         }
         for case, (space, bundles, ticks) in expected.items():
@@ -251,13 +251,13 @@ class TestEnumerateBundles:
 
 class TestMessageEquivalence:
     def test_empty_against_empty(self, ping_space):
-        ident = ping_space.space.with_identity_assignment()
+        ident = ping_space.with_identity_assignment()
         g = GlobalState.empty(ident.agents)
         assert message_equivalent(ident, g, EMPTY_BUNDLE)
 
     def test_relay_exchange_state(self, r1_space):
         # [PAPER] the u/v exchange run matches the exchange bundle
-        ident = r1_space.space.with_identity_assignment()
+        ident = r1_space.with_identity_assignment()
         g = GlobalState.of(
             {
                 "s12": (sent("u"), recv("v")),
@@ -271,9 +271,9 @@ class TestMessageEquivalence:
         assert not message_equivalent(ident, g, EMPTY_BUNDLE)
 
     def test_requires_identity_assignment(self, r1_space):
-        g = GlobalState.empty(r1_space.space.agents)
+        g = GlobalState.empty(r1_space.agents)
         with pytest.raises(InputError):
-            message_equivalent(r1_space.space, g, EMPTY_BUNDLE)
+            message_equivalent(r1_space, g, EMPTY_BUNDLE)
 
     def test_invariant_under_rematching(self):
         space = StrandSpace.identity(

@@ -65,14 +65,14 @@ def r1_exchange_chain(space) -> ChainPrefix:
 class TestCheckStep:
     def test_stuttering_step(self, r1_space):
         # [TRIVIAL] every bundle steps to itself with no extensions
-        for bundle in enumerate_bundles(r1_space.space, 8):
-            witness = check_step(r1_space.space, bundle, bundle)
+        for bundle in enumerate_bundles(r1_space, 8):
+            witness = check_step(r1_space, bundle, bundle)
             assert witness is not None
             assert witness.extensions == ()
 
     def test_first_send_extension(self, r1_space):
         # [PAPER] extending by a +u node performs sent(u)
-        witness = check_step(r1_space.space, EMPTY_BUNDLE, Bundle.of({"s12": 1}))
+        witness = check_step(r1_space, EMPTY_BUNDLE, Bundle.of({"s12": 1}))
         assert witness is not None
         assert witness.extensions == (("2", "s12", sent("u")),)
 
@@ -89,7 +89,7 @@ class TestCheckStep:
         b2 = Bundle.of(
             {"s12": 1, "s21": 2}, [(Node("s12", 1), Node("s21", 1))]
         )
-        assert check_step(r1_space.space, EMPTY_BUNDLE, b2) is None
+        assert check_step(r1_space, EMPTY_BUNDLE, b2) is None
 
     def test_edge_preservation_required(self):
         # two senders of u; the receive must keep its original sender
@@ -117,12 +117,12 @@ class TestStepGraph:
         # enumerated bundles: same bundles, successors, order and witnesses;
         # its distances against a breadth-first search over its successors
         cases = [
-            r1_space.space,
-            r1_t5_space.space,
-            nack_space.space,
-            ping_space.space,
-            r1_space.space.with_identity_assignment(),
-            nack_space.space.with_identity_assignment(),
+            r1_space,
+            r1_t5_space,
+            nack_space,
+            ping_space,
+            r1_space.with_identity_assignment(),
+            nack_space.with_identity_assignment(),
             ring_space(3),
             prefix_jump_space(),
             relay_space(3),
@@ -198,7 +198,7 @@ class TestStepGraph:
             assert budget.used == edges, (family, size)
 
     def test_each_bundle_is_one_object(self, nack_space, cold_cache):
-        graph = step_graph(nack_space.space, 6)
+        graph = step_graph(nack_space, 6)
         shared = {b: b for b in graph.bundles}
         for succ in graph.successors.values():
             for b2, _ in succ:
@@ -206,7 +206,7 @@ class TestStepGraph:
         assert graph.distance == bfs_distances(graph)
 
     def test_negative_max_nodes(self, ping_space):
-        space = ping_space.space
+        space = ping_space
         for call in (step_graph, bundle_distances):
             with pytest.raises(InputError):
                 call(space, -1)
@@ -217,20 +217,20 @@ class TestStepGraph:
 class TestChainEnumeration:
     def test_horizon_zero(self, r1_space):
         # [TRIVIAL]
-        chains = enumerate_chain_prefixes(r1_space.space, 0, 8)
+        chains = enumerate_chain_prefixes(r1_space, 0, 8)
         assert len(chains) == 1
         assert chains[0].bundles == (EMPTY_BUNDLE,)
 
     def test_exchange_reachable_in_four_steps(self, r1_space):
         # [DERIVED] a chain of four single extensions ends in the full exchange
-        chain = r1_exchange_chain(r1_space.space)
+        chain = r1_exchange_chain(r1_space)
         final = chain.final()
-        chains = enumerate_chain_prefixes(r1_space.space, 4, 8)
+        chains = enumerate_chain_prefixes(r1_space, 4, 8)
         assert any(c.final() == final for c in chains)
 
     def test_conflicts_respected(self, r1_t5_space):
         # [DERIVED] no chain activates two conflicting agent-2 strands
-        chains = enumerate_chain_prefixes(r1_t5_space.space, 3, 6)
+        chains = enumerate_chain_prefixes(r1_t5_space, 3, 6)
         for chain in chains:
             for bundle in chain.bundles:
                 active = set(bundle.active_strands())
@@ -239,7 +239,7 @@ class TestChainEnumeration:
                 assert not (u_side and x_side)
 
     def test_per_step_growth_bounds(self, nack_space):
-        space = nack_space.space
+        space = nack_space
         for chain in enumerate_chain_prefixes(space, 3, 6):
             for m in range(chain.length):
                 for agent in space.agents:
@@ -251,17 +251,17 @@ class TestChainEnumeration:
 class TestHistAndRun:
     def test_hist_at_zero(self, r1_space):
         # [TRIVIAL]
-        chain = r1_exchange_chain(r1_space.space)
+        chain = r1_exchange_chain(r1_space)
         assert hist(chain, "1", 0) == ()
 
     def test_exchange_histories(self, r1_space):
         # [PAPER] agent 2 ends with sent(u), recv(v); agent 3 stays empty
-        chain = r1_exchange_chain(r1_space.space)
+        chain = r1_exchange_chain(r1_space)
         assert hist(chain, "2", 4) == (sent("u"), recv("v"))
         assert hist(chain, "3", 4) == ()
 
     def test_hist_bounds(self, r1_space):
-        chain = r1_exchange_chain(r1_space.space)
+        chain = r1_exchange_chain(r1_space)
         with pytest.raises(InputError):
             hist(chain, "2", 5)
         with pytest.raises(InputError):
@@ -269,7 +269,7 @@ class TestHistAndRun:
 
     def test_stuttering_run(self, ping_space):
         # [TRIVIAL] a stutter-only chain yields identical empty states
-        space = ping_space.space
+        space = ping_space
         chain = build_chain(space, [EMPTY_BUNDLE] * 4)
         run = run_from_chain(chain)
         assert len(run.states) == 4
@@ -278,7 +278,7 @@ class TestHistAndRun:
     def test_anomalous_interleaving(self, nack_space):
         # [PAPER] mixing the two same-agent strands yields the history
         # recv(u), sent(ack), sent(nack)
-        space = nack_space.space
+        space = nack_space
         b1 = Bundle.of({"s1": 1})
         b2 = Bundle.of({"s1": 1, "s2a": 1}, [(Node("s1", 1), Node("s2a", 1))])
         b3 = Bundle.of({"s1": 1, "s2a": 2}, [(Node("s1", 1), Node("s2a", 1))])
@@ -293,25 +293,25 @@ class TestHistAndRun:
 class TestTranslate:
     def test_horizon_zero(self, ping_space):
         # [TRIVIAL]
-        runs = translate(ping_space.space, 0, 2)
+        runs = translate(ping_space, 0, 2)
         assert len(runs) == 1
 
     def test_four_event_history_reachable_naturally(self, r1_space):
         # [PAPER] the natural relay space lets agent 2 interleave both pairs
-        runs = translate(r1_space.space, 8, 8)
+        runs = translate(r1_space, 8, 8)
         target = (sent("u"), recv("v"), sent("x"), recv("y"))
         assert any(run.final().history("2") == target for run in runs)
 
     def test_conflicts_block_four_events(self, r1_t5_space):
         # [DERIVED] with conflicts, agent 2 never reaches four events
-        runs = translate(r1_t5_space.space, 8, 12)
+        runs = translate(r1_t5_space, 8, 12)
         assert all(
             len(g.history("2")) <= 2 for run in runs for g in run.states
         )
 
     def test_translated_runs_satisfy_mp(self, nack_space):
         # the computational core of the strand-system theorem
-        space = nack_space.space
+        space = nack_space
         for run in translate(space, 5, 6):
             assert check_mp(space.messages(), space.agents, run).ok
 
@@ -319,8 +319,7 @@ class TestTranslate:
         self, nack_space, r1_space, r1_t5_space
     ):
         # the explorer against reading off every chain, conflicts included
-        for doc in (nack_space, r1_space, r1_t5_space):
-            space = doc.space
+        for space in (nack_space, r1_space, r1_t5_space):
             n = space.node_count()
             via_chains = {
                 run_from_chain(c) for c in enumerate_chain_prefixes(space, 3, n)
@@ -332,13 +331,13 @@ class TestLemmaBounds:
     def test_height_at_most_twice_distance(self, r1_space, nack_space):
         from strandlab.bundles import bundle_height
 
-        for doc in (r1_space, nack_space):
-            dist = bundle_distances(doc.space, 8)
+        for space in (r1_space, nack_space):
+            dist = bundle_distances(space, 8)
             for bundle, d in dist.items():
-                assert bundle_height(doc.space, bundle) <= 2 * d
+                assert bundle_height(space, bundle) <= 2 * d
 
     def test_identity_reachability_within_node_count(self, nack_space):
-        ident = nack_space.space.with_identity_assignment()
+        ident = nack_space.with_identity_assignment()
         dist = bundle_distances(ident, 6)
         for bundle in enumerate_bundles(ident, 6):
             assert bundle in dist

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 
 from strandlab.cli import main
-from strandlab.documents import RunsDocument, dump_document, load_document
+from strandlab.documents import dump_document, load_document
 from strandlab.systems import RunAutomaton
 
 from conftest import fixture_path, reference_validate_runs, run_sets
@@ -283,9 +283,7 @@ class TestValidateRuns:
     @settings(max_examples=100, deadline=None)
     def test_drawn_run_sets(self, drawn):
         agents, horizon, runs = drawn
-        text = dump_document(
-            RunsDocument(agents=agents, horizon=horizon, runs=RunAutomaton.of(runs))
-        )
+        text = dump_document(RunAutomaton.of(runs, agents, horizon))
         code, out = validate_stdout(text)
         assert out == reference_validate_runs(text)
         assert code == (0 if out == "ok\n" else 1)
@@ -294,7 +292,7 @@ class TestValidateRuns:
         path = tmp_path / "runs.json"
         run_cli("enumerate", fixture_path("nack_system"), "--gen-system", "--horizon", 3, "--out", path)
         # enough for parsing, so the budget runs out in the MP check
-        parse_cost = load_document(path).runs.budget.used
+        parse_cost = load_document(path).budget.used
         monkeypatch.setenv("STRANDLAB_MAX_STATES", str(parse_cost))
         capsys.readouterr()
         assert run_cli("validate", path) == 2
@@ -537,6 +535,15 @@ class TestCheck:
         assert run_cli("check", "--history-preserving", fixture_path("ping_space"), runs) == 2
         assert capsys.readouterr() == (
             "", "error: agent mismatch: space ['a', 'b'], runs ['zz']\n"
+        )
+
+    def test_theorem_3_compares_agents(self, capsys):
+        # theorem 3 checks history preservation on the system's runs, so a
+        # system of other agents is refused in the same words
+        space, system = fixture_path("r1_space"), fixture_path("nack_system")
+        assert run_cli("check", "--theorem", 3, space, system) == 2
+        assert capsys.readouterr() == (
+            "", "error: agent mismatch: space ['1', '2', '3'], runs ['1', '2']\n"
         )
 
     def test_history_preserving_pass(self, tmp_path, capsys):

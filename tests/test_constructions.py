@@ -38,7 +38,7 @@ class TestExtendedSpaceFromSystem:
     def test_relay_system_shape(self, r1_system):
         # [PAPER] agents 1 and 3 contribute two strands each, agent 2 four;
         # agent 2's strands are pairwise conflicting
-        space = extended_space_from_system(r1_system.histories)
+        space = extended_space_from_system(r1_system)
         by_agent = {
             a: sorted(s.id for s in space.strands_of(a))
             for a in space.agents
@@ -53,8 +53,8 @@ class TestExtendedSpaceFromSystem:
     def test_outputs_are_well_formed(self, r1_system, nack_system):
         # the space is well formed, or building it would have raised; its
         # conflict pairs each join two strands of one agent
-        for doc in (r1_system, nack_system):
-            space = extended_space_from_system(doc.histories)
+        for hs in (r1_system, nack_system):
+            space = extended_space_from_system(hs)
             assert space.conflicts
             assert all(space.agent_of(a) == space.agent_of(b) for a, b in space.conflicts)
 
@@ -88,7 +88,7 @@ class TestMonotoneComponents:
 
     def test_table_rejected(self, nack_protocol):
         with pytest.raises(InputError):
-            monotone_components(nack_protocol.protocol.spec("2"))
+            monotone_components(nack_protocol.spec("2"))
 
 
 class TestSpaceFromMonotone:
@@ -109,7 +109,7 @@ class TestSpaceFromMonotone:
     def test_three_message_exchange(self, u1u2u3_protocol):
         # [PAPER] each agent gets its full sequence plus one receive strand
         # per message
-        space = space_from_monotone(u1u2u3_protocol.protocol)
+        space = space_from_monotone(u1u2u3_protocol)
         traces = {s.id: s.trace for s in space.strands}
         assert traces["1__seq1"] == (
             positive("u1"), negative("u2"), positive("u3")
@@ -134,4 +134,4 @@ class TestSpaceFromMonotone:
 
     def test_non_monotone_protocol_rejected(self, nack_protocol):
         with pytest.raises(InputError):
-            space_from_monotone(nack_protocol.protocol)
+            space_from_monotone(nack_protocol)

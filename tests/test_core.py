@@ -22,14 +22,7 @@ from strandlab.core import (
     sent,
     term_of,
 )
-from strandlab.documents import (
-    BundlesDocument,
-    ChainsDocument,
-    ProtocolDocument,
-    RunsDocument,
-    SpaceDocument,
-    SystemDocument,
-)
+from strandlab.documents import BundlesDocument, ChainsDocument
 from strandlab.errors import InputError
 from strandlab.protocols import NOOP, Action, JointProtocol, MonotoneSpec, TableSpec, UnionSpec
 from strandlab.systems import (
@@ -84,7 +77,7 @@ class TestSignedTermsAndEvents:
 class TestTermOf:
     def test_relay_space_first_node(self, r1_space):
         # [PAPER] agent 2's strand opens by sending u
-        assert term_of(r1_space.space, Node("s12", 1)) == positive("u")
+        assert term_of(r1_space, Node("s12", 1)) == positive("u")
 
     def test_single_node_strand(self):
         # [TRIVIAL]
@@ -93,18 +86,18 @@ class TestTermOf:
 
     def test_nack_space_middle_node(self, nack_space):
         # [PAPER] the nack-first strand receives u at its second node
-        assert term_of(nack_space.space, Node("s2b", 2)) == negative("u")
+        assert term_of(nack_space, Node("s2b", 2)) == negative("u")
 
     def test_unknown_strand(self, r1_space):
         with pytest.raises(InputError):
-            term_of(r1_space.space, Node("nope", 1))
+            term_of(r1_space, Node("nope", 1))
 
     def test_index_out_of_range(self, r1_space):
         with pytest.raises(InputError):
-            term_of(r1_space.space, Node("s12", 3))
+            term_of(r1_space, Node("s12", 3))
 
     def test_total_on_node_set(self, r1_space):
-        space = r1_space.space
+        space = r1_space
         for node in space.nodes():
             expected = space.strand(node.strand).trace[node.index - 1]
             assert term_of(space, node) == expected
@@ -112,8 +105,7 @@ class TestTermOf:
 
 class TestValidateSpace:
     def test_fixture_spaces_are_well_formed(self, r1_space, nack_space, ping_space):
-        for doc in (r1_space, nack_space, ping_space):
-            space = doc.space
+        for space in (r1_space, nack_space, ping_space):
             assert StrandSpace.of(space.strands, space.agents, space.assignment_map) == space
 
     def test_empty_trace_reported(self):
@@ -200,9 +192,9 @@ class TestGlobalState:
         assert repr(g) == f"GlobalState(locals={g.locals!r})"
 
     def test_identity_assignment_helpers(self, r1_space):
-        ident = r1_space.space.with_identity_assignment()
+        ident = r1_space.with_identity_assignment()
         assert ident.is_identity_assigned()
-        assert not r1_space.space.is_identity_assigned()
+        assert not r1_space.is_identity_assigned()
         assert set(ident.agents) == {s.id for s in ident.strands}
 
 
@@ -218,7 +210,7 @@ _CHAIN = ChainPrefix(("s",), (EMPTY_BUNDLE, _BUNDLE), (_WITNESS,))
 _HISTORIES = HistorySet.of({"a": [(), (sent("u"),)]})
 _PROTOCOL = JointProtocol.of({"a": MonotoneSpec((sent("u"),))}, ["u"])
 _RUN = RunPrefix((GlobalState.empty(["a"]),))
-_RUNS = RunAutomaton.of([_RUN])
+_RUNS = RunAutomaton.of([_RUN], ["a"], 0)
 VALUE_TYPES = [
     (positive("u"), ("sign", "message"), (positive("u"), negative("u")),
      [("*", "u"), ("+", ""), ("+", "two words")]),
@@ -242,10 +234,6 @@ VALUE_TYPES = [
     (StepGraph((EMPTY_BUNDLE,), {EMPTY_BUNDLE: ()}, {EMPTY_BUNDLE: 0}),
      ("bundles", "successors", "distance"), None, []),
     (CheckResult("name", True, ("a line",)), ("name", "ok", "lines"), None, []),
-    (SpaceDocument(_SPACE, ("u",)), ("space", "messages"), None, []),
-    (SystemDocument(_HISTORIES), ("histories",), None, []),
-    (ProtocolDocument(_PROTOCOL), ("protocol",), None, []),
-    (RunsDocument(("a",), 0, _RUNS), ("agents", "horizon", "runs"), None, []),
     (BundlesDocument((EMPTY_BUNDLE, _BUNDLE)), ("bundles",), None, []),
     (ChainsDocument(("s",), (_CHAIN,)), ("agents", "chains"), None, []),
     (Action("send", "u"), ("kind", "message"), (NOOP, Action("send", "u")),

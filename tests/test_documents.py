@@ -8,13 +8,10 @@ from hypothesis import strategies as st
 
 from strandlab.bundles import enumerate_bundles
 from strandlab.chains import enumerate_chain_prefixes, translate
-from strandlab.core import GlobalState, recv, sent
+from strandlab.core import GlobalState, StrandSpace, recv, sent
 from strandlab.documents import (
     BundlesDocument,
     ChainsDocument,
-    RunsDocument,
-    SpaceDocument,
-    SystemDocument,
     dump_document,
     load_document,
     parse_action,
@@ -24,7 +21,7 @@ from strandlab.documents import (
 )
 from strandlab.errors import SchemaError
 from strandlab.protocols import NOOP, generate_runs, send
-from strandlab.systems import RunAutomaton, RunPrefix, generate_system
+from strandlab.systems import HistorySet, RunAutomaton, RunPrefix, generate_system
 
 from conftest import (
     FIXTURES,
@@ -77,27 +74,53 @@ class TestRoundTrips:
             assert dump_document(parse_document(text)) == text
 
     def test_generated_runs_document(self, nack_system):
-        runs = generate_system(nack_system.histories, 3)
-        doc = RunsDocument(
-            agents=nack_system.histories.agents, horizon=3, runs=runs
+        runs = generate_system(nack_system, 3)
+        parsed = parse_document(dump_document(runs))
+        assert parsed == runs
+        assert (parsed.agents, parsed.horizon) == (nack_system.agents, 3)
+
+    def test_empty_run_set(self):
+        # equality of run sets is set equality, so the agents and horizon
+        # of an empty one are compared on their own
+        empty = RunAutomaton.of([], ["b", "a"], 3)
+        parsed = parse_document(dump_document(empty))
+        assert (parsed.agents, parsed.horizon, len(parsed)) == (("a", "b"), 3, 0)
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            '{"kind":"runs","agents":["a","a"],"horizon":0,"runs":[[{"a":[]}]]}',
+            '{"kind":"chains","agents":["a","a"],"chains":[]}',
+        ],
+    )
+    def test_agent_declared_twice_is_written_once(self, text):
+        parsed = parse_document(text)
+        assert parsed.agents == ("a",)
+        assert json.loads(dump_document(parsed))["agents"] == ["a"]
+
+    def test_space_is_written_with_the_messages_it_uses(self):
+        # a space file's declared messages are checked, then not kept
+        text = (
+            '{"kind": "space", "messages": ["u", "v"], "agents": ["a"],'
+            ' "strands": [{"id": "s", "agent": "a", "trace": ["+u"]}]}'
         )
-        assert parse_document(dump_document(doc)) == doc
+        assert json.loads(dump_document(parse_document(text)))["messages"] == ["u"]
 
     def test_generated_bundles_document(self, nack_space):
-        doc = BundlesDocument(enumerate_bundles(nack_space.space, 6))
+        doc = BundlesDocument(enumerate_bundles(nack_space, 6))
         assert parse_document(dump_document(doc)) == doc
 
     def test_generated_chains_document(self, ping_space):
-        chains = enumerate_chain_prefixes(ping_space.space, 2, 2)
-        doc = ChainsDocument(agents=ping_space.space.agents, chains=chains)
+        chains = enumerate_chain_prefixes(ping_space, 2, 2)
+        doc = ChainsDocument(agents=ping_space.agents, chains=chains)
         assert parse_document(dump_document(doc)) == doc
 
 
-def assert_shared(doc: RunsDocument) -> None:
-    """Equal states, and equal events, of a parsed document are one object."""
+def assert_shared(runs: RunAutomaton) -> None:
+    """Equal states, and equal events, of a parsed run set are one object."""
     states: dict = {}
     events: dict = {}
-    for run in doc.runs:
+    for run in runs:
         for g in run.states:
             assert states.setdefault(g, g) is g
             for _, h in g.items():
@@ -113,21 +136,15 @@ def assert_chains_shared(doc: ChainsDocument) -> None:
             assert seen.setdefault(value, value) is value
 
 
-def fixture_runs(name: str, horizon: int) -> RunsDocument:
+def fixture_runs(name: str, horizon: int) -> RunAutomaton:
     """The runs a fixture gives: a space's translation, a system's
     generated runs or a protocol's runs."""
-    doc = load_document(fixture_path(name))
-    if isinstance(doc, SpaceDocument):
-        space = doc.space
-        runs = translate(space, horizon, space.node_count())
-        agents = space.agents
-    elif isinstance(doc, SystemDocument):
-        runs = generate_system(doc.histories, horizon)
-        agents = doc.histories.agents
-    else:
-        runs = generate_runs(doc.protocol, horizon)
-        agents = doc.protocol.agents
-    return RunsDocument(agents=agents, horizon=horizon, runs=runs)
+    model = load_document(fixture_path(name))
+    if isinstance(model, StrandSpace):
+        return translate(model, horizon, model.node_count())
+    if isinstance(model, HistorySet):
+        return generate_system(model, horizon)
+    return generate_runs(model, horizon)
 
 
 FIXTURE_NAMES = sorted(p.stem for p in FIXTURES.glob("*.json"))
@@ -145,21 +162,22 @@ class TestSharedEncoding:
     @settings(max_examples=150, deadline=None)
     def test_drawn_run_sets(self, drawn):
         agents, horizon, runs = drawn
-        doc = RunsDocument(agents=agents, horizon=horizon, runs=RunAutomaton.of(runs))
-        text = dump_document(doc)
-        assert text == reference_dump(doc)
+        tree = RunAutomaton.of(runs, agents, horizon)
+        text = dump_document(tree)
+        assert text == reference_dump(tree)
         parsed = parse_document(text)
-        assert parsed.runs == reference_parse_runs(text) == runs
+        assert parsed == reference_parse_runs(text) == runs
         assert (parsed.agents, parsed.horizon) == (agents, horizon)
         assert_shared(parsed)
 
     @pytest.mark.parametrize("name", FIXTURE_NAMES)
     def test_fixture_runs(self, name):
-        doc = fixture_runs(name, 4)
-        text = dump_document(doc)
-        assert text == reference_dump(doc)
+        runs = fixture_runs(name, 4)
+        text = dump_document(runs)
+        assert text == reference_dump(runs)
         parsed = parse_document(text)
-        assert parsed.runs == reference_parse_runs(text) == frozenset(doc.runs)
+        assert parsed == reference_parse_runs(text) == frozenset(runs)
+        assert (parsed.agents, parsed.horizon) == (runs.agents, 4)
         assert_shared(parsed)
 
     @pytest.mark.parametrize(
@@ -168,8 +186,8 @@ class TestSharedEncoding:
     )
     def test_chains(self, name, horizon, max_nodes):
         space = load_document(fixture_path(name))
-        chains = enumerate_chain_prefixes(space.space, horizon, max_nodes)
-        doc = ChainsDocument(agents=space.space.agents, chains=chains)
+        chains = enumerate_chain_prefixes(space, horizon, max_nodes)
+        doc = ChainsDocument(agents=space.agents, chains=chains)
         text = dump_document(doc)
         assert text == reference_dump(doc)
         parsed = parse_document(text)
@@ -218,15 +236,13 @@ class TestRunsInAnyOrder:
     @settings(max_examples=100, deadline=None)
     def test_shuffled_and_repeated(self, drawn, data):
         agents, horizon, runs = drawn
-        canonical = dump_document(
-            RunsDocument(agents=agents, horizon=horizon, runs=RunAutomaton.of(runs))
-        )
+        canonical = dump_document(RunAutomaton.of(runs, agents, horizon))
         body = json.loads(canonical)
         body["runs"] = data.draw(scrambled(body["runs"]))
         text = json.dumps(body)
         parsed = parse_document(text)
-        assert parsed.runs.budget.used == prefix_tree_edges(runs)
-        assert parsed.runs == reference_parse_runs(text) == runs
+        assert parsed.budget.used == prefix_tree_edges(runs)
+        assert parsed == reference_parse_runs(text) == runs
         assert dump_document(parsed) == canonical
         assert_shared(parsed)
 

@@ -119,7 +119,7 @@ class TestUnionAndTable:
             assert eval_protocol(union, h) == expected
 
     def test_table_entry_and_default(self, nack_protocol):
-        p = nack_protocol.protocol.spec("2")
+        p = nack_protocol.spec("2")
         # [PAPER] with nothing heard, agent 2 may jump the gun with nack
         assert eval_protocol(p, ()) == frozenset({send("nack")})
         # [PAPER] after receiving u it acknowledges
@@ -140,7 +140,7 @@ class TestUnionAndTable:
         )
         JointProtocol.of(specs, ["u", "u1", "u2", "u3", "v", "w", "x", "y"])
         assert spec_messages(specs["b"]) == {"u1", "u2", "u3", "w", "x", "y"}
-        for jp in (nack_protocol.protocol, u1u2u3_protocol.protocol):
+        for jp in (nack_protocol, u1u2u3_protocol):
             assert JointProtocol(jp.per_agent, jp.messages) == jp
 
     def test_empty_union_rejected(self):
@@ -154,7 +154,7 @@ class TestUnionAndTable:
 
 class TestTauStep:
     def test_never_shrinks_and_appends_at_most_one(self, u1u2u3_protocol):
-        jp = u1u2u3_protocol.protocol
+        jp = u1u2u3_protocol
         g = GlobalState.empty(jp.agents)
         for g2 in tau_step(jp, g):
             for a in jp.agents:
@@ -167,20 +167,20 @@ class TestTauStep:
 
     def test_same_round_delivery(self, u1u2u3_protocol):
         # [DERIVED] u1 can be sent and received in the same round
-        jp = u1u2u3_protocol.protocol
+        jp = u1u2u3_protocol
         g = GlobalState.empty(jp.agents)
         delivered = GlobalState.of({"1": (sent("u1"),), "2": (recv("u1"),)})
         assert delivered in tau_step(jp, g)
 
     def test_orphan_receive_excluded(self, u1u2u3_protocol):
-        jp = u1u2u3_protocol.protocol
+        jp = u1u2u3_protocol
         g = GlobalState.empty(jp.agents)
         orphan = GlobalState.of({"1": (), "2": (recv("u1"),)})
         assert orphan not in tau_step(jp, g)
 
     def test_nack_branching_round(self, nack_protocol):
         # [PAPER] agent 2 may open with nack, or wait while agent 1 sends u
-        jp = nack_protocol.protocol
+        jp = nack_protocol
         g = GlobalState.empty(jp.agents)
         successors = tau_step(jp, g)
         assert GlobalState.of({"1": (), "2": (sent("nack"),)}) in successors
@@ -190,13 +190,13 @@ class TestTauStep:
 class TestGenerateRuns:
     def test_horizon_zero(self, nack_protocol):
         # [TRIVIAL]
-        assert len(generate_runs(nack_protocol.protocol, 0)) == 1
+        assert len(generate_runs(nack_protocol, 0)) == 1
 
     @pytest.mark.parametrize("name", ["nack_protocol", "u1u2u3_protocol"])
     def test_matches_brute_force(self, request, name):
         # the explorer against the slow reference: every appended send is
         # one the protocol allows, receives are free, MP1-MP3 hold
-        jp = request.getfixturevalue(name).protocol
+        jp = request.getfixturevalue(name)
 
         def admissible(g, g2):
             return all(
@@ -211,13 +211,13 @@ class TestGenerateRuns:
             assert generate_runs(jp, horizon) == expected
 
     def test_runs_satisfy_mp(self, nack_protocol):
-        jp = nack_protocol.protocol
+        jp = nack_protocol
         for run in generate_runs(jp, 3):
             assert check_mp(jp.messages, jp.agents, run).ok
 
     def test_nack_reachable_histories(self, nack_protocol):
         # [PAPER] both intended agent-2 completions occur ...
-        runs = generate_runs(nack_protocol.protocol, 6)
+        runs = generate_runs(nack_protocol, 6)
         finals = {run.final().history("2") for run in runs}
         assert (sent("nack"), recv("u"), sent("ack")) in finals
         assert (recv("u"), sent("ack")) in finals
@@ -229,7 +229,7 @@ class TestGenerateRuns:
 
     def test_choice_protocol_commits(self, r1_choice_protocol):
         # [PAPER] agent 2 picks one exchange and never reaches four events
-        runs = generate_runs(r1_choice_protocol.protocol, 6)
+        runs = generate_runs(r1_choice_protocol, 6)
         for run in runs:
             assert len(run.final().history("2")) <= 2
 
@@ -258,7 +258,7 @@ class TestMonotoneRealization:
         # try every candidate sequence of length at most 3
         from itertools import product as iproduct
 
-        p = nack_protocol.protocol.spec("2")
+        p = nack_protocol.spec("2")
         alphabet = [
             e for u in ("u", "ack", "nack") for e in (sent(u), recv(u))
         ]

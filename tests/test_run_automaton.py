@@ -22,6 +22,7 @@ from strandlab.chains import translate
 from strandlab.checks import _describe_state, theorem_3
 from strandlab.constructions import extended_space_from_system, space_from_monotone
 from strandlab.core import GlobalState
+from strandlab.errors import InputError
 from strandlab.protocols import generate_runs
 from strandlab.systems import RunAutomaton, RunPrefix, generate_system, systems_equal
 
@@ -43,6 +44,7 @@ def reference_equal(runs_a, runs_b):
 
 
 def reported(runs_a, runs_b):
+    """What `systems_equal` reports on two automata."""
     eq = systems_equal(runs_a, runs_b)
     return (
         eq.equal,
@@ -56,8 +58,8 @@ def reported(runs_a, runs_b):
 @pytest.fixture(scope="session")
 def r1_theorem_3_pair(r1_space, r1_system):
     """Theorem 3's run sets at horizon 8, as automata and materialized."""
-    translated = translate(r1_space.space, 8, 8)
-    system = generate_system(r1_system.histories, 8)
+    translated = translate(r1_space, 8, 8)
+    system = generate_system(r1_system, 8)
     return translated, system, frozenset(translated), frozenset(system)
 
 
@@ -67,9 +69,9 @@ class TestRunAutomaton:
         self, source, r1_space, nack_protocol, u1u2u3_protocol
     ):
         make = {
-            "r1 translation": lambda h: translate(r1_space.space, h, 8),
-            "nack protocol": lambda h: generate_runs(nack_protocol.protocol, h),
-            "u1u2u3 protocol": lambda h: generate_runs(u1u2u3_protocol.protocol, h),
+            "r1 translation": lambda h: translate(r1_space, h, 8),
+            "nack protocol": lambda h: generate_runs(nack_protocol, h),
+            "u1u2u3 protocol": lambda h: generate_runs(u1u2u3_protocol, h),
         }[source]
         for horizon in range(9):
             runs = make(horizon)
@@ -79,7 +81,7 @@ class TestRunAutomaton:
             assert all(r.horizon == horizon for r in listed)
 
     def test_membership(self, nack_protocol):
-        runs = generate_runs(nack_protocol.protocol, 4)
+        runs = generate_runs(nack_protocol, 4)
         listed = list(runs)
         assert all(r in runs for r in listed)
         # one more stutter, a repeated state in place of the last one, and
@@ -90,15 +92,27 @@ class TestRunAutomaton:
         assert "not a run" not in runs
 
     def test_prefix_tree_of_a_plain_set(self, nack_system):
-        runs = frozenset(generate_system(nack_system.histories, 4))
-        tree = RunAutomaton.of(runs)
+        runs = frozenset(generate_system(nack_system, 4))
+        tree = RunAutomaton.of(runs, nack_system.agents, 4)
+        assert (tree.agents, tree.horizon) == (nack_system.agents, 4)
         assert len(tree) == len(runs)
         assert list(tree) == sorted(runs)
         assert tree.occurring_states() == {g for r in runs for g in r.states}
-        assert RunAutomaton.of(tree) is tree
+
+    def test_empty_set_keeps_agents_and_horizon(self):
+        empty = RunAutomaton.of([], ["b", "a", "b"], 3)
+        assert (empty.agents, empty.horizon, len(empty)) == (("a", "b"), 3, 0)
+        assert empty.least() is None and not empty.occurring_states()
+        for derived in (empty.restrict(), systems_equal(empty, empty).only_in_a):
+            assert (derived.agents, derived.horizon, len(derived)) == (("a", "b"), 3, 0)
+
+    def test_run_of_another_horizon_rejected(self):
+        run = RunPrefix.of([GlobalState.empty(["a"])] * 3)
+        with pytest.raises(InputError, match=r"horizon mismatch: \[1, 2\]"):
+            RunAutomaton.of([run], ["a"], 1)
 
     def test_restrict_matches_filtering(self, nack_protocol):
-        runs = generate_runs(nack_protocol.protocol, 5)
+        runs = generate_runs(nack_protocol, 5)
 
         def state_ok(d, g):
             return len(g.history("1")) < 2
@@ -136,14 +150,15 @@ def assert_is_the_set(automaton, runs, outside):
 def test_automata_match_plain_sets(drawn, data):
     """The prefix tree of a drawn set, and the difference automaton of two
     overlapping sets, whose last level has nodes that accept no run."""
-    _, _, runs = drawn
+    agents, horizon, runs = drawn
     side = st.sampled_from(["a", "b", "both"])
     sides = {r: data.draw(side) for r in sorted(runs)}
     a = frozenset(r for r, s in sides.items() if s != "b")
     b = frozenset(r for r, s in sides.items() if s != "a")
-    assert_is_the_set(RunAutomaton.of(runs), runs, ())
-    assert_is_the_set(RunAutomaton.of(a), a, runs - a)
-    assert_is_the_set(systems_equal(a, b).only_in_a, a - b, b)
+    tree_a, tree_b = (RunAutomaton.of(s, agents, horizon) for s in (a, b))
+    assert_is_the_set(RunAutomaton.of(runs, agents, horizon), runs, ())
+    assert_is_the_set(tree_a, a, runs - a)
+    assert_is_the_set(systems_equal(tree_a, tree_b).only_in_a, a - b, b)
 
 
 @settings(max_examples=100, deadline=None)
@@ -153,7 +168,7 @@ def test_prefix_tree_of_any_list(drawn, data):
     on, each sharing its state objects with the other runs or holding
     equal copies of them, give the prefix tree of the set, one budget
     tick per edge."""
-    _, _, runs = drawn
+    agents, horizon, runs = drawn
     shared: dict = {}
     listed = [
         RunPrefix(tuple(shared.setdefault(g, g) for g in r.states))
@@ -161,7 +176,7 @@ def test_prefix_tree_of_any_list(drawn, data):
         else RunPrefix(tuple(GlobalState(g.locals) for g in r.states))
         for r in data.draw(scrambled(sorted(runs)))
     ]
-    tree = RunAutomaton.of(listed)
+    tree = RunAutomaton.of(listed, agents, horizon)
     assert tree.budget.used == prefix_tree_edges(runs)
     assert_is_the_set(tree, runs, ())
 
@@ -172,22 +187,22 @@ class TestSystemsEqualReference:
         assert reported(translated, system) == reference_equal(sa, sb)
 
     def test_theorem_5_pairs(self, r1_system, nack_system):
-        for doc in (r1_system, nack_system):
-            space = extended_space_from_system(doc.histories)
+        for hs in (r1_system, nack_system):
+            space = extended_space_from_system(hs)
             translated = translate(space, 5, space.node_count())
-            generated = generate_system(doc.histories, 5)
+            generated = generate_system(hs, 5)
             assert reported(translated, generated) == reference_equal(translated, generated)
 
     def test_theorem_7_pair(self, u1u2u3_protocol):
-        jp = u1u2u3_protocol.protocol
+        jp = u1u2u3_protocol
         space = space_from_monotone(jp)
         translated = translate(space, 6, space.node_count())
         generated = generate_runs(jp, 6)
         assert reported(translated, generated) == reference_equal(translated, generated)
 
     def test_nack_anomaly(self, nack_space, nack_protocol):
-        naive = translate(nack_space.space, 6, 6)
-        runs = generate_runs(nack_protocol.protocol, 6)
+        naive = translate(nack_space, 6, 6)
+        runs = generate_runs(nack_protocol, 6)
         expected = reference_equal(naive, runs)
         assert not expected[0]
         assert reported(naive, runs) == expected
@@ -199,19 +214,24 @@ class TestSystemsEqualReference:
     @settings(max_examples=40, deadline=None)
     @given(st.data())
     def test_drawn_subsets(self, nack_system, data):
-        runs = sorted(generate_system(nack_system.histories, 3))
+        system = generate_system(nack_system, 3)
+        runs = sorted(system)
         subsets = st.lists(st.sampled_from(runs), unique=True, max_size=len(runs))
-        sub_a = frozenset(data.draw(subsets))
-        sub_b = frozenset(data.draw(subsets))
-        assert reported(sub_a, sub_b) == reference_equal(sub_a, sub_b)
-        assert reported(runs, sub_b) == reference_equal(runs, sub_b)
-        eq = systems_equal(sub_a, sub_b)
+
+        def subset():
+            drawn = frozenset(data.draw(subsets))
+            return drawn, RunAutomaton.of(drawn, nack_system.agents, 3)
+
+        (sub_a, tree_a), (sub_b, tree_b) = subset(), subset()
+        assert reported(tree_a, tree_b) == reference_equal(sub_a, sub_b)
+        assert reported(system, tree_b) == reference_equal(runs, sub_b)
+        eq = systems_equal(tree_a, tree_b)
         assert list(eq.only_in_a) == sorted(sub_a - sub_b)
         assert list(eq.only_in_a.restrict()) == sorted(sub_a - sub_b)
         # a difference automaton accepts only some of its last-level nodes
-        sub_c = frozenset(data.draw(subsets))
-        assert reported(eq.only_in_a, sub_c) == reference_equal(sub_a - sub_b, sub_c)
-        assert reported(sub_c, eq.only_in_a) == reference_equal(sub_c, sub_a - sub_b)
+        sub_c, tree_c = subset()
+        assert reported(eq.only_in_a, tree_c) == reference_equal(sub_a - sub_b, sub_c)
+        assert reported(tree_c, eq.only_in_a) == reference_equal(sub_c, sub_a - sub_b)
         only_a, only_b = sub_a - sub_b, sub_b - sub_a
         assert eq.witness() == (min(only_a) if only_a else min(only_b, default=None))
 
@@ -221,7 +241,7 @@ def test_theorem_3_witness_is_the_least_four_event_run(r1_space, r1_system, r1_t
     least = min(
         r for r in sa - sb if any(len(h) == 4 for g in r.states for _, h in g.items())
     )
-    result = theorem_3(r1_space.space, r1_system.histories, max_nodes=8)
+    result = theorem_3(r1_space, r1_system, max_nodes=8)
     assert result.ok
     assert f"translation adds runs, e.g. {_describe_state(least.final())}" in result.lines
 
@@ -252,11 +272,12 @@ def test_mp_witness_does_not_depend_on_hash_seed():
     script = (
         "from strandlab.checks import strand_system_property\n"
         "from strandlab.core import GlobalState, Event\n"
-        "from strandlab.systems import RunPrefix\n"
+        "from strandlab.systems import RunAutomaton, RunPrefix\n"
         f"raw = {DEMO_STATES!r}\n"
         "runs = frozenset(RunPrefix.of(GlobalState.of({a: [Event(*e.split()) for e in h]"
         " for a, h in g.items()}) for g in run) for run in raw)\n"
-        "print(strand_system_property(runs, ['v', 'w'], ['A'], 2, 'demo').render())\n"
+        "runs = RunAutomaton.of(runs, ['A'], 2)\n"
+        "print(strand_system_property(runs, ['v', 'w'], 'demo').render())\n"
     )
     first, *others = _under_seeds([sys.executable, "-c", script])
     assert others == [first] * len(others)

@@ -13,6 +13,7 @@ from strandlab.systems import (
     MP2_LITERAL,
     MP2_STRONG,
     HistorySet,
+    RunAutomaton,
     RunPrefix,
     check_history_preserving,
     check_mp,
@@ -92,11 +93,11 @@ class TestMPViolations:
     @settings(max_examples=100, deadline=None)
     @given(run_sets(), st.sets(st.sampled_from("uv")), st.booleans())
     def test_drawn_sets_match_check_mp(self, drawn, universe, declare_a_b):
-        agents, _, runs = drawn
+        agents, horizon, runs = drawn
         if declare_a_b:  # states over other agent sets then fail MP1
             agents = AGENTS
         expected = {r for r in runs if not check_mp(universe, agents, r).ok}
-        assert set(mp_violations(universe, agents, runs)) == expected
+        assert set(mp_violations(universe, RunAutomaton.of(runs, agents, horizon))) == expected
 
     def test_initial_state_of_one_run_is_a_later_state_of_another(self):
         # the state passes MP1 and MP2 wherever it occurs, but only at
@@ -105,8 +106,8 @@ class TestMPViolations:
         starts_there = RunPrefix.of([later] * 3)
         passes_through = run_of({"a": sent("u")}, {})
         assert passes_through.states[1] == later
-        runs = {starts_there, passes_through}
-        assert set(mp_violations(["u"], AGENTS, runs)) == {starts_there}
+        runs = RunAutomaton.of([starts_there, passes_through], AGENTS, 2)
+        assert set(mp_violations(["u"], runs)) == {starts_there}
 
 
 class TestGenerateSystem:
@@ -118,7 +119,7 @@ class TestGenerateSystem:
         assert all(g == GlobalState.empty(AGENTS) for g in next(iter(runs)).states)
 
     def test_horizon_zero(self, r1_system):
-        runs = generate_system(r1_system.histories, 0)
+        runs = generate_system(r1_system, 0)
         assert len(runs) == 1
 
     def test_prefix_validation(self):
@@ -130,7 +131,7 @@ class TestGenerateSystem:
 
     def test_relay_histories_capped_at_two_events(self, r1_system):
         # [PAPER] agent 2's admissible histories stop at two events
-        runs = generate_system(r1_system.histories, 6)
+        runs = generate_system(r1_system, 6)
         assert all(
             len(g.history("2")) <= 2 for run in runs for g in run.states
         )
@@ -139,13 +140,13 @@ class TestGenerateSystem:
         assert target <= finals
 
     def test_all_generated_runs_pass_mp(self, nack_system):
-        hs = nack_system.histories
+        hs = nack_system
         for run in generate_system(hs, 4):
             assert check_mp(hs.messages(), hs.agents, run).ok
 
     def test_anomaly_absent_from_nack_system(self, nack_system):
         # [PAPER] recv(u), sent(ack), sent(nack) is not an admissible history
-        runs = generate_system(nack_system.histories, 6)
+        runs = generate_system(nack_system, 6)
         anomaly = (recv("u"), sent("ack"), sent("nack"))
         assert all(
             g.history("2") != anomaly for run in runs for g in run.states
@@ -153,8 +154,8 @@ class TestGenerateSystem:
 
     def test_stuttering_insertion_closure(self, nack_system):
         # inserting a stutter round keeps prefixes inside the longer system
-        short = generate_system(nack_system.histories, 3)
-        longer = generate_system(nack_system.histories, 4)
+        short = generate_system(nack_system, 3)
+        longer = generate_system(nack_system, 4)
         rng = random.Random(7)
         for run in rng.sample(sorted(short), min(10, len(short))):
             at = rng.randrange(len(run.states))
@@ -166,7 +167,7 @@ class TestGenerateSystem:
     @pytest.mark.parametrize("name", ["r1_system", "nack_system"])
     def test_matches_brute_force(self, request, name):
         # the explorer against the slow reference: all histories in hs, MP1-MP3
-        hs = request.getfixturevalue(name).histories
+        hs = request.getfixturevalue(name)
         admitted = {a: set(hs.histories(a)) for a in hs.agents}
 
         def admissible(g, g2):
@@ -180,33 +181,40 @@ class TestGenerateSystem:
 class TestExtractHistories:
     def test_roundtrip_through_generation(self, r1_system):
         # generated runs realize exactly the admissible histories
-        runs = generate_system(r1_system.histories, 6)
-        assert extract_histories(runs) == r1_system.histories
+        runs = generate_system(r1_system, 6)
+        assert extract_histories(runs) == r1_system
 
     def test_empty_input_rejected(self):
         with pytest.raises(InputError):
-            extract_histories([])
+            extract_histories(RunAutomaton.of([], AGENTS, 0))
 
 
 class TestSystemsEqual:
     def test_equal_sets(self, nack_system):
-        a = generate_system(nack_system.histories, 3)
-        b = generate_system(nack_system.histories, 3)
+        a = generate_system(nack_system, 3)
+        b = generate_system(nack_system, 3)
         report = systems_equal(a, b)
         assert report.equal and report.witness() is None
 
     def test_unequal_sets_have_witness(self, nack_system):
-        a = generate_system(nack_system.histories, 3)
-        b = frozenset(sorted(a)[:-1])
+        a = generate_system(nack_system, 3)
+        b = RunAutomaton.of(sorted(a)[:-1], nack_system.agents, 3)
         report = systems_equal(a, b)
         assert not report.equal
         assert report.witness() in a and report.witness() not in b
 
     def test_horizon_mismatch_rejected(self, nack_system):
-        a = generate_system(nack_system.histories, 2)
-        b = generate_system(nack_system.histories, 3)
-        with pytest.raises(InputError):
+        a = generate_system(nack_system, 2)
+        b = generate_system(nack_system, 3)
+        with pytest.raises(InputError, match=r"^horizon mismatch: \[2, 3\]$"):
             systems_equal(a, b)
+
+    def test_horizon_mismatch_of_empty_sets_rejected(self):
+        # an empty set keeps its horizon, so two of them still differ
+        a, b = RunAutomaton.of([], AGENTS, 3), RunAutomaton.of([], AGENTS, 2)
+        with pytest.raises(InputError, match=r"^horizon mismatch: \[2, 3\]$"):
+            systems_equal(a, b)
+        assert systems_equal(a, RunAutomaton.of([], ["c"], 3)).equal
 
 
 class TestHistoryPreserving:
@@ -219,10 +227,16 @@ class TestHistoryPreserving:
         report = check_history_preserving(space, runs, max_nodes=1)
         assert report.ok
 
+    def test_runs_of_other_agents_rejected(self):
+        space = StrandSpace.of([Strand("s", (positive("u"),))], ["a"], {"s": "a"})
+        runs = RunAutomaton.of([], ["a", "zz"], 1)
+        with pytest.raises(InputError, match=r"^agent mismatch: space \['a'\], runs \['a', 'zz'\]$"):
+            check_history_preserving(space, runs, max_nodes=1)
+
     def test_relay_clause2_fails_with_interleaving(self, r1_space, r1_system):
         # [PAPER] bundles allow agent 2 four events; the system does not
-        runs = generate_system(r1_system.histories, 8)
-        report = check_history_preserving(r1_space.space, runs, max_nodes=8)
+        runs = generate_system(r1_system, 8)
+        report = check_history_preserving(r1_space, runs, max_nodes=8)
         assert not report.clause1_failures
         assert report.clause2_failures
         assert any(
