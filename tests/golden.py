@@ -69,6 +69,13 @@ def cases() -> list[list[str]]:
         ["enumerate", _path("r1_space"), "--translate", "--out", "{out}"],
         ["enumerate", _path("r1_system"), "--gen-system", "--out", "{out}"],
         ["enumerate", _path("nack_protocol"), "--run-protocol", "--out", "{out}"],
+        # chains at other horizons and caps: r1_t5 under a cap below its 12
+        # nodes has conflicts and steps whose witness map is not the identity
+        ["enumerate", _path("r1_t5_space"), "--chains", "--horizon", "3", "--max-nodes", "5",
+         "--out", "{out}"],
+        ["enumerate", _path("r1_t5_space"), "--translate", "--out", "{out}"],
+        ["enumerate", _path("nack_space"), "--chains", "--horizon", "5", "--max-nodes", "4",
+         "--out", "{out}"],
         # strandlab's own usage errors
         ["check", "--theorem", "5", _path("r1_space")],
         ["check", "--theorem", "4", _path("r1_space")],
