@@ -30,7 +30,9 @@ From each b1 it takes the maps f that `check_step` tries, in its order
     of the base that feeds no edge of f(E1) is free;
   * growth: each agent adds nothing or one node, on any of its strands
     below its length (an image of f, or a fresh strand at height 1 that
-    conflicts with no other strand of the result), within max_nodes;
+    conflicts with no strand of the base), within max_nodes.  Conflicts
+    pair strands of one agent, and an agent adds at most one node, so no
+    two fresh strands of one step conflict;
   * the new receives are matched injectively to free or new sends of the
     same message.  A new receive has no out-edge, so no cycle can form.
 
@@ -47,11 +49,16 @@ docstring).  Growing a strand adds its place value to the key and a new
 edge its pair key, so each candidate is built, and compared with those
 found, as one integer.  f(b1) is re-encoded only when f is not the
 identity, and the prefix matches the maps are drawn from are one table
-per space.  Each agent's growth options are listed once per base; a new
-receive takes a free send at once or waits for a later agent's send, and
-a branch ends as soon as a waiting receive has no agent left that may
-send its message.  So every candidate, one (growth, matching) pair, is
-generated exactly once and ticks the budget once.
+per space.  Each agent's growth options are listed once per base.  A new
+receive may be fed by a send of the same step, so a step's nodes are
+chosen in two passes: first each agent adds one of its sends or nothing
+yet; then each agent that did not send stays or adds a receive, which
+takes a free send of its message (one of the base's, or a new one) that
+no other receive took.  A receive is chosen only when there is a send
+for it to take, so every branch of the search is a candidate, one
+(growth, matching) pair; each is generated exactly once and ticks the
+budget once.  A candidate's extensions are listed in agent order,
+whichever pass chose them.
 
 A key is decoded to a `Bundle` when the search first reaches it, so each
 distinct bundle is one object, and each distinct (f, extensions) pair is
@@ -224,7 +231,6 @@ class _Growth(NamedTuple):
     node: int
     send: bool
     message: int
-    fresh: int  # the strand's bit when it has height 0, else 0
     conflicts: int  # the strands it conflicts with when fresh, else 0
     extension: tuple[str, str, Event]  # the step's (agent, strand, event)
 
@@ -260,8 +266,8 @@ class _StepSpace(KeyedSpace):
                 self.growth[i] = [
                     _Growth(
                         self.radix[i], node + h, term.positive,
-                        self.message[node + h], 0 if h else 1 << i,
-                        0 if h else self.conflicts[i], (agent, s.id, term_to_event(term)),
+                        self.message[node + h], 0 if h else self.conflicts[i],
+                        (agent, s.id, term_to_event(term)),
                     )
                     for h, term in enumerate(s.trace)
                 ]
@@ -325,91 +331,76 @@ class _StepSpace(KeyedSpace):
         budget: StateBudget,
     ) -> None:
         """Add to ``found`` the candidates grown from the base bundle ``key``
-        (heights, active strands and edge pairs given) that are new to it."""
+        (heights, active strands and edge pairs given) that are new to it:
+        the agents' new sends first, then their new receives."""
         present = 0
         for t in active:
             present |= 1 << t
         conflicts = self.conflicts
         if any(conflicts[t] & present for t in active):
             return
-        # the base's sends that feed no edge, per message
+        # the sends a new receive may take, per message: at first the base's
+        # sends that feed no edge
         used = {a for a, _ in pairs}
-        senders: list[list[int]] = [[] for _ in range(self.messages)]
+        free: list[list[int]] = [[] for _ in range(self.messages)]
         for t in active:
             for a in range(self.offset[t], self.offset[t] + heights[t]):
                 if self.send[a] and a not in used:
-                    senders[self.message[a]].append(a)
-        # the agents that can grow, each with its nodes; last[m] is the last
-        # of them that may send m, so closing[k] lists the messages whose
-        # new receives must all be fed once agent k has chosen
-        options: list[list[_Growth]] = []
-        last: dict[int, int] = {}
+                    free[self.message[a]].append(a)
+        # per agent that can grow, its send and its receive options
+        sends: list[list[_Growth]] = []
+        receives: list[list[_Growth]] = []
         for numbers in self.agent_strands:
-            opts = []
-            for t in numbers:
-                if heights[t] < self.lengths[t]:
-                    g = self.growth[t][heights[t]]
-                    if not g.conflicts & present:
-                        opts.append(g)
-                        if g.send:
-                            last[g.message] = len(options)
+            opts = [self.growth[t][heights[t]] for t in numbers if heights[t] < self.lengths[t]]
+            opts = [g for g in opts if not g.conflicts & present]
             if opts:
-                options.append(opts)
-        closing: list[list[int]] = [[] for _ in options]
-        for m, k in last.items():
-            closing[k].append(m)
-        waiting: list[list[int]] = [[] for _ in range(self.messages)]
-        exts: list[tuple[str, str, Event]] = []  # of the nodes chosen so far
+                sends.append([g for g in opts if g.send])
+                receives.append([g for g in opts if not g.send])
+        chosen: list = [None] * len(sends)  # per agent, the extension it adds
         witnesses = self.witnesses.setdefault(f_items, {})
-        pair_key, tick, agents = self.pair_key, budget.tick, len(options)
+        pair_key, tick, agents = self.pair_key, budget.tick, len(sends)
 
-        def extend(k: int, key2: int, fresh: int, pending: int) -> None:
-            """The candidates where agents k, ... add the nodes still to
-            choose: ``pending`` new receives wait for a later send."""
-            if not pending:  # every agent from k on stays
-                tick()
-                if key2 not in found:
-                    grown = tuple(exts)
-                    witness = witnesses.get(grown)
-                    if witness is None:
-                        witness = witnesses[grown] = StepWitness(f_items, grown)
-                    found[key2] = witness
-            if len(exts) == room:
+        def send(k: int, key2: int, added: int) -> None:
+            """Pass 1: agents k, ... each add one of their sends or nothing
+            yet, and each such choice goes on to pass 2."""
+            receive(0, key2, added)
+            if added == room:
                 return
             for j in range(k, agents):
-                closes = closing[j]
-                fed = not pending or not any(waiting[m] for m in closes)
-                for delta, node, is_send, m, new, conflicting, ext in options[j]:
-                    if conflicting & fresh:
-                        continue
-                    key3, fresh3 = key2 + delta, fresh | new
-                    exts.append(ext)
-                    if is_send:  # it feeds one waiting receive, or none
-                        receives = waiting[m]
-                        for i, r in enumerate(receives):
-                            del receives[i]
-                            if fed or not any(waiting[x] for x in closes):
-                                extend(j + 1, key3 + pair_key[node, r], fresh3, pending - 1)
-                            receives.insert(i, r)
-                        if fed:
-                            senders[m].append(node)
-                            extend(j + 1, key3, fresh3, pending)
-                            senders[m].pop()
-                    elif fed:  # it takes a free send, or waits for one
-                        free = senders[m]
-                        for i, s in enumerate(free):
-                            del free[i]
-                            extend(j + 1, key3 + pair_key[s, node], fresh3, pending)
-                            free.insert(i, s)
-                        if last.get(m, -1) > j:
-                            waiting[m].append(node)
-                            extend(j + 1, key3, fresh3, pending + 1)
-                            waiting[m].pop()
-                    exts.pop()
-                if not fed:  # agent j must send for a waiting receive
-                    return
+                for delta, node, _, m, _, ext in sends[j]:
+                    chosen[j] = ext
+                    free[m].append(node)
+                    send(j + 1, key2 + delta, added + 1)
+                    free[m].pop()
+                chosen[j] = None
 
-        extend(0, key, 0, 0)
+        def receive(k: int, key2: int, added: int) -> None:
+            """Pass 2: the candidate of the nodes chosen so far, then those
+            where agents k, ... that did not send add a receive, each taking
+            a free send of its message that no other receive took."""
+            tick()
+            if key2 not in found:
+                grown = tuple(filter(None, chosen))
+                witness = witnesses.get(grown)
+                if witness is None:
+                    witness = witnesses[grown] = StepWitness(f_items, grown)
+                found[key2] = witness
+            if added == room:
+                return
+            for j in range(k, agents):
+                if chosen[j] is not None:
+                    continue
+                for delta, node, _, m, _, ext in receives[j]:
+                    senders = free[m]
+                    chosen[j] = ext
+                    for i, s in enumerate(senders):
+                        del senders[i]
+                        receive(j + 1, key2 + delta + pair_key[s, node], added + 1)
+                        senders.insert(i, s)
+                chosen[j] = None
+
+        send(0, key, 0)
+
 
 def step_graph(
     space: StrandSpace,

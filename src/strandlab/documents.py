@@ -42,11 +42,10 @@ Runs and chains documents repeat a few distinct values many times, so
 their cost follows the distinct values.  A runs document parses to a
 `RunAutomaton` over shared states: each distinct event and global state
 is built once and every run refers to it.  A run's leading states that
-equal the previous run's are taken over from it unparsed, and
-`RunAutomaton.of` inserts each run from the node the two share, so
-loading runs written in order (as `dump_document` writes them) costs
-about one step per distinct prefix rather than one per state of every
-run.  Likewise each distinct bundle and step of a chains document is one
+equal the previous run's are taken over from it unparsed, so parsing
+runs written in order (as `dump_document` writes them) costs about one
+step per distinct prefix rather than one per state of every run.
+Likewise each distinct bundle and step of a chains document is one
 object that every chain shares.  Dumping a runs or chains document
 encodes each distinct state, bundle or step once and joins the text; the
 bytes are those of one `json.dumps` of the whole body.

@@ -29,12 +29,12 @@ levels, all empty).  Each node keeps its successors as one map from
 global state to node index, which serves iteration, membership and the
 walks alike.  The prefix tree of a plain set of runs
 (`RunAutomaton.of`, given their agents and horizon) is built by
-inserting the runs one by one, each from the deepest node it shares with
-the run before it.  Every other automaton is an exploration: `explore`
-walks successors round by round, and its caller names the agents and
-the horizon.  History sets (`generate_system`) and
-protocols (`protocols.generate_runs`) feed it `joint_round`: each agent
-stutters or appends one of its options, and MP2 filters the outcome.
+inserting the runs one by one, each from the root.  Every other
+automaton is an exploration: `explore` walks successors round by round,
+and its caller names the agents and the horizon.  History sets
+(`generate_system`) and protocols (`protocols.generate_runs`) feed it
+`joint_round`: each agent stutters or appends one of its options, and
+MP2 filters the outcome.
 The runs passing a per-state and per-round condition
 (`RunAutomaton.restrict`) and the runs of one automaton missing from
 another (`_only_in`) are explorations of an existing automaton.
@@ -143,44 +143,30 @@ class RunAutomaton(AbstractSet):
         cls, runs: Iterable[RunPrefix], agents: Iterable[str], horizon: int
     ) -> "RunAutomaton":
         """The prefix tree of a set of runs of the given agents and
-        horizon, built by inserting each run in turn.  A run is inserted
-        from the deepest node it shares with the run before it, found by
-        identity of their leading state objects, so a list in which
-        neighbours share prefixes costs about one step per distinct
-        prefix; in any order the tree is the same, since below that node
-        each state is looked up in its parent's child map.  One budget
-        tick per edge.  The states' agents are not compared with
-        ``agents``: a run over others fails MP1."""
+        horizon, built by inserting each run in turn from the root: each
+        state is looked up in its parent's child map, so in any order the
+        tree is the same.  One budget tick per edge.  The states' agents
+        are not compared with ``agents``: a run over others fails MP1."""
         if horizon < 0:
             raise InputError("horizon must be non-negative")
         budget = StateBudget()
         # nodes[d][i]: the child map of node i of level d
         nodes: list[list[dict[GlobalState, int]]] = [[] for _ in range(horizon + 1)]
         roots: dict[GlobalState, int] = {}
-        # path[d]: the map in which the previous run's state d is a key
-        path: list[dict[GlobalState, int]] = [roots] * (horizon + 1)
-        previous: tuple[GlobalState, ...] = ()
         for run in runs:
             states = run.states
             if len(states) != horizon + 1:
                 raise InputError(f"horizon mismatch: {sorted({run.horizon, horizon})}")
-            shared = 0
-            for g, g0 in zip(states, previous):
-                if g is not g0:
-                    break
-                shared += 1
-            for d in range(shared, horizon + 1):
-                g = states[d]
-                i = path[d].get(g)
+            kids = roots
+            for d, g in enumerate(states):
+                i = kids.get(g)
                 if i is None:
                     if d:
                         budget.tick()
                     level = nodes[d]
-                    i = path[d][g] = len(level)
+                    i = kids[g] = len(level)
                     level.append({})
-                if d < horizon:
-                    path[d + 1] = nodes[d][i]
-            previous = states
+                kids = nodes[d][i]
         children = [[_sorted(kids) for kids in level] for level in nodes[:-1]]
         agents = tuple(sorted(set(agents)))
         return cls(agents, _sorted(roots), children, [True] * len(nodes[-1]), budget)
@@ -562,14 +548,16 @@ def _only_in(x: RunAutomaton, y: RunAutomaton) -> RunAutomaton:
 
 
 def systems_equal(a: RunAutomaton, b: RunAutomaton) -> EqualityReport:
-    """Set equality of two run sets of the same horizon, empty or not;
-    two horizons are an `InputError`.
+    """Set equality of two run sets of the same horizon and agents, empty
+    or not; two horizons, or two sets of agents, are an `InputError`.
 
     The runs only in a and only in b are automata read off the product of
     the two, so their sizes come from path counts and their least runs
     from a descent, without materializing either set."""
     if a.horizon != b.horizon:
         raise InputError(f"horizon mismatch: {sorted({a.horizon, b.horizon})}")
+    if a.agents != b.agents:
+        raise InputError(f"agent mismatch: first {list(a.agents)}, second {list(b.agents)}")
     if not a or not b:
         return EqualityReport(equal=not a and not b, only_in_a=a, only_in_b=b)
     only_a, only_b = _only_in(a, b), _only_in(b, a)

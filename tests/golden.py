@@ -90,6 +90,9 @@ def cases() -> list[list[str]]:
         ["check", "--equal", _file("empty_h2"), _file("ping_runs")],
         ["check", "--equal", _file("ping_runs"), _file("ping_runs_h3")],
         ["check", "--equal", _file("empty_h2"), _file("empty_h3")],
+        # and of two sets of agents, empty and nonempty
+        ["check", "--equal", _file("empty_a"), _file("empty_b")],
+        ["check", "--equal", _file("idle_a"), _file("idle_b")],
         # run histories against bundles: preserved, violated, other agents
         ["check", "--history-preserving", _path("ping_space"), _file("ping_runs")],
         ["check", "--history-preserving", _path("ping_space"), _file("ping_runs_unreceived")],

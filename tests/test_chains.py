@@ -138,11 +138,14 @@ class TestStepGraph:
     @given(small_spaces())
     @settings(max_examples=150, deadline=None)
     def test_drawn_spaces_match_pairwise_check_step(self, drawn):
-        space, max_nodes = drawn
-        graph = step_graph(space, max_nodes)
-        assert graph.bundles == enumerate_bundles(space, max_nodes)
-        assert graph.successors == pairwise_step_graph(space, max_nodes)
-        assert graph.distance == bfs_distances(graph)
+        # the drawn space, and its strands each their own agent, where one
+        # step adds sends and receives on several agents at once
+        drawn_space, max_nodes = drawn
+        for space in (drawn_space, drawn_space.with_identity_assignment()):
+            graph = step_graph(space, max_nodes)
+            assert graph.bundles == enumerate_bundles(space, max_nodes)
+            assert graph.successors == pairwise_step_graph(space, max_nodes)
+            assert graph.distance == bfs_distances(graph)
 
     @given(twin_spaces())
     @settings(max_examples=80, deadline=None)

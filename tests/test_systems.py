@@ -214,7 +214,17 @@ class TestSystemsEqual:
         a, b = RunAutomaton.of([], AGENTS, 3), RunAutomaton.of([], AGENTS, 2)
         with pytest.raises(InputError, match=r"^horizon mismatch: \[2, 3\]$"):
             systems_equal(a, b)
-        assert systems_equal(a, RunAutomaton.of([], ["c"], 3)).equal
+        assert systems_equal(a, RunAutomaton.of([], AGENTS, 3)).equal
+
+    def test_agent_mismatch_rejected(self):
+        # run sets over other agents are not compared, empty or not
+        def runs(agent: str, held: bool) -> RunAutomaton:
+            run = RunPrefix.of([GlobalState.empty([agent])] * 2)
+            return RunAutomaton.of([run] if held else [], [agent], 1)
+
+        for held in (False, True):
+            with pytest.raises(InputError, match=r"^agent mismatch: first \['a'\], second \['b'\]$"):
+                systems_equal(runs("a", held), runs("b", held))
 
 
 class TestHistoryPreserving:
