@@ -14,11 +14,11 @@ its own.  So no enumerator or check meets an ill-formed relation.
 Most value types of the package are tuples: a `NamedTuple` record, or a
 `namedtuple` subclass whose ``__new__`` validates.  Their fields are
 read-only descriptors and they have no instance dict, so assigning any
-attribute raises `AttributeError`.  `StrandSpace` and `GlobalState` keep
-state beside their fields (lookup maps, a cached hash); they are
-``__slots__`` classes whose ``__setattr__`` and ``__delattr__`` raise
-`AttributeError`.  Every value's hash is the hash of its field tuple and
-its repr is ``Cls(field=value, ...)``.
+attribute raises `AttributeError`.  `StrandSpace` keeps lookup maps
+beside its fields; it is the one ``__slots__`` class, whose
+``__setattr__`` and ``__delattr__`` raise `AttributeError`.  Every
+value's hash is the hash of its field tuple and its repr is
+``Cls(field=value, ...)``.
 
 Conventions:
   * strand positions are 1-based;
@@ -323,55 +323,10 @@ def term_of(space: StrandSpace, node: Node) -> SignedTerm:
     return strand.trace[node.index - 1]
 
 
-class GlobalState:
-    """A tuple of per-agent local histories.
+class GlobalState(NamedTuple):
+    """A tuple of per-agent local histories."""
 
-    Equality and order are those of the field tuple ``(locals,)``, between
-    global states only.  The hash is that tuple's hash, computed on first
-    use and kept, so set and dict orders follow the field values alone."""
-
-    __slots__ = ("locals", "_hash")
-
-    def __init__(self, locals: tuple[tuple[str, History], ...]):  # sorted by agent
-        _set(self, "locals", locals)
-
-    __setattr__ = __delattr__ = _frozen
-
-    def __hash__(self) -> int:
-        try:
-            return self._hash
-        except AttributeError:  # the first hash of this object
-            h = hash((self.locals,))
-            _set(self, "_hash", h)
-            return h
-
-    def __eq__(self, other):
-        if other.__class__ is not GlobalState:
-            return NotImplemented
-        return self.locals == other.locals
-
-    def __lt__(self, other):
-        if other.__class__ is not GlobalState:
-            return NotImplemented
-        return self.locals < other.locals
-
-    def __le__(self, other):
-        if other.__class__ is not GlobalState:
-            return NotImplemented
-        return self.locals <= other.locals
-
-    def __gt__(self, other):
-        if other.__class__ is not GlobalState:
-            return NotImplemented
-        return self.locals > other.locals
-
-    def __ge__(self, other):
-        if other.__class__ is not GlobalState:
-            return NotImplemented
-        return self.locals >= other.locals
-
-    def __repr__(self) -> str:
-        return f"GlobalState(locals={self.locals!r})"
+    locals: tuple[tuple[str, History], ...]  # sorted by agent
 
     @classmethod
     def of(cls, mapping: Mapping[str, Iterable[Event]]) -> "GlobalState":

@@ -166,21 +166,21 @@ def _nat(value: Any, what: str) -> int:
 
 def parse_document(text: str) -> Document:
     try:
-        body = json.loads(text)
-    except ValueError as exc:  # JSONDecodeError, or an integer too long to convert
-        raise SchemaError(f"not valid JSON: {exc}") from exc
-    except RecursionError as exc:
-        raise SchemaError("JSON nested too deeply to parse") from exc
-    body = _obj(body, "document")
-    kind = body.get("kind")
-    _expect(kind in KINDS, f"kind must be one of {KINDS}, got {kind!r}")
-    try:
+        try:
+            body = json.loads(text)
+        except ValueError as exc:  # JSONDecodeError, or an integer too long to convert
+            raise SchemaError(f"not valid JSON: {exc}") from exc
+        body = _obj(body, "document")
+        kind = body.get("kind")
+        _expect(kind in KINDS, f"kind must be one of {KINDS}, got {kind!r}")
         return _PARSERS[kind](body)
     except IllFormedError:
         raise
     except InputError as exc:
         # Constructor preconditions double as schema constraints here.
         raise SchemaError(str(exc)) from exc
+    except RecursionError as exc:  # in json.loads, or in a nested protocol spec
+        raise SchemaError("JSON nested too deeply to parse") from exc
 
 
 def load_document(path) -> Document:

@@ -28,6 +28,7 @@ from strandlab.errors import IllFormedError
 from strandlab.systems import RunAutomaton, RunPrefix, check_mp
 
 FIXTURES = pathlib.Path(__file__).resolve().parent.parent / "fixtures"
+FILES = pathlib.Path(__file__).resolve().parent / "files"
 
 
 def fixture_path(name: str) -> pathlib.Path:

@@ -108,6 +108,10 @@ def cases() -> list[list[str]]:
         ["check", "--theorem", "7", _file("collide-protocol")],
         ["validate", _file("spaced-agent")],
         ["check", "--theorem", "5", _file("spaced-agent")],
+        # a protocol whose agent spec is a union
+        ["validate", _file("union-protocol")],
+        ["check", "--theorem", "6", _file("union-protocol")],
+        ["check", "--theorem", "7", _file("union-protocol")],
     ]
     return argvs
 

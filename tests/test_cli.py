@@ -363,6 +363,10 @@ DEEP = {
     "bundles 995 deep": '{"kind": "bundles", "bundles": ' + "[" * 995 + "]" * 995 + "}",
     "runs 100000 deep": '{"kind": "runs", "agents": ["a"], "horizon": 0, "runs": '
     + "[" * 100_000 + "]" * 100_000 + "}",
+    # on Python 3.12 and later json.loads takes it and the spec parser,
+    # two frames per union level, meets the recursion limit
+    "protocol union 600 deep": '{"kind": "protocol", "messages": ["u"], "agents": {"a": '
+    + '{"union": [' * 600 + '{"monotone": ["sent u"]}' + "]}" * 600 + "}}",
 }
 
 

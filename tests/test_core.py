@@ -182,9 +182,9 @@ class TestGlobalState:
         with pytest.raises(InputError):
             GlobalState.empty(["a"]).history("z")
 
-    def test_cached_hash_is_the_dataclass_hash(self):
-        # the hash of the field tuple, as a dataclass's would be, so set
-        # and dict orders follow the values; repeated calls give it again
+    def test_hash_is_the_field_tuple_hash(self):
+        # a record's hash is its field tuple's, so set and dict orders
+        # follow the values; equal states built apart hash alike
         g = GlobalState.empty(["a", "b"]).extend({"a": sent("u")})
         assert hash(g) == hash((g.locals,)) == hash(g)
         twin = GlobalState.of({"b": (), "a": (sent("u"),)})

@@ -20,10 +20,11 @@ from strandlab.documents import (
     parse_term,
 )
 from strandlab.errors import SchemaError
-from strandlab.protocols import NOOP, generate_runs, send
+from strandlab.protocols import NOOP, JointProtocol, generate_runs, send
 from strandlab.systems import HistorySet, RunAutomaton, RunPrefix, generate_system
 
 from conftest import (
+    FILES,
     FIXTURES,
     fixture_path,
     prefix_tree_edges,
@@ -65,8 +66,9 @@ class TestTokens:
 
 class TestRoundTrips:
     def test_all_fixture_documents(self):
-        # parse -> dump -> parse is the identity on every shipped fixture
-        for path in sorted(FIXTURES.glob("*.json")):
+        # parse -> dump -> parse is the identity on every shipped fixture,
+        # and on a protocol with a union spec, which no fixture has
+        for path in [*sorted(FIXTURES.glob("*.json")), FILES / "union-protocol.json"]:
             doc = load_document(path)
             text = dump_document(doc)
             assert parse_document(text) == doc
@@ -327,6 +329,18 @@ class TestSchemaErrors:
         text = f'{{"kind": "runs", "agents": ["a"], "horizon": 0, "runs": [[{state}]]}}'
         with pytest.raises(SchemaError):
             parse_document(text)
+
+    def test_nested_unions_parse_or_are_too_deep(self):
+        # from some depth on the recursion limit is met, in json.loads or,
+        # on Python 3.12 and later, in the spec parser (two frames a level)
+        spec = '{"monotone": ["sent u"]}'
+        for depth in range(300, 1001):
+            text = '{"union": [' * depth + spec + "]}" * depth
+            doc = '{"kind": "protocol", "messages": ["u"], "agents": {"a": ' + text + "}}"
+            try:
+                assert isinstance(parse_document(doc), JointProtocol)
+            except SchemaError as exc:
+                assert str(exc) == "JSON nested too deeply to parse"
 
     def test_integer_too_long_to_convert(self):
         with pytest.raises(SchemaError):
