@@ -39,16 +39,17 @@ collections), so identical values always produce identical bytes, and
 every emitted document parses back to the value it came from.
 
 Runs and chains documents repeat a few distinct values many times, so
-their cost follows the distinct values.  A runs document parses to a
-`RunAutomaton` over shared states: each distinct event and global state
-is built once and every run refers to it.  A run's leading states that
-equal the previous run's are taken over from it unparsed, so parsing
-runs written in order (as `dump_document` writes them) costs about one
-step per distinct prefix rather than one per state of every run.
-Likewise each distinct bundle and step of a chains document is one
-object that every chain shares.  Dumping a runs or chains document
-encodes each distinct state, bundle or step once and joins the text; the
-bytes are those of one `json.dumps` of the whole body.
+they are held in memory about once per distinct value, beside one copy of
+their text.  Reading a runs document, `json.loads` returns one shared
+object for equal JSON objects whose every value is a list of strings (its
+global states), and each such object is parsed once: the graph in memory
+is the distinct states plus one list of references per run, and the
+`RunAutomaton` is built over shared states and events.  Each distinct
+bundle and step of a chains document is one object that every chain
+shares.  Dumping a runs or chains document encodes each distinct state,
+bundle or step once and appends references to that text, between shared
+brackets and separators, to one list of pieces, joined once; the bytes
+are those of one `json.dumps` of the whole body.
 
 Parsing raises SchemaError for structural problems (bad JSON, wrong
 shapes, unparseable tokens) and for a system's histories of an agent it
@@ -67,7 +68,8 @@ break MP1-MP3.
 from __future__ import annotations
 
 import json
-from typing import Any, Callable, NamedTuple
+from functools import cache
+from typing import Any, Callable, Iterable, NamedTuple
 
 from .bundles import Bundle
 from .chains import ChainPrefix, StepWitness
@@ -164,12 +166,35 @@ def _nat(value: Any, what: str) -> int:
 # --- parsers ------------------------------------------------------------
 
 
+_STR = {str}  # the member types of a list of strings
+
+
+def _shared_objects() -> Callable[[dict], dict]:
+    """A `json.loads` object hook that returns one shared object for equal
+    JSON objects whose every value is a list of strings, the global states
+    of a runs document, and any other object as it is (so a bool is never
+    merged with an int)."""
+    memo: dict[tuple, dict] = {}
+
+    def hook(obj: dict) -> dict:
+        key: list = []
+        for k, v in obj.items():
+            if type(v) is not list or not _STR.issuperset(map(type, v)):
+                return obj
+            key += (k, tuple(v))
+        return memo.setdefault(tuple(key), obj)
+
+    return hook
+
+
 def parse_document(text: str) -> Document:
     try:
         try:
-            body = json.loads(text)
+            body = json.loads(text, object_hook=_shared_objects())
         except ValueError as exc:  # JSONDecodeError, or an integer too long to convert
             raise SchemaError(f"not valid JSON: {exc}") from exc
+        except RecursionError as exc:
+            raise SchemaError("JSON nested too deeply to parse") from exc
         body = _obj(body, "document")
         kind = body.get("kind")
         _expect(kind in KINDS, f"kind must be one of {KINDS}, got {kind!r}")
@@ -179,8 +204,6 @@ def parse_document(text: str) -> Document:
     except InputError as exc:
         # Constructor preconditions double as schema constraints here.
         raise SchemaError(str(exc)) from exc
-    except RecursionError as exc:  # in json.loads, or in a nested protocol spec
-        raise SchemaError("JSON nested too deeply to parse") from exc
 
 
 def load_document(path) -> Document:
@@ -277,7 +300,12 @@ def _parse_spec(raw: Any) -> ProtocolSpec:
 def _parse_protocol(body: dict) -> JointProtocol:
     messages = _str_list(body.get("messages", []), "messages")
     agents = _obj(body.get("agents", {}), "agents")
-    mapping = {agent: _parse_spec(spec) for agent, spec in agents.items()}
+    mapping = {}
+    for agent, spec in agents.items():
+        try:
+            mapping[agent] = _parse_spec(spec)
+        except RecursionError as exc:  # the spec parser recurses once per union level
+            raise SchemaError(f"protocol spec of agent {agent} nested too deeply to parse") from exc
     return JointProtocol.of(mapping, messages)
 
 
@@ -285,9 +313,12 @@ def _parse_runs(body: dict) -> RunAutomaton:
     keys = set(_str_list(body.get("agents", []), "agents"))
     names = sorted(keys)  # a state's agents: the declared ones without repeats
     horizon = _nat(body.get("horizon"), "horizon")
-    # each distinct event and state is built once, then shared
+    # each distinct event and state is built once, then shared; a raw state
+    # is parsed once per object (json.loads shares equal ones), by its id
+    # while body keeps it alive
     events: dict[str, Event] = {}
-    states: dict[tuple[tuple[str, ...], ...], GlobalState] = {}
+    shared: dict[GlobalState, GlobalState] = {}
+    parsed: dict[int, GlobalState] = {}
 
     def event(s: str) -> Event:
         e = events.get(s)
@@ -296,43 +327,32 @@ def _parse_runs(body: dict) -> RunAutomaton:
         return e
 
     def state(raw: Any) -> GlobalState:
+        g = parsed.get(id(raw))
+        if g is not None:
+            return g
         raw = _obj(raw, "global state")
         if raw.keys() != keys:
             raise SchemaError(f"global state agents {sorted(raw)} != {names}")
         histories = [raw[a] for a in names]
         _expect(all(type(h) is list for h in histories), "each history must be a list")
-        key = tuple(map(tuple, histories))
         _expect(
-            all(type(e) is str for h in key for e in h),
+            all(type(e) is str for h in histories for e in h),
             "each history must be a list of strings",
         )
-        g = states.get(key)
-        if g is None:
-            g = states[key] = GlobalState(
-                tuple((a, tuple(map(event, h))) for a, h in zip(names, key))
-            )
+        g = GlobalState(tuple((a, tuple(map(event, h))) for a, h in zip(names, histories)))
+        g = parsed[id(raw)] = shared.setdefault(g, g)
         return g
 
-    # A run's leading states that equal the previous run's are that run's
-    # states: a JSON value equal to a checked one passes the same checks.
-    runs = []
-    previous_raw: list = []
-    previous: tuple[GlobalState, ...] = ()
-    for raw_run in _list(body.get("runs", []), "runs"):
-        _expect(isinstance(raw_run, list), "each run must be a list of states")
-        _expect(
-            len(raw_run) == horizon + 1,
-            f"each run must contain horizon+1 = {horizon + 1} states",
-        )
-        shared = 0
-        for raw, raw0 in zip(raw_run, previous_raw):
-            if raw != raw0:
-                break
-            shared += 1
-        previous = previous[:shared] + tuple(map(state, raw_run[shared:]))
-        previous_raw = raw_run
-        runs.append(RunPrefix(previous))
-    return RunAutomaton.of(runs, names, horizon)
+    def runs():
+        for raw_run in _list(body.get("runs", []), "runs"):
+            _expect(isinstance(raw_run, list), "each run must be a list of states")
+            _expect(
+                len(raw_run) == horizon + 1,
+                f"each run must contain horizon+1 = {horizon + 1} states",
+            )
+            yield RunPrefix(tuple(map(state, raw_run)))
+
+    return RunAutomaton.of(runs(), names, horizon)
 
 
 def _parse_node(raw: Any) -> Node:
@@ -426,8 +446,11 @@ KINDS = tuple(_PARSERS)
 
 
 # A document's bytes are json.dumps(body, indent=2, sort_keys=True) and a
-# newline.  Runs and chains documents are joined from the text of each
-# distinct state, bundle or step, encoded once and indented to its depth.
+# newline, appended as pieces to one list and joined once.  Runs and chains
+# documents refer there to the text of each distinct state, bundle or step,
+# encoded once and indented to its depth.
+
+Writer = Callable[[list[str]], None]  # appends a value's pieces to a list
 
 
 def _indented(value: Any, depth: int) -> str:
@@ -435,43 +458,66 @@ def _indented(value: Any, depth: int) -> str:
     return json.dumps(value, indent=2, sort_keys=True).replace("\n", "\n" + "  " * depth)
 
 
-def _join(brackets: str, items: list[str], depth: int) -> str:
-    """A list or object ``depth`` levels deep from its items' text, each
-    already nested one level deeper."""
-    if not items:
-        return brackets
+@cache
+def _marks(brackets: str, depth: int) -> tuple[str, str, str]:
+    """The text that opens, separates and closes the items of a list or
+    object ``depth`` levels deep, made once and shared by every one."""
     inner = "\n" + "  " * (depth + 1)
-    return brackets[0] + inner + ("," + inner).join(items) + "\n" + "  " * depth + brackets[1]
+    return brackets[0] + inner, "," + inner, "\n" + "  " * depth + brackets[1]
 
 
-def _list_text(items: list[str], depth: int) -> str:
-    return _join("[]", items, depth)
+def _join(
+    out: list[str],
+    brackets: str,
+    items: Iterable[Any],
+    depth: int,
+    write: Callable[[list[str], Any], None] = list.append,
+) -> None:
+    """Append to ``out`` a list or object ``depth`` levels deep:
+    ``write(out, item)`` appends each item, nested one level deeper; by
+    default an item is its text."""
+    opening, separator, closing = _marks(brackets, depth)
+    start = len(out)
+    for item in items:
+        out.append(separator if len(out) > start else opening)
+        write(out, item)
+    out.append(closing if len(out) > start else brackets)
 
 
-def _object_text(entries: dict[str, str], depth: int) -> str:
-    return _join("{}", [f"{json.dumps(k)}: {v}" for k, v in sorted(entries.items())], depth)
+def _object_text(out: list[str], entries: dict[str, Writer], depth: int) -> None:
+    def entry(out: list[str], item: tuple[str, Writer]) -> None:
+        key, write = item
+        out.append(json.dumps(key) + ": ")
+        write(out)
+
+    _join(out, "{}", sorted(entries.items()), depth, entry)
 
 
 def _shared_text(to_body: Callable[[Any], Any], depth: int) -> Callable[[Any], str]:
     """``to_body(value)`` as JSON text ``depth`` levels deep, encoded once
     per distinct value."""
-    cache: dict[Any, str] = {}
+    encoded: dict[Any, str] = {}
 
     def text(value: Any) -> str:
-        out = cache.get(value)
+        out = encoded.get(value)
         if out is None:
-            out = cache[value] = _indented(to_body(value), depth)
+            out = encoded[value] = _indented(to_body(value), depth)
         return out
 
     return text
 
 
-def _dumps(body: dict, **nested: str) -> str:
-    """The document ``body``, plus the entries in ``nested``, whose values
-    are JSON text already nested one level deep."""
-    entries = {k: _indented(v, 1) for k, v in body.items()}
+def _dumps(body: dict, **nested: Writer) -> str:
+    """The document ``body``, plus the entries in ``nested``, whose writers
+    append them nested one level deep."""
+    entries: dict[str, Writer] = {
+        k: lambda out, text=_indented(v, 1): out.append(text) for k, v in body.items()
+    }
     entries.update(nested)
-    return _object_text(entries, 0) + "\n"
+    out: list[str] = []
+    _object_text(out, entries, 0)
+    out.append("\n")
+    return "".join(out)
 
 
 def dump_space(space: StrandSpace) -> str:
@@ -532,10 +578,13 @@ def _state_body(g: GlobalState) -> dict:
 
 def dump_runs(runs: RunAutomaton) -> str:
     state = _shared_text(_state_body, 3)
-    texts = [_list_text([state(g) for g in run.states], 2) for run in runs]
+
+    def run_text(out: list[str], run: RunPrefix) -> None:
+        _join(out, "[]", map(state, run.states), 2)
+
     return _dumps(
         {"kind": "runs", "agents": list(runs.agents), "horizon": runs.horizon},
-        runs=_list_text(texts, 1),
+        runs=lambda out: _join(out, "[]", runs, 1, run_text),
     )
 
 
@@ -568,18 +617,20 @@ def _step_body(w: StepWitness) -> dict:
 def dump_chains(doc: ChainsDocument) -> str:
     bundle = _shared_text(_bundle_body, 4)
     step = _shared_text(_step_body, 4)
-    chains = [
+
+    def chain_text(out: list[str], chain: ChainPrefix) -> None:
         _object_text(
+            out,
             {
-                "bundles": _list_text([bundle(b) for b in chain.bundles], 3),
-                "steps": _list_text([step(w) for w in chain.witnesses], 3),
+                "bundles": lambda out: _join(out, "[]", map(bundle, chain.bundles), 3),
+                "steps": lambda out: _join(out, "[]", map(step, chain.witnesses), 3),
             },
             2,
         )
-        for chain in doc.chains
-    ]
+
     return _dumps(
-        {"kind": "chains", "agents": list(doc.agents)}, chains=_list_text(chains, 1)
+        {"kind": "chains", "agents": list(doc.agents)},
+        chains=lambda out: _join(out, "[]", doc.chains, 1, chain_text),
     )
 
 
