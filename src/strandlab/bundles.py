@@ -1,21 +1,23 @@
 """Bundles: causally consistent finite snapshots of strand-space executions.
 
-A bundle is encoded as per-strand prefix heights plus an explicit matching
-of send nodes to receive nodes.  Encoding prefixes by heights makes
-downward closure along the strand-successor relation structural, so the
-axiom checks that remain are:
+A bundle is a set of the space's nodes with communication edges, each
+from a send to a receive of the same message, such that:
 
-  * structural edge sanity (terms match, nodes in height, each send feeds
-    at most one receive — the matching is injective);
-  * B2: every in-height receive node has exactly one incoming edge;
-  * B4: the causal graph (communication edges plus strand successors) is
-    acyclic;
-  * B5 (extended spaces only): no two conflicting strands both appear.
+  B1  it is finite;
+  B2  every receive node in it has exactly one incoming edge;
+  B3  it is closed under strand predecessors: with a node <s,i>, i > 1,
+      it holds <s,i-1>;
+  B4  its causal graph (communication edges plus strand successors) is
+      acyclic;
+  B5  (extended spaces only) no two conflicting strands both have nodes
+      in it.
 
-B1 (finiteness) and B3 (downward closure) hold by construction.  The
-conflict relation is the space's own (`StrandSpace.conflicts`), and its
-pairs are checked when the space is built, as the space's own problems,
-so B5 is only about the bundle: which strands are present.
+A bundle is encoded as per-strand prefix heights plus the edges, each
+send feeding at most one receive.  So B1 and B3 hold by construction.
+The conflict relation is the space's own (`StrandSpace.conflicts`), and
+its pairs are checked when the space is built, so B5 is only about which
+strands are present.  The test suite's reference checks each axiom on
+its own and names each failure: `tests/reference.py::validate_bundle`.
 
 `enumerate_bundles` rests on one fact: a nonempty bundle minus a maximal
 node (a strand's top node that feeds no edge), and minus its incoming
@@ -24,9 +26,11 @@ one a node at a time.  A new node has no out-edge, so no cycle can form
 and no acyclicity test is needed.  Each distinct bundle ticks the budget.
 
 `agent_events` is what a bundle shows each agent: the events of the
-agent's strands up to the bundle's heights.  Message equivalence with a
-global state (identity assignment), theorem 2 and history preservation
-all compare these images.
+agent's strands up to the bundle's heights.  Theorem 2 and history
+preservation compare these images.  Under the identity assignment a
+global state is message-equivalent to a bundle exactly when it is the
+bundle's image, ``GlobalState.of(agent_events(space, bundle))``; the
+strand-by-strand definition is the tests' reference.
 
 `KeyedSpace` packs a bundle into one integer key: `encode` builds a key
 from heights and edge pairs, `decode` splits it back and `bundle` turns
@@ -49,7 +53,7 @@ from typing import Iterable, Iterator, Mapping, NamedTuple
 
 from .budget import StateBudget, ensure
 from .core import (  # ConflictRelation is re-exported
-    ConflictRelation, GlobalState, History, Node, StrandSpace, term_of, term_to_event,
+    ConflictRelation, History, Node, StrandSpace, term_to_event,
 )
 from .errors import InputError
 
@@ -103,24 +107,6 @@ class Bundle(NamedTuple):
 EMPTY_BUNDLE = Bundle.of({})
 
 
-class BundleReport(NamedTuple):
-    """Per-axiom pass/fail with human-readable problem descriptions."""
-
-    problems: tuple[tuple[str, str], ...]  # (axiom key, description)
-    checked_b5: bool
-
-    @property
-    def ok(self) -> bool:
-        return not self.problems
-
-    def failed_axioms(self) -> tuple[str, ...]:
-        seen: list[str] = []
-        for key, _ in self.problems:
-            if key not in seen:
-                seen.append(key)
-        return tuple(seen)
-
-
 def _successor_edges(bundle: Bundle) -> Iterator[CommEdge]:
     for s, h in bundle.heights:
         for i in range(1, h):
@@ -152,86 +138,8 @@ def _toposort(nodes: list[Node], edges: list[CommEdge]) -> list[Node] | None:
     return order if len(order) == len(nodes) else None
 
 
-def validate_bundle(space: StrandSpace, bundle: Bundle) -> BundleReport:
-    """Check the bundle axioms over the given space.
-
-    B5 is checked only when the space has a conflict relation.  Unknown
-    strand ids raise an input error rather than being reported: a bundle
-    over the wrong space is a caller mistake, not an axiom failure.
-    """
-    problems: list[tuple[str, str]] = []
-    for sid, h in bundle.heights:
-        strand = space.strand(sid)  # raises InputError on unknown ids
-        if h > len(strand):
-            problems.append(
-                ("edges", f"height {h} exceeds trace length of strand {sid}")
-            )
-
-    in_height = set(bundle.nodes())
-
-    def term_str(node: Node) -> str:
-        return f"{term_of(space, node)}@<{node.strand},{node.index}>"
-
-    senders_used: dict[Node, int] = {}
-    for sender, receiver in sorted(bundle.edges):
-        for node in (sender, receiver):
-            space.strand(node.strand)
-        if sender not in in_height or receiver not in in_height:
-            problems.append(
-                ("edges", f"edge endpoint outside bundle: {sender} -> {receiver}")
-            )
-            continue
-        t1, t2 = term_of(space, sender), term_of(space, receiver)
-        if not t1.positive or t2.positive or t1.message != t2.message:
-            problems.append(
-                ("edges", f"edge terms do not match: {term_str(sender)} -> {term_str(receiver)}")
-            )
-        senders_used[sender] = senders_used.get(sender, 0) + 1
-    for sender, count in sorted(senders_used.items()):
-        if count > 1:
-            problems.append(
-                ("edges", f"send node {sender} matched to {count} receives")
-            )
-
-    receivers = {receiver for _, receiver in bundle.edges}
-    for node in sorted(in_height):
-        if not term_of(space, node).positive and node not in receivers:
-            problems.append(
-                ("B2", f"receive node <{node.strand},{node.index}> has no sender")
-            )
-    # A receive with two incoming edges also violates uniqueness.
-    incoming: dict[Node, int] = {}
-    for _, receiver in bundle.edges:
-        incoming[receiver] = incoming.get(receiver, 0) + 1
-    for receiver, count in sorted(incoming.items()):
-        if count > 1:
-            problems.append(
-                ("B2", f"receive node <{receiver.strand},{receiver.index}> has {count} senders")
-            )
-
-    if _toposort(sorted(in_height), causal_edges(bundle)) is None:
-        problems.append(("B4", "causal graph has a cycle"))
-
-    conflicts = space.conflicts
-    if conflicts is not None:
-        active = set(bundle.active_strands())
-        for a, b in sorted(conflicts):
-            if a in active and b in active:
-                problems.append(("B5", f"conflicting strands both present: ({a}, {b})"))
-
-    return BundleReport(tuple(problems), checked_b5=conflicts is not None)
-
-
-def bundle_height(space: StrandSpace, bundle: Bundle) -> int:
-    """Edge count of the longest causal path through the bundle."""
-    report = validate_bundle(space, bundle)
-    if not report.ok:
-        raise InputError(f"invalid bundle: {report.problems[0][1]}")
-    return _longest_causal_path(bundle)
-
-
 def _longest_causal_path(bundle: Bundle) -> int:
-    """`bundle_height` of a bundle already known to be valid."""
+    """Edge count of the longest causal path through a valid bundle."""
     nodes = sorted(bundle.nodes())
     edges = causal_edges(bundle)
     order = _toposort(nodes, edges)
@@ -244,12 +152,6 @@ def _longest_causal_path(bundle: Bundle) -> int:
         for m in out[n]:
             longest[n] = max(longest[n], longest[m] + 1)
     return max(longest.values(), default=0)
-
-
-def strand_height(space: StrandSpace, bundle: Bundle, sid: str) -> int:
-    """The bundle's prefix height for one strand (0 when absent)."""
-    space.strand(sid)
-    return bundle.height(sid)
 
 
 class KeyedSpace:
@@ -360,8 +262,7 @@ def agent_events(space: StrandSpace, bundle: Bundle) -> dict[str, History]:
     """What the bundle shows each agent: the events of its strands up to
     the bundle's heights, strand by strand in the space's order.
 
-    A strand the space does not have raises an input error, as in
-    `validate_bundle`.
+    A strand the space does not have raises an input error.
     """
     heights = bundle.height_map
     for sid in heights:
@@ -372,16 +273,3 @@ def agent_events(space: StrandSpace, bundle: Bundle) -> dict[str, History]:
         )
         for a in space.agents
     }
-
-
-def message_equivalent(space: StrandSpace, g: GlobalState, bundle: Bundle) -> bool:
-    """Whether a global state and a bundle agree on per-strand event prefixes.
-
-    Only meaningful when each strand is its own agent, so that an agent's
-    history and a strand's prefix describe the same locus.
-    """
-    if not space.is_identity_assigned():
-        raise InputError("message_equivalent requires the identity agent assignment")
-    if set(g.agents) != {s.id for s in space.strands}:
-        raise InputError("global state agents do not match the space's strands")
-    return g == GlobalState.of(agent_events(space, bundle))

@@ -20,10 +20,16 @@ A useful consequence of clause 1 is that the per-agent multiset of node
 terms of B1 reappears in B2, so the event of a step does not depend on
 which witness f is found.
 
-`check_step` is the one definition of a step.  `step_graph` builds the
-same relation forward, by a breadth-first search from the empty bundle.
-From each b1 it takes the maps f that `check_step` tries, in its order
-(without its test against b2's heights), and for each f:
+`check_step` is the one definition of a step: it tests a given pair
+(b1, b2) against the three clauses.  No command runs it; the tests
+compare `step_graph` with it on every pair of bundles.  It stays here,
+not with the other references in ``tests/reference.py``, only while the
+benchmark's tracer (``perfbench/trace_cli.py``) wraps it by name.
+
+`step_graph` builds the same relation forward, by a breadth-first search
+from the empty bundle.  From each b1 it takes the maps f that
+`check_step` tries, in its order (without its test against b2's
+heights), and for each f:
 
   * the base bundle: heights f(s) -> h1(s) and edges f(E1).  A base with
     two conflicting strands is refused with all its growth (B5); a send
@@ -68,7 +74,7 @@ have the same extensions; the first f that builds a key keeps its
 witness; and each bundle's successors are sorted by the rank of
 `Bundle.sort_key` among all bundles.  The search records each bundle's
 distance, the fewest chain steps from the empty bundle, when it first
-reaches the bundle; `bundle_distances` (lemmas 1 and 2) reads these.
+reaches the bundle; lemmas 1 and 2 read these.
 The graph is cached per process, and a hit charges the budget what the
 graph cost to build.
 
@@ -86,9 +92,9 @@ from typing import Iterator, NamedTuple
 
 from .budget import StateBudget, ensure
 from .bundles import EMPTY_BUNDLE, Bundle, KeyedSpace
-from .core import Event, GlobalState, History, Node, StrandSpace, term_to_event
+from .core import Event, GlobalState, Node, StrandSpace, term_to_event
 from .errors import InputError
-from .systems import RunAutomaton, RunPrefix, explore
+from .systems import RunAutomaton, explore
 
 
 class StepWitness(NamedTuple):
@@ -458,16 +464,6 @@ def step_graph(
     return graph
 
 
-def bundle_distances(
-    space: StrandSpace,
-    max_nodes: int = 8,
-    budget: StateBudget | None = None,
-) -> dict[Bundle, int]:
-    """Fewest chain steps to each reachable bundle: a copy of the step
-    graph's own, which the graph cache shares."""
-    return dict(step_graph(space, max_nodes, budget).distance)
-
-
 def enumerate_chain_prefixes(
     space: StrandSpace,
     horizon: int = 0,
@@ -493,28 +489,6 @@ def enumerate_chain_prefixes(
     return tuple(
         ChainPrefix(agents=agents, bundles=bs, witnesses=ws) for bs, ws in prefixes
     )
-
-
-def hist(chain: ChainPrefix, agent: str, m: int) -> History:
-    """The history agent has accumulated after the first m steps."""
-    if agent not in chain.agents:
-        raise InputError(f"unknown agent: {agent!r}")
-    if not 0 <= m <= chain.length:
-        raise InputError(f"step index {m} out of range 0..{chain.length}")
-    events: list[Event] = []
-    for witness in chain.witnesses[:m]:
-        event = witness.event_map().get(agent)
-        if event is not None:
-            events.append(event)
-    return tuple(events)
-
-
-def run_from_chain(chain: ChainPrefix) -> RunPrefix:
-    """The run prefix reading off each agent's events along the chain."""
-    states = [GlobalState.empty(chain.agents)]
-    for witness in chain.witnesses:
-        states.append(states[-1].extend(witness.event_map()))
-    return RunPrefix.of(states)
 
 
 def translate(

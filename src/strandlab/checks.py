@@ -26,7 +26,7 @@ from typing import Iterable, NamedTuple
 
 from .budget import StateBudget, ensure
 from .bundles import _longest_causal_path, agent_events, enumerate_bundles
-from .chains import bundle_distances, translate
+from .chains import step_graph, translate
 from .constructions import extended_space_from_system, space_from_monotone
 from .core import GlobalState, StrandSpace
 from .errors import InputError
@@ -282,7 +282,7 @@ def lemma_1(
     """
     name = "height grows at most two per chain step"
     budget = ensure(budget)
-    dist = bundle_distances(space, node_cap(space, max_nodes), budget=budget)
+    dist = step_graph(space, node_cap(space, max_nodes), budget).distance
     # bundles of the step relation are valid by construction
     violations = [
         (b, d)
@@ -313,7 +313,7 @@ def lemma_2(
     ident = space.with_identity_assignment()
     max_nodes = node_cap(ident, max_nodes)
     bundles = enumerate_bundles(ident, max_nodes, budget=budget)
-    dist = bundle_distances(ident, max_nodes, budget=budget)
+    dist = step_graph(ident, max_nodes, budget).distance
     misses = [
         b
         for b in bundles

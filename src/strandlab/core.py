@@ -115,15 +115,6 @@ def term_to_event(term: SignedTerm) -> Event:
     return Event(SENT if term.positive else RECV, term.message)
 
 
-def event_term_bijection(x: Event | SignedTerm) -> SignedTerm | Event:
-    """Map an event to its signed term, or a signed term to its event."""
-    if isinstance(x, Event):
-        return event_to_term(x)
-    if isinstance(x, SignedTerm):
-        return term_to_event(x)
-    raise InputError(f"expected Event or SignedTerm, got {type(x).__name__}")
-
-
 History = tuple[Event, ...]
 
 
@@ -278,15 +269,6 @@ class StrandSpace:
             return self
         return StrandSpace(self.strands, self.agents, self.assignment)
 
-    @property
-    def assignment_map(self) -> dict[str, str]:
-        return dict(self.assignment)
-
-    def is_identity_assigned(self) -> bool:
-        return all(sid == agent for sid, agent in self.assignment) and set(
-            self.agents
-        ) == {s.id for s in self.strands}
-
     def strand(self, sid: str) -> Strand:
         try:
             return self._by_id[sid]
@@ -310,17 +292,6 @@ class StrandSpace:
 
     def node_count(self) -> int:
         return sum(len(s) for s in self.strands)
-
-
-def term_of(space: StrandSpace, node: Node) -> SignedTerm:
-    """The signed term at a node of the space."""
-    strand = space.strand(node.strand)
-    if not 1 <= node.index <= len(strand):
-        raise InputError(
-            f"node index {node.index} out of range for strand {node.strand!r} "
-            f"(trace length {len(strand)})"
-        )
-    return strand.trace[node.index - 1]
 
 
 class GlobalState(NamedTuple):

@@ -23,7 +23,6 @@ is `systems.explore` over rounds.
 from __future__ import annotations
 
 from collections import Counter, namedtuple
-from itertools import product
 from typing import Iterable, Mapping, NamedTuple
 
 from .budget import StateBudget
@@ -226,31 +225,4 @@ def generate_runs(
         jp.agents,
         horizon,
         budget,
-    )
-
-
-def all_histories(messages: Iterable[str], bound: int) -> Iterable[History]:
-    """Every event sequence over the message alphabet, up to a length."""
-    alphabet = [e for u in sorted(set(messages)) for e in (sent(u), recv(u))]
-    for n in range(bound + 1):
-        for combo in product(alphabet, repeat=n):
-            yield combo
-
-
-def is_monotone_realization(
-    candidate: Iterable[Event],
-    p: TableSpec,
-    bound: int,
-    messages: Iterable[str] | None = None,
-) -> bool:
-    """Whether a table protocol behaves like the candidate monotone one
-    on every history up to the length bound."""
-    if bound < 0:
-        raise InputError("bound must be non-negative")
-    candidate = MonotoneSpec(tuple(candidate))
-    if messages is None:
-        messages = spec_messages(candidate) | spec_messages(p)
-    return all(
-        eval_protocol(p, h) == eval_protocol(candidate, h)
-        for h in all_histories(messages, bound)
     )

@@ -9,16 +9,14 @@ put or grows by one event.  Validity is governed by three conditions:
   MP3  histories start empty and never shrink, growing by at most one
        event per round.
 
-MP2 has two readings.  The default ("strong") requires an injective
-matching from receive occurrences to send occurrences of the same
-message, each send no later than its matched receive — equivalently, at
-every time and for every message, cumulatively at most as many receives
-as sends have occurred.  The "literal" reading only requires that some
-send of the message has occurred by the time of each receive, allowing
-one send to justify many receives.  The strong reading is what makes
+MP2 is read strongly: there is an injective matching from receive
+occurrences to send occurrences of the same message, each send no later
+than its matched receive; equivalently, at every time and for every
+message, at most as many receives as sends have occurred so far.  A
+weaker reading, that some send of the message precede each receive,
+would let one send justify many receives.  The strong one is what makes
 runs correspond to bundles, whose receive nodes each have a unique
-sender; run generation uses it, and `check_mp` also offers the literal
-reading for comparison.
+sender and whose sends each feed at most one receive.
 
 A run set is a `RunAutomaton`, a layered DAG whose level-d nodes are
 the distinct (global state, search state) pairs that prefixes reach in d
@@ -65,10 +63,6 @@ from .bundles import agent_events, enumerate_bundles
 from .core import Event, GlobalState, History
 from .errors import IllFormedError, InputError
 
-MP2_STRONG = "strong"
-MP2_LITERAL = "literal"
-
-
 class RunPrefix(namedtuple("RunPrefix", "states")):
     """A sequence of global states g_0, ..., g_T."""
 
@@ -86,11 +80,6 @@ class RunPrefix(namedtuple("RunPrefix", "states")):
     @property
     def horizon(self) -> int:
         return len(self.states) - 1
-
-    def state(self, m: int) -> GlobalState:
-        if not 0 <= m <= self.horizon:
-            raise InputError(f"time {m} out of range 0..{self.horizon}")
-        return self.states[m]
 
     def final(self) -> GlobalState:
         return self.states[-1]
@@ -305,15 +294,13 @@ def _event_counts(g: GlobalState) -> tuple[Counter, Counter]:
     return sends, recvs
 
 
-def mp2_problem(g: GlobalState, mode: str) -> str | None:
+def mp2_problem(g: GlobalState) -> str | None:
     """None when the state's receives are justified; else a description."""
     sends, recvs = _event_counts(g)
     for msg, n in sorted(recvs.items()):
         have = sends.get(msg, 0)
-        if mode == MP2_STRONG and n > have:
+        if n > have:
             return f"{n} receives of {msg} but only {have} sends"
-        if mode == MP2_LITERAL and have == 0:
-            return f"receive of {msg} with no send at all"
     return None
 
 
@@ -359,11 +346,8 @@ def check_mp(
     universe: Iterable[str],
     agents: Iterable[str],
     run: RunPrefix,
-    mp2: str = MP2_STRONG,
 ) -> MPReport:
     """Check MP1-MP3 on a run prefix against a message universe."""
-    if mp2 not in (MP2_STRONG, MP2_LITERAL):
-        raise InputError(f"unknown MP2 mode: {mp2!r}")
     universe = frozenset(universe)
     agents = tuple(sorted(set(agents)))
     states = run.states
@@ -378,7 +362,7 @@ def check_mp(
         mp3 = first(_mp3_problem(states[m - 1], states[m], m) for m in range(1, len(states)))
     mp2_failure = None
     for m, g in enumerate(states):
-        problem = mp2_problem(g, mp2)
+        problem = mp2_problem(g)
         if problem is not None:
             mp2_failure = f"at time {m}: {problem}"
             break
@@ -386,7 +370,7 @@ def check_mp(
 
 
 def mp_violations(universe: Iterable[str], runs: RunAutomaton) -> RunAutomaton:
-    """The runs that fail MP1-MP3 (strong MP2), MP1 over the run set's
+    """The runs that fail MP1-MP3, MP1 over the run set's
     agents.  MP1 and MP2 are decided once per distinct global state and
     MP3 once per distinct round (pair of states), however many automaton
     nodes and edges repeat them; only the emptiness of the initial state
@@ -396,7 +380,7 @@ def mp_violations(universe: Iterable[str], runs: RunAutomaton) -> RunAutomaton:
 
     @cache
     def mp1_mp2(g: GlobalState) -> bool:
-        return _mp1_problem(universe, agents, g, 0) is None and mp2_problem(g, MP2_STRONG) is None
+        return _mp1_problem(universe, agents, g, 0) is None and mp2_problem(g) is None
 
     @cache
     def mp3(g: GlobalState, g2: GlobalState) -> bool:
@@ -412,14 +396,14 @@ def joint_round(
     """All global states one round can produce from g.
 
     Each agent stutters or appends one of its options; the joint outcome
-    stands only if its receives stay justified (strong MP2), same-round
+    stands only if its receives stay justified (MP2), same-round
     sends included.  Distinct choices give distinct states.
     """
     choices = [[None] + [(a, e) for e in options[a]] for a in g.agents]
     out = []
     for combo in product(*choices):
         g2 = g.extend(dict(pick for pick in combo if pick))
-        if mp2_problem(g2, MP2_STRONG) is None:
+        if mp2_problem(g2) is None:
             out.append(g2)
     return out
 
@@ -482,7 +466,7 @@ def generate_system(
     """All run prefixes of the given length whose local states stay in hs.
 
     Each round every agent stutters or appends an event keeping its history
-    admissible, and the round's receives stay justified (strong MP2).
+    admissible, and the round's receives stay justified (MP2).
     """
     nexts: dict[str, dict[History, list[Event]]] = {}
     for a in hs.agents:

@@ -9,25 +9,12 @@ from __future__ import annotations
 import random
 from collections import Counter
 
-from strandlab.bundles import (
-    Bundle,
-    bundle_height,
-    enumerate_bundles,
-    message_equivalent,
-    validate_bundle,
-)
-from strandlab.chains import bundle_distances, enumerate_chain_prefixes, translate
+from strandlab.bundles import Bundle, agent_events, enumerate_bundles
+from strandlab.chains import enumerate_chain_prefixes, step_graph, translate
 from strandlab.cli import main as cli_main
 from strandlab.constructions import extended_space_from_system, space_from_monotone
-from strandlab.core import Node, recv, sent
-from strandlab.protocols import (
-    NOOP,
-    MonotoneSpec,
-    all_histories,
-    eval_protocol,
-    generate_runs,
-    send,
-)
+from strandlab.core import GlobalState, Node, recv, sent
+from strandlab.protocols import NOOP, MonotoneSpec, eval_protocol, generate_runs, send
 from strandlab.systems import (
     check_history_preserving,
     check_mp,
@@ -37,6 +24,7 @@ from strandlab.systems import (
 )
 
 from conftest import fixture_path
+from reference import all_histories, bundle_height, validate_bundle
 
 
 def report(num: int, name: str, ok: bool) -> None:
@@ -86,13 +74,10 @@ def test_criterion_02_states_and_bundles_correspond(ping_space, r1_space, nack_s
         ident = space.with_identity_assignment()
         runs = translate(ident, 4, 8)
         states = {g for run in runs for g in run.states}
-        bundles = enumerate_bundles(ident, 8)
-        ok = ok and all(
-            any(message_equivalent(ident, g, b) for b in bundles) for g in states
-        )
-        ok = ok and all(
-            any(message_equivalent(ident, g, b) for g in states) for b in bundles
-        )
+        # a state and a bundle are message-equivalent when the state is the
+        # bundle's image: each state is an image and each image a state
+        images = {GlobalState.of(agent_events(ident, b)) for b in enumerate_bundles(ident, 8)}
+        ok = ok and states == images
     report(2, "run states and bundles correspond both ways", ok)
 
 
@@ -119,7 +104,7 @@ def test_criterion_04_every_bundle_reachable(r1_space, r1_t5_space, nack_space, 
         (ping_space, 2),
     ):
         ident = space.with_identity_assignment()
-        dist = bundle_distances(ident, max_nodes)
+        dist = step_graph(ident, max_nodes).distance
         for bundle in enumerate_bundles(ident, max_nodes):
             ok = ok and dist.get(bundle, max_nodes + 1) <= bundle.node_count()
     report(4, "every bundle is the end of a short enough chain", ok)

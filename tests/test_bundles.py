@@ -1,37 +1,16 @@
 from __future__ import annotations
 
-import itertools
-
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from strandlab.budget import StateBudget
-from strandlab.bundles import (
-    EMPTY_BUNDLE,
-    Bundle,
-    ConflictRelation,
-    bundle_height,
-    causal_edges,
-    enumerate_bundles,
-    message_equivalent,
-    strand_height,
-    validate_bundle,
-)
-from strandlab.core import (
-    GlobalState,
-    Node,
-    Strand,
-    StrandSpace,
-    negative,
-    positive,
-    recv,
-    sent,
-    term_of,
-)
+from strandlab.bundles import EMPTY_BUNDLE, Bundle, agent_events, causal_edges, enumerate_bundles
+from strandlab.core import GlobalState, Node, Strand, StrandSpace, negative, positive, recv, sent
 from strandlab.errors import BudgetExceededError, InputError
 
 from conftest import relay_space, ring_space, small_spaces, twin_spaces
+from reference import bundle_height, term_of, validate_bundle
 
 
 def r1_exchange_bundle() -> Bundle:
@@ -55,6 +34,11 @@ def longest_path_oracle(space, bundle) -> int:
         return max((1 + depth(m) for m in out[n]), default=0)
 
     return max((depth(n) for n in nodes), default=0)
+
+
+def image(space, bundle) -> GlobalState:
+    """The one global state message-equivalent to the bundle."""
+    return GlobalState.of(agent_events(space, bundle))
 
 
 class TestValidateBundle:
@@ -143,13 +127,11 @@ class TestHeights:
         with pytest.raises(InputError):
             bundle_height(r1_space, Bundle.of({"s21": 1}))
 
-    def test_strand_height(self, r1_space):
+    def test_strand_height(self):
         bundle = r1_exchange_bundle()
-        assert strand_height(r1_space, EMPTY_BUNDLE, "s12") == 0
-        assert strand_height(r1_space, bundle, "s12") == 2
-        assert strand_height(r1_space, bundle, "s23") == 0
-        with pytest.raises(InputError):
-            strand_height(r1_space, bundle, "ghost")
+        assert EMPTY_BUNDLE.height("s12") == 0
+        assert bundle.height("s12") == 2
+        assert bundle.height("s23") == 0
 
 
 class TestEnumerateBundles:
@@ -253,7 +235,7 @@ class TestMessageEquivalence:
     def test_empty_against_empty(self, ping_space):
         ident = ping_space.with_identity_assignment()
         g = GlobalState.empty(ident.agents)
-        assert message_equivalent(ident, g, EMPTY_BUNDLE)
+        assert g == image(ident, EMPTY_BUNDLE)
 
     def test_relay_exchange_state(self, r1_space):
         # [PAPER] the u/v exchange run matches the exchange bundle
@@ -266,14 +248,16 @@ class TestMessageEquivalence:
                 "s32": (),
             }
         )
-        assert message_equivalent(ident, g, r1_exchange_bundle())
+        assert g == image(ident, r1_exchange_bundle())
         # [TRIVIAL] height mismatch against the empty bundle
-        assert not message_equivalent(ident, g, EMPTY_BUNDLE)
+        assert g != image(ident, EMPTY_BUNDLE)
 
     def test_requires_identity_assignment(self, r1_space):
-        g = GlobalState.empty(r1_space.agents)
-        with pytest.raises(InputError):
-            message_equivalent(r1_space, g, EMPTY_BUNDLE)
+        # the image is over the space's agents, so a state over its strands
+        # is some bundle's image only once each strand is its own agent
+        g = GlobalState.empty(s.id for s in r1_space.strands)
+        assert g != image(r1_space, EMPTY_BUNDLE)
+        assert g == image(r1_space.with_identity_assignment(), EMPTY_BUNDLE)
 
     def test_invariant_under_rematching(self):
         space = StrandSpace.identity(
@@ -287,4 +271,4 @@ class TestMessageEquivalence:
             b for b in enumerate_bundles(space, 3) if b.node_count() == 3
         ]
         g = GlobalState.of({"w1": (sent("u"),), "w2": (sent("u"),), "r": (recv("u"),)})
-        assert all(message_equivalent(space, g, b) for b in bundles)
+        assert all(g == image(space, b) for b in bundles)

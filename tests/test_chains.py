@@ -5,28 +5,13 @@ from hypothesis import given, settings
 
 from strandlab.budget import StateBudget
 from strandlab.bundles import EMPTY_BUNDLE, Bundle, enumerate_bundles
-from strandlab.chains import (
-    ChainPrefix,
-    bundle_distances,
-    check_step,
-    enumerate_chain_prefixes,
-    hist,
-    run_from_chain,
-    step_graph,
-    translate,
-)
+from strandlab.chains import ChainPrefix, check_step, enumerate_chain_prefixes, step_graph, translate
 from strandlab.core import Node, Strand, StrandSpace, negative, positive, recv, sent
 from strandlab.errors import InputError
 from strandlab.systems import check_mp
 
-from conftest import (
-    bfs_distances,
-    pairwise_step_graph,
-    relay_space,
-    ring_space,
-    small_spaces,
-    twin_spaces,
-)
+from conftest import relay_space, ring_space, small_spaces, twin_spaces
+from reference import bfs_distances, bundle_height, hist, pairwise_step_graph, run_from_chain
 
 
 def prefix_jump_space() -> StrandSpace:
@@ -210,9 +195,8 @@ class TestStepGraph:
 
     def test_negative_max_nodes(self, ping_space):
         space = ping_space
-        for call in (step_graph, bundle_distances):
-            with pytest.raises(InputError):
-                call(space, -1)
+        with pytest.raises(InputError):
+            step_graph(space, -1)
         with pytest.raises(InputError):
             translate(space, 2, -1)
 
@@ -332,16 +316,14 @@ class TestTranslate:
 
 class TestLemmaBounds:
     def test_height_at_most_twice_distance(self, r1_space, nack_space):
-        from strandlab.bundles import bundle_height
-
         for space in (r1_space, nack_space):
-            dist = bundle_distances(space, 8)
+            dist = step_graph(space, 8).distance
             for bundle, d in dist.items():
                 assert bundle_height(space, bundle) <= 2 * d
 
     def test_identity_reachability_within_node_count(self, nack_space):
         ident = nack_space.with_identity_assignment()
-        dist = bundle_distances(ident, 6)
+        dist = step_graph(ident, 6).distance
         for bundle in enumerate_bundles(ident, 6):
             assert bundle in dist
             assert dist[bundle] <= bundle.node_count()

@@ -93,12 +93,13 @@ def test_theorem_3_fails_on_a_system_the_space_cannot_realize(ping_space):
 
 def test_lemma_2_names_the_first_unreached_bundle(monkeypatch, ping_space):
     # with only the empty bundle reached, the first nonempty one is named
-    real = checks.bundle_distances
-    monkeypatch.setattr(
-        checks,
-        "bundle_distances",
-        lambda *args, **kw: {b: d for b, d in real(*args, **kw).items() if not b.heights},
-    )
+    real = checks.step_graph
+
+    def empty_only(*args, **kw):
+        graph = real(*args, **kw)
+        return graph._replace(distance={b: d for b, d in graph.distance.items() if not b.heights})
+
+    monkeypatch.setattr(checks, "step_graph", empty_only)
     ident = ping_space.with_identity_assignment()
     bundles = enumerate_bundles(ident, ident.node_count())
     first = next(b for b in bundles if b.heights)

@@ -16,7 +16,8 @@ from strandlab.cli import main
 from strandlab.documents import dump_document, load_document
 from strandlab.systems import RunAutomaton
 
-from conftest import fixture_path, reference_validate_runs, run_sets
+from conftest import fixture_path, run_sets
+from reference import reference_validate_runs
 
 
 def run_cli(*argv):

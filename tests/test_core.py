@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from strandlab.bundles import EMPTY_BUNDLE, Bundle, BundleReport
+from strandlab.bundles import EMPTY_BUNDLE, Bundle
 from strandlab.chains import ChainPrefix, StepGraph, StepWitness
 from strandlab.checks import CheckResult
 from strandlab.core import (
@@ -15,12 +15,12 @@ from strandlab.core import (
     SignedTerm,
     Strand,
     StrandSpace,
-    event_term_bijection,
+    event_to_term,
     negative,
     positive,
     recv,
     sent,
-    term_of,
+    term_to_event,
 )
 from strandlab.documents import BundlesDocument, ChainsDocument
 from strandlab.errors import InputError
@@ -35,6 +35,7 @@ from strandlab.systems import (
 )
 
 from conftest import raised_problems
+from reference import BundleReport, term_of
 
 tokens = st.text(
     alphabet=st.characters(whitelist_categories=("Ll", "Lu", "Nd")), min_size=1, max_size=6
@@ -58,20 +59,23 @@ class TestSignedTermsAndEvents:
 
     def test_bijection_examples(self):
         # [PAPER] a sent event corresponds to the positive term
-        assert event_term_bijection(sent("u")) == positive("u")
+        assert event_to_term(sent("u")) == positive("u")
         # [TRIVIAL] definitional
-        assert event_term_bijection(negative("v")) == recv("v")
+        assert term_to_event(negative("v")) == recv("v")
 
     @given(tokens, st.booleans())
     def test_bijection_is_an_involution(self, msg, pos):
         term = positive(msg) if pos else negative(msg)
-        assert event_term_bijection(event_term_bijection(term)) == term
+        assert event_to_term(term_to_event(term)) == term
         event = sent(msg) if pos else recv(msg)
-        assert event_term_bijection(event_term_bijection(event)) == event
+        assert term_to_event(event_to_term(event)) == event
 
     def test_bijection_rejects_other_types(self):
+        # neither carrier takes the other's tags
         with pytest.raises(InputError):
-            event_term_bijection("sent u")
+            SignedTerm("sent", "u")
+        with pytest.raises(InputError):
+            Event("+", "u")
 
 
 class TestTermOf:
@@ -106,7 +110,7 @@ class TestTermOf:
 class TestValidateSpace:
     def test_fixture_spaces_are_well_formed(self, r1_space, nack_space, ping_space):
         for space in (r1_space, nack_space, ping_space):
-            assert StrandSpace.of(space.strands, space.agents, space.assignment_map) == space
+            assert StrandSpace.of(space.strands, space.agents, dict(space.assignment)) == space
 
     def test_empty_trace_reported(self):
         assert raised_problems(lambda: StrandSpace.of([Strand("s", ())], ["a"], {"s": "a"})) == (
@@ -157,7 +161,7 @@ class TestValidateSpace:
 
     def test_plain_and_empty_relations_differ(self):
         plain = StrandSpace.identity([Strand("s", (positive("u"),))])
-        empty = StrandSpace.of(plain.strands, plain.agents, plain.assignment_map, [])
+        empty = StrandSpace.of(plain.strands, plain.agents, dict(plain.assignment), [])
         assert plain.conflicts is None and empty.conflicts == ConflictRelation()
         assert plain != empty and empty.without_conflicts() == plain
         fields = (empty.strands, empty.agents, empty.assignment, empty.conflicts)
@@ -193,8 +197,8 @@ class TestGlobalState:
 
     def test_identity_assignment_helpers(self, r1_space):
         ident = r1_space.with_identity_assignment()
-        assert ident.is_identity_assigned()
-        assert not r1_space.is_identity_assigned()
+        assert all(sid == agent for sid, agent in ident.assignment)
+        assert not all(sid == agent for sid, agent in r1_space.assignment)
         assert set(ident.agents) == {s.id for s in ident.strands}
 
 

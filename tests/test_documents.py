@@ -24,17 +24,8 @@ from strandlab.errors import SchemaError
 from strandlab.protocols import NOOP, JointProtocol, generate_runs, send
 from strandlab.systems import HistorySet, RunAutomaton, RunPrefix, generate_system
 
-from conftest import (
-    FILES,
-    FIXTURES,
-    fixture_path,
-    prefix_tree_edges,
-    reference_dump,
-    reference_parse_chains,
-    reference_parse_runs,
-    run_sets,
-    scrambled,
-)
+from conftest import FILES, FIXTURES, fixture_path, prefix_tree_edges, run_sets, scrambled
+from reference import reference_dump, reference_parse_chains, reference_parse_runs
 
 
 class TestTokens:

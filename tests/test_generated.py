@@ -12,15 +12,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from strandlab.bundles import (
-    Bundle, BundleReport, agent_events, enumerate_bundles, message_equivalent, validate_bundle,
-)
-from strandlab.chains import enumerate_chain_prefixes, run_from_chain, translate
+from strandlab.bundles import Bundle, agent_events, enumerate_bundles
+from strandlab.chains import enumerate_chain_prefixes, translate
 from strandlab.checks import lemma_1, lemma_2, theorem_1, theorem_2, theorem_4
 from strandlab.core import GlobalState
 from strandlab.errors import InputError
 
-from conftest import brute_force_bundles, reference_message_equivalent, small_spaces, twin_spaces
+from conftest import small_spaces, twin_spaces
+from reference import (
+    BundleReport, brute_force_bundles, reference_message_equivalent, run_from_chain, validate_bundle,
+)
 
 
 @given(st.one_of(small_spaces(), twin_spaces()))
@@ -53,23 +54,24 @@ def test_translate_matches_chain_enumeration(drawn, horizon):
 @given(small_spaces())
 @settings(max_examples=60, deadline=None)
 def test_message_equivalent_matches_strand_by_strand(drawn):
-    # every (state, bundle) pair: the bundles' own images and the states
-    # the translation reaches, so that both answers occur
+    # theorem 2's rule, a state is equivalent to a bundle when it is the
+    # bundle's image, on every (state, bundle) pair: the bundles' own
+    # images and the states the translation reaches, so that both answers
+    # occur
     ident = drawn[0].with_identity_assignment()
     max_nodes = drawn[1]
     bundles = enumerate_bundles(ident, max_nodes)
-    states = set(translate(ident, 2, max_nodes).occurring_states())
-    states.update(GlobalState.of(agent_events(ident, b)) for b in bundles)
+    images = [GlobalState.of(agent_events(ident, b)) for b in bundles]
+    states = set(translate(ident, 2, max_nodes).occurring_states()).union(images)
     for g in states:
-        for b in bundles:
-            assert message_equivalent(ident, g, b) == reference_message_equivalent(ident, g, b)
+        for b, image in zip(bundles, images):
+            assert (g == image) == reference_message_equivalent(ident, g, b)
 
 
 def test_message_equivalent_rejects_unknown_strand(ping_space):
     ident = ping_space.with_identity_assignment()
-    g = GlobalState.empty(ident.agents)
     with pytest.raises(InputError):
-        message_equivalent(ident, g, Bundle.of({"nowhere": 1}))
+        agent_events(ident, Bundle.of({"nowhere": 1}))
 
 
 @given(small_spaces())
@@ -132,14 +134,15 @@ def test_lemma_1_names_least_violation(monkeypatch, r1_space):
     from strandlab import checks
 
     monkeypatch.setattr(checks, "_longest_causal_path", lambda b: 3 if b.heights else 0)
-    real = checks.bundle_distances
-    monkeypatch.setattr(
-        checks,
-        "bundle_distances",
-        lambda *args, **kw: dict(reversed(real(*args, **kw).items())),
-    )
+    real = checks.step_graph
+
+    def reversed_distances(*args, **kw):
+        graph = real(*args, **kw)
+        return graph._replace(distance=dict(reversed(graph.distance.items())))
+
+    monkeypatch.setattr(checks, "step_graph", reversed_distances)
     result = checks.lemma_1(r1_space)
     assert not result.ok
-    dist = real(r1_space, r1_space.node_count())
+    dist = real(r1_space, r1_space.node_count()).distance
     assert sum(d == 1 for d in dist.values()) > 1
     assert result.lines[1] == "violation: bundle (('s12', 1),) has height 3 at distance 1"

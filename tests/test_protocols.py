@@ -6,7 +6,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from conftest import brute_force_runs, raised_problems
+from conftest import raised_problems
+from reference import all_histories, brute_force_runs, is_monotone_realization
 from strandlab.core import GlobalState, recv, sent
 from strandlab.errors import InputError
 from strandlab.protocols import (
@@ -16,10 +17,8 @@ from strandlab.protocols import (
     MonotoneSpec,
     TableSpec,
     UnionSpec,
-    all_histories,
     eval_protocol,
     generate_runs,
-    is_monotone_realization,
     send,
     spec_messages,
     tau_step,

@@ -8,10 +8,9 @@ from hypothesis import strategies as st
 
 from strandlab.core import GlobalState, Strand, StrandSpace, positive, recv, sent
 from strandlab.errors import InputError
-from conftest import brute_force_runs, raised_problems, run_sets
+from conftest import raised_problems, run_sets
+from reference import brute_force_runs
 from strandlab.systems import (
-    MP2_LITERAL,
-    MP2_STRONG,
     HistorySet,
     RunAutomaton,
     RunPrefix,
@@ -70,20 +69,19 @@ class TestCheckMP:
         run = RunPrefix.of([g])
         assert check_mp(["u"], AGENTS, run).mp3 is not None
 
-    def test_strong_vs_literal_divergence(self):
-        # one send justifying two receives: literal yes, strong no
+    def test_one_send_cannot_justify_two_receives(self):
+        # MP2 is the strong reading: each receive has a send of its own
         agents = ("a", "b", "c")
         g0 = GlobalState.empty(agents)
         g1 = g0.extend({"a": sent("u")})
         g2 = g1.extend({"b": recv("u"), "c": recv("u")})
         run = RunPrefix.of([g0, g1, g2])
-        assert check_mp(["u"], agents, run, mp2=MP2_STRONG).mp2 is not None
-        assert check_mp(["u"], agents, run, mp2=MP2_LITERAL).ok
+        assert check_mp(["u"], agents, run).mp2 == "at time 2: 2 receives of u but only 1 sends"
 
-    def test_unknown_mode_rejected(self):
-        run = run_of()
-        with pytest.raises(InputError):
-            check_mp(["u"], AGENTS, run, mp2="weird")
+    def test_mp2_has_no_mode(self):
+        # the strong reading is the only one, so there is no mode to pick
+        with pytest.raises(TypeError):
+            check_mp(["u"], AGENTS, run_of(), mp2="literal")
 
 
 class TestMPViolations:
