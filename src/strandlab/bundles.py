@@ -17,7 +17,13 @@ send feeding at most one receive.  So B1 and B3 hold by construction.
 The conflict relation is the space's own (`StrandSpace.conflicts`), and
 its pairs are checked when the space is built, so B5 is only about which
 strands are present.  The test suite's reference checks each axiom on
-its own and names each failure: `tests/reference.py::validate_bundle`.
+its own and names each failure: `tests/reference.py::validate_bundle`,
+whose B4 test is a topological sort of the causal graph.
+
+Lemma 1 compares a bundle's height, the edge count of its longest causal
+path, with its chain distance.  `_longest_causal_path` finds it in one
+depth-first walk over each node's two possible predecessors, with no
+edge list and no sort; the tests' `bundle_height` sorts instead.
 
 `enumerate_bundles` rests on one fact: a nonempty bundle minus a maximal
 node (a strand's top node that feeds no edge), and minus its incoming
@@ -107,51 +113,28 @@ class Bundle(NamedTuple):
 EMPTY_BUNDLE = Bundle.of({})
 
 
-def _successor_edges(bundle: Bundle) -> Iterator[CommEdge]:
-    for s, h in bundle.heights:
-        for i in range(1, h):
-            yield (Node(s, i), Node(s, i + 1))
-
-
-def causal_edges(bundle: Bundle) -> list[CommEdge]:
-    """All edges of the causal graph: communication plus strand successors."""
-    return sorted(bundle.edges) + list(_successor_edges(bundle))
-
-
-def _toposort(nodes: list[Node], edges: list[CommEdge]) -> list[Node] | None:
-    """Kahn's algorithm over a bundle's causal graph; None when it has a
-    cycle."""
-    indeg = {n: 0 for n in nodes}
-    out: dict[Node, list[Node]] = {n: [] for n in nodes}
-    for a, b in edges:
-        out[a].append(b)
-        indeg[b] += 1
-    frontier = [n for n in nodes if indeg[n] == 0]
-    order: list[Node] = []
-    while frontier:
-        n = frontier.pop()
-        order.append(n)
-        for m in out[n]:
-            indeg[m] -= 1
-            if indeg[m] == 0:
-                frontier.append(m)
-    return order if len(order) == len(nodes) else None
-
-
 def _longest_causal_path(bundle: Bundle) -> int:
-    """Edge count of the longest causal path through a valid bundle."""
-    nodes = sorted(bundle.nodes())
-    edges = causal_edges(bundle)
-    order = _toposort(nodes, edges)
-    assert order is not None
-    out: dict[Node, list[Node]] = {n: [] for n in nodes}
-    for a, b in edges:
-        out[a].append(b)
-    longest = {n: 0 for n in nodes}
-    for n in reversed(order):
-        for m in out[n]:
-            longest[n] = max(longest[n], longest[m] + 1)
-    return max(longest.values(), default=0)
+    """Edge count of the longest causal path through a valid bundle.
+
+    A node's depth is one more than its deepest predecessor's, 0 with
+    none; its predecessors are the node below it on its strand and the
+    send that feeds it.  One depth-first walk from each strand's top node
+    sets the depths, predecessors first, without recursion."""
+    feeder = {b: a for a, b in bundle.edges}
+    depth: dict[Node, int] = {}
+    for s, h in bundle.heights:
+        stack = [Node(s, h)]
+        while stack:
+            node = stack[-1]
+            below, send = Node(node.strand, node.index - 1), feeder.get(node)
+            if node.index > 1 and below not in depth:
+                stack.append(below)
+            elif send is not None and send not in depth:
+                stack.append(send)
+            else:
+                stack.pop()
+                depth[node] = max(depth.get(below, -1), depth.get(send, -1)) + 1
+    return max(depth.values(), default=0)
 
 
 class KeyedSpace:
@@ -265,11 +248,12 @@ def agent_events(space: StrandSpace, bundle: Bundle) -> dict[str, History]:
     A strand the space does not have raises an input error.
     """
     heights = bundle.height_map
-    for sid in heights:
-        space.strand(sid)
-    return {
-        a: tuple(
-            term_to_event(t) for s in space.strands_of(a) for t in s.trace[: heights.get(s.id, 0)]
-        )
-        for a in space.agents
-    }
+    agent = dict(space.assignment)
+    unknown = heights.keys() - agent.keys()
+    if unknown:
+        raise InputError(f"unknown strand id: {min(unknown)!r}")
+    events: dict[str, History] = {a: () for a in space.agents}
+    for s in space.strands:
+        if s.id in heights:
+            events[agent[s.id]] += tuple(map(term_to_event, s.trace[: heights[s.id]]))
+    return events

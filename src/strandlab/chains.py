@@ -137,13 +137,6 @@ class ChainPrefix(namedtuple("ChainPrefix", "agents bundles witnesses")):
         return self.bundles[-1]
 
 
-def _agent_node_counts(space: StrandSpace, bundle: Bundle) -> dict[str, int]:
-    counts = {a: 0 for a in space.agents}
-    for sid, h in bundle.heights:
-        counts[space.agent_of(sid)] += h
-    return counts
-
-
 def _injections(sources: list, targets_per_source: list[list]) -> list[dict]:
     """All injective choices of a distinct target for each source."""
     out: list[dict] = []
@@ -167,15 +160,24 @@ def _injections(sources: list, targets_per_source: list[list]) -> list[dict]:
 def check_step(space: StrandSpace, b1: Bundle, b2: Bundle) -> StepWitness | None:
     """Search for a witness that b1 steps to b2; None when there is none."""
     h1, h2 = b1.height_map, b2.height_map
-    counts1 = _agent_node_counts(space, b1)
-    counts2 = _agent_node_counts(space, b2)
-    diffs = {a: counts2[a] - counts1[a] for a in space.agents}
+    agent_of = dict(space.assignment)
+    unknown = (h1.keys() | h2.keys()) - agent_of.keys()
+    if unknown:
+        raise InputError(f"unknown strand id: {min(unknown)!r}")
+    diffs = {a: 0 for a in space.agents}
+    for sid, h in b2.heights:
+        diffs[agent_of[sid]] += h
+    for sid, h in b1.heights:
+        diffs[agent_of[sid]] -= h
     if any(d < 0 or d > 1 for d in diffs.values()):
         return None
+    strands_of: dict[str, list] = {a: [] for a in space.agents}
+    for s in space.strands:
+        strands_of[agent_of[s.id]].append(s)
 
     by_agent: dict[str, list[str]] = {}
     for sid in b1.active_strands():
-        by_agent.setdefault(space.agent_of(sid), []).append(sid)
+        by_agent.setdefault(agent_of[sid], []).append(sid)
 
     per_agent_choices: list[list[dict]] = []
     for agent in sorted(by_agent):
@@ -186,7 +188,7 @@ def check_step(space: StrandSpace, b1: Bundle, b2: Bundle) -> StepWitness | None
             targets.append(
                 [
                     t.id
-                    for t in space.strands_of(agent)
+                    for t in strands_of[agent]
                     if h2.get(t.id, 0) >= h1[sid] and t.trace[: h1[sid]] == prefix
                 ]
             )
@@ -208,7 +210,7 @@ def check_step(space: StrandSpace, b1: Bundle, b2: Bundle) -> StepWitness | None
             for agent, d in sorted(diffs.items()):
                 if d != 1:
                     continue
-                for t in space.strands_of(agent):
+                for t in strands_of[agent]:
                     height = h2.get(t.id, 0)
                     if height > covered.get(t.id, 0):
                         event = term_to_event(t.trace[height - 1])
@@ -221,10 +223,10 @@ def check_step(space: StrandSpace, b1: Bundle, b2: Bundle) -> StepWitness | None
 
 
 class StepGraph(NamedTuple):
-    """All bundles within a node budget, their step successors and their
-    distances, the fewest chain steps from the empty bundle."""
+    """Every bundle within a node budget, in `Bundle.sort_key` order, with
+    its step successors and its distance, the fewest chain steps from the
+    empty bundle."""
 
-    bundles: tuple[Bundle, ...]
     successors: dict
     distance: dict[Bundle, int]
 
@@ -253,8 +255,9 @@ class _StepSpace(KeyedSpace):
         strands, index = self.strands, self.index
         # per agent, its strands' numbers in `strands_of` order: growth runs
         # over space.agents, the witness maps over the sorted agents
+        agent = dict(space.assignment)
         self.agent_strands = [
-            [index[s.id] for s in space.strands_of(a)] for a in space.agents
+            [index[s.id] for s in space.strands if agent[s.id] == a] for a in space.agents
         ]
         self.agent_of: dict[int, str] = {}
         # match[i][h]: the same-agent strands whose trace starts with strand
@@ -450,7 +453,6 @@ def step_graph(
     order = sorted(bundle, key=lambda k: bundle[k].sort_key())
     rank = {k: r for r, k in enumerate(order)}
     graph = StepGraph(
-        bundles=tuple(bundle[k] for k in order),
         successors={
             bundle[k1]: tuple(
                 (bundle[k2], successors[k1][k2])

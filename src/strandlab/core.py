@@ -11,14 +11,14 @@ input, `StrandSpace` with an `IllFormedError` that lists every problem,
 those of its conflict pairs (unknown strands, cross-agent pairs) after
 its own.  So no enumerator or check meets an ill-formed relation.
 
-Most value types of the package are tuples: a `NamedTuple` record, or a
-`namedtuple` subclass whose ``__new__`` validates.  Their fields are
-read-only descriptors and they have no instance dict, so assigning any
-attribute raises `AttributeError`.  `StrandSpace` keeps lookup maps
-beside its fields; it is the one ``__slots__`` class, whose
-``__setattr__`` and ``__delattr__`` raise `AttributeError`.  Every
-value's hash is the hash of its field tuple and its repr is
-``Cls(field=value, ...)``.
+Every value type of the package with fields, `StrandSpace` included, is
+a tuple: a `NamedTuple` record, or a `namedtuple` subclass whose
+``__new__`` validates.  Their fields are read-only descriptors and they
+have no instance dict, so assigning any attribute raises
+`AttributeError`.  Every such value's hash is the hash of its field
+tuple and its repr is ``Cls(field=value, ...)``.  A space's lookups
+scan its fields; code that looks up every node reads ``assignment``
+into a dict once.
 
 Conventions:
   * strand positions are 1-based;
@@ -139,13 +139,6 @@ class Node(NamedTuple):
     index: int
 
 
-_set = object.__setattr__
-
-
-def _frozen(self, name, value=None):
-    raise AttributeError(f"field {name!r} is read-only")
-
-
 class ConflictRelation(frozenset):
     """A symmetric set of same-agent strand pairs that may not co-occur.
 
@@ -161,7 +154,7 @@ class ConflictRelation(frozenset):
         return super().__new__(cls, normalized)
 
 
-class StrandSpace:
+class StrandSpace(namedtuple("StrandSpace", "strands agents assignment conflicts")):
     """A finite set of strands together with an agent assignment and, for
     an extended space, a conflict relation.
 
@@ -171,16 +164,12 @@ class StrandSpace:
     agents.  ``conflicts`` is None for a space without a conflict
     relation, which is not the same space as one with an empty relation;
     each pair names two strands of the assignment with the same agent.
-    Equality, hash and repr read the four fields, not the lookup maps
-    built from them.
     """
 
-    __slots__ = (
-        "strands", "agents", "assignment", "conflicts", "_by_id", "_agent_by_id", "_by_agent"
-    )
+    __slots__ = ()
 
-    def __init__(
-        self,
+    def __new__(
+        cls,
         strands: tuple[Strand, ...],
         agents: tuple[str, ...],
         assignment: tuple[tuple[str, str], ...],  # (strand id, agent), sorted
@@ -209,34 +198,7 @@ class StrandSpace:
                 problems.append(f"conflict pair spans agents: ({a}, {b})")
         if problems:
             raise IllFormedError(problems)
-        _set(self, "strands", strands)
-        _set(self, "agents", agents)
-        _set(self, "assignment", assignment)
-        _set(self, "conflicts", conflicts)
-        by_agent: dict[str, list[Strand]] = {}
-        for s in strands:
-            by_agent.setdefault(amap[s.id], []).append(s)
-        _set(self, "_by_id", {s.id: s for s in strands})
-        _set(self, "_agent_by_id", amap)
-        _set(self, "_by_agent", {a: tuple(ss) for a, ss in by_agent.items()})
-
-    __setattr__ = __delattr__ = _frozen
-
-    def __eq__(self, other):
-        if other.__class__ is not StrandSpace:
-            return NotImplemented
-        return (self.strands, self.agents, self.assignment, self.conflicts) == (
-            other.strands, other.agents, other.assignment, other.conflicts
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.strands, self.agents, self.assignment, self.conflicts))
-
-    def __repr__(self) -> str:
-        return (
-            f"StrandSpace(strands={self.strands!r}, agents={self.agents!r}, "
-            f"assignment={self.assignment!r}, conflicts={self.conflicts!r})"
-        )
+        return tuple.__new__(cls, (strands, agents, assignment, conflicts))
 
     @classmethod
     def of(
@@ -270,17 +232,21 @@ class StrandSpace:
         return StrandSpace(self.strands, self.agents, self.assignment)
 
     def strand(self, sid: str) -> Strand:
-        try:
-            return self._by_id[sid]
-        except KeyError:
-            raise InputError(f"unknown strand id: {sid!r}") from None
+        for s in self.strands:
+            if s.id == sid:
+                return s
+        raise InputError(f"unknown strand id: {sid!r}")
 
     def agent_of(self, sid: str) -> str:
-        self.strand(sid)
-        return self._agent_by_id[sid]
+        for s, agent in self.assignment:
+            if s == sid:
+                return agent
+        raise InputError(f"unknown strand id: {sid!r}")
 
     def strands_of(self, agent: str) -> tuple[Strand, ...]:
-        return self._by_agent.get(agent, ())
+        """The agent's strands, in the space's order."""
+        amap = dict(self.assignment)
+        return tuple(s for s in self.strands if amap[s.id] == agent)
 
     def messages(self) -> frozenset[str]:
         return frozenset(t.message for s in self.strands for t in s.trace)

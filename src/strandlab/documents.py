@@ -29,6 +29,8 @@ their own, parse to a `BundlesDocument` or `ChainsDocument`:
                    "steps": [{"f": {s: t},
                               "extensions": [{"agent", "strand", "event"}]}]}]}
 
+A protocol spec has exactly one of "monotone", "union" and "table"; a
+table lists each history once, and only a table takes a "default".
 A space file's "messages" are checked, not kept: a space dumps the
 messages its strands use.  Every kind's agent names are kept sorted and
 without repeats.  A space with conflicts dumps as an extended-space.
@@ -274,27 +276,30 @@ def _parse_system(body: dict) -> HistorySet:
 
 def _parse_spec(raw: Any) -> ProtocolSpec:
     raw = _obj(raw, "protocol spec")
+    kinds = [k for k in ("monotone", "union", "table") if k in raw]
+    _expect(len(kinds) == 1, "protocol spec needs exactly one of: monotone, union, table")
+    _expect("default" not in raw or "table" in raw, "only a table spec takes a default")
     if "monotone" in raw:
         return MonotoneSpec(tuple(parse_event(e) for e in _list(raw["monotone"], "monotone")))
     if "union" in raw:
         members = raw["union"]
         _expect(isinstance(members, list) and members, "union must be a nonempty list")
         return UnionSpec(tuple(_parse_spec(m) for m in members))
-    if "table" in raw:
-        entries = {}
-        for entry in _list(raw["table"], "table"):
-            entry = _obj(entry, "table entry")
-            history = tuple(
-                parse_event(e) for e in _list(entry.get("history", []), "table history")
-            )
-            actions = [
-                parse_action(a) for a in _list(entry.get("actions", []), "table actions")
-            ]
-            _expect(bool(actions), "table entry needs at least one action")
-            entries[history] = actions
-        default = [parse_action(a) for a in _list(raw.get("default", ["no-op"]), "default")]
-        return TableSpec.of(entries, default)
-    raise SchemaError("protocol spec needs one of: monotone, union, table")
+    entries = {}
+    for entry in _list(raw["table"], "table"):
+        entry = _obj(entry, "table entry")
+        history = tuple(
+            parse_event(e) for e in _list(entry.get("history", []), "table history")
+        )
+        actions = [
+            parse_action(a) for a in _list(entry.get("actions", []), "table actions")
+        ]
+        _expect(bool(actions), "table entry needs at least one action")
+        shown = json.dumps([str(e) for e in history])
+        _expect(history not in entries, f"table lists history {shown} twice")
+        entries[history] = actions
+    default = [parse_action(a) for a in _list(raw.get("default", ["no-op"]), "default")]
+    return TableSpec.of(entries, default)
 
 
 def _parse_protocol(body: dict) -> JointProtocol:
@@ -521,12 +526,13 @@ def _dumps(body: dict, **nested: Writer) -> str:
 
 
 def dump_space(space: StrandSpace) -> str:
+    agent = dict(space.assignment)
     body: dict = {
         "kind": "space" if space.conflicts is None else "extended-space",
         "messages": sorted(space.messages()),
         "agents": list(space.agents),
         "strands": [
-            {"id": s.id, "agent": space.agent_of(s.id), "trace": [str(t) for t in s.trace]}
+            {"id": s.id, "agent": agent[s.id], "trace": [str(t) for t in s.trace]}
             for s in space.strands
         ],
     }

@@ -18,9 +18,7 @@ from collections import deque
 from itertools import product
 from typing import Iterable, NamedTuple
 
-from strandlab.bundles import (
-    EMPTY_BUNDLE, Bundle, _longest_causal_path, _toposort, causal_edges, enumerate_bundles,
-)
+from strandlab.bundles import EMPTY_BUNDLE, Bundle, CommEdge, enumerate_bundles
 from strandlab.chains import ChainPrefix, StepWitness, check_step
 from strandlab.core import (
     Event, GlobalState, History, Node, SignedTerm, StrandSpace, event_to_term, recv, sent,
@@ -40,6 +38,34 @@ def term_of(space: StrandSpace, node: Node) -> SignedTerm:
             f"(trace length {len(strand)})"
         )
     return strand.trace[node.index - 1]
+
+
+def causal_edges(bundle: Bundle) -> list[CommEdge]:
+    """All edges of the causal graph: communication plus strand successors."""
+    successors = [
+        (Node(s, i), Node(s, i + 1)) for s, h in bundle.heights for i in range(1, h)
+    ]
+    return sorted(bundle.edges) + successors
+
+
+def toposort(nodes: list[Node], edges: list[CommEdge]) -> list[Node] | None:
+    """Kahn's algorithm over a bundle's causal graph; None when it has a
+    cycle."""
+    indeg = {n: 0 for n in nodes}
+    out: dict[Node, list[Node]] = {n: [] for n in nodes}
+    for a, b in edges:
+        out[a].append(b)
+        indeg[b] += 1
+    frontier = [n for n in nodes if indeg[n] == 0]
+    order: list[Node] = []
+    while frontier:
+        n = frontier.pop()
+        order.append(n)
+        for m in out[n]:
+            indeg[m] -= 1
+            if indeg[m] == 0:
+                frontier.append(m)
+    return order if len(order) == len(nodes) else None
 
 
 class BundleReport(NamedTuple):
@@ -117,7 +143,7 @@ def validate_bundle(space: StrandSpace, bundle: Bundle) -> BundleReport:
                 ("B2", f"receive node <{receiver.strand},{receiver.index}> has {count} senders")
             )
 
-    if _toposort(sorted(in_height), causal_edges(bundle)) is None:
+    if toposort(sorted(in_height), causal_edges(bundle)) is None:
         problems.append(("B4", "causal graph has a cycle"))
 
     conflicts = space.conflicts
@@ -131,11 +157,22 @@ def validate_bundle(space: StrandSpace, bundle: Bundle) -> BundleReport:
 
 
 def bundle_height(space: StrandSpace, bundle: Bundle) -> int:
-    """Edge count of the longest causal path through the bundle."""
+    """Edge count of the longest causal path through the bundle: the
+    longest path to each node, over the nodes in reverse topological
+    order."""
     report = validate_bundle(space, bundle)
     if not report.ok:
         raise InputError(f"invalid bundle: {report.problems[0][1]}")
-    return _longest_causal_path(bundle)
+    nodes = sorted(bundle.nodes())
+    edges = causal_edges(bundle)
+    out: dict[Node, list[Node]] = {n: [] for n in nodes}
+    for a, b in edges:
+        out[a].append(b)
+    longest = {n: 0 for n in nodes}
+    for n in reversed(toposort(nodes, edges)):
+        for m in out[n]:
+            longest[n] = max(longest[n], longest[m] + 1)
+    return max(longest.values(), default=0)
 
 
 def brute_force_bundles(space, max_nodes):

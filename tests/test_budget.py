@@ -57,7 +57,7 @@ def test_step_graph_cache_hit_is_charged(r1_space, cold_cache):
     step_graph(r1_space, 8, cold)
     warm = StateBudget()
     graph = step_graph(r1_space, 8, warm)
-    assert len(graph.bundles) == 25
+    assert len(graph.successors) == 25
     assert warm.used == cold.used > 0
     with pytest.raises(BudgetExceededError):
         step_graph(r1_space, 8, StateBudget(5))

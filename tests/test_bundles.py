@@ -5,12 +5,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from strandlab.budget import StateBudget
-from strandlab.bundles import EMPTY_BUNDLE, Bundle, agent_events, causal_edges, enumerate_bundles
+from strandlab.bundles import (
+    EMPTY_BUNDLE, Bundle, _longest_causal_path, agent_events, enumerate_bundles,
+)
 from strandlab.core import GlobalState, Node, Strand, StrandSpace, negative, positive, recv, sent
 from strandlab.errors import BudgetExceededError, InputError
 
 from conftest import relay_space, ring_space, small_spaces, twin_spaces
-from reference import bundle_height, term_of, validate_bundle
+from reference import bundle_height, causal_edges, term_of, validate_bundle
 
 
 def r1_exchange_bundle() -> Bundle:
@@ -122,6 +124,28 @@ class TestHeights:
             assert bundle_height(r1_space, bundle) == longest_path_oracle(
                 r1_space, bundle
             )
+
+    def test_walk_matches_reference(self, r1_space, r1_t5_space, nack_space, ping_space):
+        # the package's one-walk height against the reference's longest
+        # path over a topological sort, on every bundle of each space
+        spaces = [r1_space, r1_t5_space, nack_space, ping_space]
+        spaces += [relay_space(k) for k in range(2, 5)] + [ring_space(n) for n in range(3, 7)]
+        for space in spaces:
+            for bundle in enumerate_bundles(space, space.node_count()):
+                assert _longest_causal_path(bundle) == bundle_height(space, bundle)
+
+    @given(small_spaces())
+    @settings(max_examples=100, deadline=None)
+    def test_walk_matches_reference_on_drawn_spaces(self, drawn):
+        space, max_nodes = drawn
+        for bundle in enumerate_bundles(space, max_nodes):
+            assert _longest_causal_path(bundle) == bundle_height(space, bundle)
+
+    def test_walk_on_a_long_strand(self):
+        # 2,000 nodes deep, more than the recursion limit allows frames
+        space = StrandSpace.identity([Strand("s", (positive("u"),) * 2000)])
+        bundle = Bundle.of({"s": 2000})
+        assert _longest_causal_path(bundle) == 1999 == bundle_height(space, bundle)
 
     def test_invalid_bundle_rejected(self, r1_space):
         with pytest.raises(InputError):

@@ -93,6 +93,10 @@ class TestCheckStep:
         )
         assert check_step(space, b1, b2) is None
 
+    def test_unknown_strand_is_an_input_error(self, r1_space):
+        with pytest.raises(InputError, match="unknown strand id: 'zz'"):
+            check_step(r1_space, EMPTY_BUNDLE, Bundle.of({"zz": 1}))
+
 
 class TestStepGraph:
     def test_matches_pairwise_check_step(
@@ -116,7 +120,7 @@ class TestStepGraph:
         for space in cases:
             n = space.node_count()
             graph = step_graph(space, n)
-            assert graph.bundles == enumerate_bundles(space, n)
+            assert tuple(graph.successors) == enumerate_bundles(space, n)
             assert graph.successors == pairwise_step_graph(space, n)
             assert graph.distance == bfs_distances(graph)
 
@@ -128,7 +132,7 @@ class TestStepGraph:
         drawn_space, max_nodes = drawn
         for space in (drawn_space, drawn_space.with_identity_assignment()):
             graph = step_graph(space, max_nodes)
-            assert graph.bundles == enumerate_bundles(space, max_nodes)
+            assert tuple(graph.successors) == enumerate_bundles(space, max_nodes)
             assert graph.successors == pairwise_step_graph(space, max_nodes)
             assert graph.distance == bfs_distances(graph)
 
@@ -140,7 +144,7 @@ class TestStepGraph:
         # the moved bundle
         space, max_nodes = drawn
         graph = step_graph(space, max_nodes)
-        assert graph.bundles == enumerate_bundles(space, max_nodes)
+        assert tuple(graph.successors) == enumerate_bundles(space, max_nodes)
         assert graph.successors == pairwise_step_graph(space, max_nodes)
         assert graph.distance == bfs_distances(graph)
 
@@ -159,7 +163,7 @@ class TestStepGraph:
             conflicts=[("s2", "s3")],
         )
         graph = step_graph(space, space.node_count())
-        assert len(graph.bundles) == 10
+        assert len(graph.successors) == 10
         assert graph.successors == pairwise_step_graph(space, space.node_count())
 
     def test_scaling_counts(self, cold_cache):
@@ -181,13 +185,13 @@ class TestStepGraph:
             space = make[family](size)
             budget = StateBudget()
             graph = step_graph(space, space.node_count(), budget)
-            counts = (len(graph.bundles), sum(len(s) for s in graph.successors.values()))
+            counts = (len(graph.successors), sum(len(s) for s in graph.successors.values()))
             assert counts == (bundles, edges), (family, size)
             assert budget.used == edges, (family, size)
 
     def test_each_bundle_is_one_object(self, nack_space, cold_cache):
         graph = step_graph(nack_space, 6)
-        shared = {b: b for b in graph.bundles}
+        shared = {b: b for b in graph.successors}
         for succ in graph.successors.values():
             for b2, _ in succ:
                 assert shared[b2] is b2

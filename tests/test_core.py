@@ -224,7 +224,8 @@ VALUE_TYPES = [
      (Strand("a", (positive("u"),)), Strand("a", (positive("v"),))),
      [("", ()), ("two words", ())]),
     (Node("s", 2), ("strand", "index"), (Node("s", 2), Node("s", 10)), []),
-    (_SPACE, ("strands", "agents", "assignment", "conflicts"), None,
+    (_SPACE, ("strands", "agents", "assignment", "conflicts"),
+     (StrandSpace.identity([Strand("a", (positive("u"),))]), _SPACE),
      [((_STRAND, Strand("s", (negative("u"),))), ("s",), (("s", "s"),)),
       ((_STRAND,), ("s",), ()),
       ((_STRAND,), ("s",), (("s", "s"),), ConflictRelation([("s", "t")]))]),
@@ -235,8 +236,7 @@ VALUE_TYPES = [
     (_WITNESS, ("f", "extensions"), None, []),
     (_CHAIN, ("agents", "bundles", "witnesses"), None,
      [(("s",), (), ()), (("s",), (_BUNDLE,), ()), (("s",), (EMPTY_BUNDLE,), (_WITNESS,))]),
-    (StepGraph((EMPTY_BUNDLE,), {EMPTY_BUNDLE: ()}, {EMPTY_BUNDLE: 0}),
-     ("bundles", "successors", "distance"), None, []),
+    (StepGraph({EMPTY_BUNDLE: ()}, {EMPTY_BUNDLE: 0}), ("successors", "distance"), None, []),
     (CheckResult("name", True, ("a line",)), ("name", "ok", "lines"), None, []),
     (BundlesDocument((EMPTY_BUNDLE, _BUNDLE)), ("bundles",), None, []),
     (ChainsDocument(("s",), (_CHAIN,)), ("agents", "chains"), None, []),

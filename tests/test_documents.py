@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from strandlab.bundles import enumerate_bundles
 from strandlab.chains import enumerate_chain_prefixes, translate
+from strandlab.cli import main
 from strandlab.core import GlobalState, StrandSpace, recv, sent
 from strandlab.documents import (
     BundlesDocument,
@@ -377,6 +378,34 @@ class TestSchemaErrors:
         with pytest.raises(SchemaError) as raised:
             parse_document(text)
         assert str(raised.value) == message
+
+    @pytest.mark.parametrize(
+        "spec,message",
+        [
+            (
+                '{"table": [{"history": [], "actions": ["send u"]},'
+                ' {"history": [], "actions": ["send v"]}]}',
+                "table lists history [] twice",
+            ),
+            (
+                '{"monotone": ["sent u"], "union": [{"monotone": []}]}',
+                "protocol spec needs exactly one of: monotone, union, table",
+            ),
+            (
+                '{"monotone": ["sent u"], "default": ["send v"]}',
+                "only a table spec takes a default",
+            ),
+        ],
+        ids=["repeated-history", "two-kinds", "default-beside-monotone"],
+    )
+    def test_ambiguous_protocol_spec(self, tmp_path, capsys, spec, message):
+        # a spec that could be read two ways is refused, not resolved
+        path = tmp_path / "protocol.json"
+        path.write_text(
+            '{"kind": "protocol", "messages": ["u", "v"], "agents": {"a": ' + spec + "}}"
+        )
+        assert main(["validate", str(path)]) == 2
+        assert capsys.readouterr() == ("", f"error: {message}\n")
 
     def test_nested_unions_parse_or_are_too_deep(self):
         # from some depth on the recursion limit is met: first in the spec
