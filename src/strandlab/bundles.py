@@ -89,9 +89,6 @@ class Bundle(NamedTuple):
     def height_map(self) -> dict[str, int]:
         return dict(self.heights)
 
-    def height(self, sid: str) -> int:
-        return self.height_map.get(sid, 0)
-
     def node_count(self) -> int:
         return sum(h for _, h in self.heights)
 

@@ -101,15 +101,12 @@ class StepWitness(NamedTuple):
     """Certificate that one bundle steps to another.
 
     ``f`` is the witnessing bijection restricted to strands active in the
-    source bundle; ``extensions`` lists, per extending agent, the strand
-    that grew and the event performed.
+    source bundle; ``extensions`` lists, per extending agent in
+    increasing agent order, the strand that grew and the event performed.
     """
 
     f: tuple[tuple[str, str], ...]
     extensions: tuple[tuple[str, str, Event], ...]  # (agent, strand, event)
-
-    def event_map(self) -> dict[str, Event]:
-        return {agent: event for agent, _, event in self.extensions}
 
 
 class ChainPrefix(namedtuple("ChainPrefix", "agents bundles witnesses")):
@@ -128,10 +125,6 @@ class ChainPrefix(namedtuple("ChainPrefix", "agents bundles witnesses")):
         if len(witnesses) != len(bundles) - 1:
             raise InputError("one witness is required per consecutive bundle pair")
         return tuple.__new__(cls, (agents, bundles, witnesses))
-
-    @property
-    def length(self) -> int:
-        return len(self.bundles) - 1
 
     def final(self) -> Bundle:
         return self.bundles[-1]
@@ -505,8 +498,9 @@ def translate(
     prefix, the set of bundles its chains can currently be at, and
     prefixes that end in the same global state and bundle set share one
     automaton node.  A node's next states are the step edges out of its
-    bundle set, grouped by the event map they perform; each group's
-    targets form the next bundle set.
+    bundle set, grouped by the (agent, event) moves they perform, read
+    off each witness's extensions in agent order; each group's targets
+    form the next bundle set.
     """
     if horizon < 0:
         raise InputError("horizon must be non-negative")
@@ -517,7 +511,7 @@ def translate(
         groups: dict[tuple[tuple[str, Event], ...], set[Bundle]] = {}
         for b in bundle_set:
             for b2, witness in graph.successors[b]:
-                key = tuple(sorted(witness.event_map().items()))
+                key = tuple((a, e) for a, _, e in witness.extensions)
                 groups.setdefault(key, set()).add(b2)
         return [(g.extend(dict(key)), frozenset(bs)) for key, bs in groups.items()]
 

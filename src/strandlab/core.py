@@ -30,7 +30,7 @@ Conventions:
 from __future__ import annotations
 
 from collections import namedtuple
-from typing import Iterable, Iterator, Mapping, NamedTuple
+from typing import Iterable, Mapping, NamedTuple
 
 from .errors import IllFormedError, InputError
 
@@ -237,24 +237,8 @@ class StrandSpace(namedtuple("StrandSpace", "strands agents assignment conflicts
                 return s
         raise InputError(f"unknown strand id: {sid!r}")
 
-    def agent_of(self, sid: str) -> str:
-        for s, agent in self.assignment:
-            if s == sid:
-                return agent
-        raise InputError(f"unknown strand id: {sid!r}")
-
-    def strands_of(self, agent: str) -> tuple[Strand, ...]:
-        """The agent's strands, in the space's order."""
-        amap = dict(self.assignment)
-        return tuple(s for s in self.strands if amap[s.id] == agent)
-
     def messages(self) -> frozenset[str]:
         return frozenset(t.message for s in self.strands for t in s.trace)
-
-    def nodes(self) -> Iterator[Node]:
-        for s in self.strands:
-            for i in range(1, len(s) + 1):
-                yield Node(s.id, i)
 
     def node_count(self) -> int:
         return sum(len(s) for s in self.strands)

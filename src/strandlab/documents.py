@@ -56,7 +56,9 @@ are those of one `json.dumps` of the whole body.
 Parsing raises SchemaError for structural problems (bad JSON, wrong
 shapes, unparseable tokens) and for a system's histories of an agent it
 does not declare, which a `HistorySet` could not tell from a declared
-one.  An ill-formed space, history set or protocol raises its
+one.  A chains step that extends an agent twice, or one the document does
+not declare, or whose witness mapping sends two strands to one, is a
+SchemaError too.  An ill-formed space, history set or protocol raises its
 `IllFormedError`, listing every problem.  A space's conflict pairs that
 name an unknown strand or span two agents are the space's own problems,
 listed after its other ones, since the relation is a field of the
@@ -391,21 +393,29 @@ def _parse_bundles(body: dict) -> BundlesDocument:
     return BundlesDocument(bundles=tuple(_parse_bundle(b) for b in raw))
 
 
-def _parse_step(raw: Any) -> StepWitness:
+def _parse_step(raw: Any, agents: tuple[str, ...]) -> StepWitness:
     step = _obj(raw, "chain step")
     f = _obj(step.get("f", {}), "witness mapping")
     _expect(
         all(isinstance(t, str) for t in f.values()),
         "witness mapping values must be strand ids",
     )
+    targets = sorted(f.values())
+    twice = next((t for t, u in zip(targets, targets[1:]) if t == u), None)
+    _expect(twice is None, f"witness mapping sends two strands to {twice}")
     extensions = []
     for ext in _list(step.get("extensions", []), "extensions"):
         ext = _obj(ext, "extension")
+        agent = ext.get("agent")
         _expect(
-            isinstance(ext.get("agent"), str) and isinstance(ext.get("strand"), str),
+            isinstance(agent, str) and isinstance(ext.get("strand"), str),
             "an extension needs an agent and a strand",
         )
-        extensions.append((ext["agent"], ext["strand"], parse_event(ext.get("event"))))
+        _expect(agent in agents, f"step extends undeclared agent {agent}")
+        _expect(
+            all(a != agent for a, _, _ in extensions), f"step extends agent {agent} twice"
+        )
+        extensions.append((agent, ext["strand"], parse_event(ext.get("event"))))
     return StepWitness(f=tuple(sorted(f.items())), extensions=tuple(sorted(extensions)))
 
 
@@ -424,11 +434,14 @@ def _parse_chains(body: dict) -> ChainsDocument:
             v = parsed[key] = shared.setdefault(v, v)
         return v
 
+    def parse_step(raw: Any) -> StepWitness:
+        return _parse_step(raw, agents)
+
     chains = []
     for raw in _list(body.get("chains", []), "chains"):
         raw = _obj(raw, "chain")
         bundles = [value(b, _parse_bundle) for b in _list(raw.get("bundles", []), "bundles")]
-        steps = [value(w, _parse_step) for w in _list(raw.get("steps", []), "steps")]
+        steps = [value(w, parse_step) for w in _list(raw.get("steps", []), "steps")]
         chains.append(
             ChainPrefix(agents=agents, bundles=tuple(bundles), witnesses=tuple(steps))
         )

@@ -20,7 +20,8 @@ sender and whose sends each feed at most one receive.
 
 A run set is a `RunAutomaton`, a layered DAG whose level-d nodes are
 the distinct (global state, search state) pairs that prefixes reach in d
-rounds; its paths from level 0 to the horizon are the run prefixes.
+rounds; every node of the last level ends a run, so its paths from level
+0 to the horizon are the run prefixes.
 Like a system of the paper, it is a set of runs of fixed agents, and a
 run set with no runs still has its agents and its horizon (as many
 levels, all empty).  Each node keeps its successors as one map from
@@ -35,11 +36,13 @@ and its caller names the agents and the horizon.  History sets
 MP2 filters the outcome.
 The runs passing a per-state and per-round condition
 (`RunAutomaton.restrict`) and the runs of one automaton missing from
-another (`_only_in`) are explorations of an existing automaton.
+another (`_only_in`) are explorations of an existing automaton; a
+difference walks the product of the two and, in its last round, keeps
+only the states the other side's paired node lacks.
 `mp_violations` is one such difference, the runs minus those passing
 MP1-MP3 (the other way round it is empty), with each condition decided
-once per distinct state or round; `systems_equal` takes both, after
-checking that the two horizons agree.
+once per distinct state or round; `systems_equal` takes both, empty
+sets or not, after checking that the two horizons agree.
 Counts, membership, occurring states and least witnesses are read off
 nodes and edges; `RunPrefix` values are built only when a caller
 iterates a set.
@@ -99,12 +102,12 @@ class RunAutomaton(AbstractSet):
     successors are one map from global state to node index:
     ``children[d][i]`` maps node i of level d's successors to their indices
     at level d + 1, and ``roots`` does the same for level 0, both in
-    increasing state order.  ``accepts[i]`` says whether node i of the
-    last level ends a run.  Each path from a root to an accepting node
-    spells one run prefix and distinct paths spell distinct prefixes, so
-    the set is its paths: ``len`` counts them, ``in`` follows one, and
-    iteration yields them in increasing `RunPrefix` order, one budget
-    tick per run, holding one at a time.
+    increasing state order.  Every last-level node ends a run, so each
+    path from a root to the last level spells one run prefix, distinct
+    paths spell distinct prefixes, and the set is its paths: ``len``
+    counts them, ``in`` follows one, and iteration yields them in
+    increasing `RunPrefix` order, one budget tick per run, holding one at
+    a time.
     """
 
     def __init__(
@@ -112,16 +115,16 @@ class RunAutomaton(AbstractSet):
         agents: tuple[str, ...],
         roots: dict[GlobalState, int],
         children: Sequence[Sequence[dict[GlobalState, int]]],
-        accepts: Sequence[bool],
         budget: StateBudget,
     ):
         self.agents = agents
         self.roots = roots
         self.children = children
-        self.accepts = accepts
         self.budget = budget
-        # completions[d][i]: accepted paths from node i to the last level
-        completions = [[int(a) for a in self.accepts]]
+        # completions[d][i]: paths from node i to the last level, whose
+        # nodes are the last child maps' targets (the roots at horizon 0)
+        last = children[-1] if children else [roots]
+        completions = [[1] * len({c for kids in last for c in kids.values()})]
         for level in reversed(children):
             below = completions[0]
             completions.insert(0, [sum(below[c] for c in kids.values()) for kids in level])
@@ -158,7 +161,7 @@ class RunAutomaton(AbstractSet):
                 kids = nodes[d][i]
         children = [[_sorted(kids) for kids in level] for level in nodes[:-1]]
         agents = tuple(sorted(set(agents)))
-        return cls(agents, _sorted(roots), children, [True] * len(nodes[-1]), budget)
+        return cls(agents, _sorted(roots), children, budget)
 
     @property
     def horizon(self) -> int:
@@ -192,7 +195,7 @@ class RunAutomaton(AbstractSet):
             if i is None:
                 return False
             i = self.children[d][i].get(g)
-        return i is not None and self.accepts[i]
+        return i is not None
 
     @classmethod
     def _from_iterable(cls, runs: Iterable[RunPrefix]) -> frozenset[RunPrefix]:
@@ -236,7 +239,6 @@ class RunAutomaton(AbstractSet):
             self.agents,
             self.horizon,
             self.budget,
-            accepts=lambda node: self.accepts[node[1]],
         )
 
 
@@ -422,7 +424,6 @@ def explore(
     agents: tuple[str, ...],
     horizon: int,
     budget: StateBudget | None = None,
-    accepts: Callable[[object], bool] | None = None,
 ) -> RunAutomaton:
     """All run prefixes of exactly `horizon` rounds from the `starts`,
     pairs of initial global state and search state, as a run set over the
@@ -431,8 +432,8 @@ def explore(
     ``successors(g, search)`` lists pairs with distinct next global
     states, so paths and run prefixes correspond one to one, and each
     node's child map is built as its edges are added, then sorted once.
-    ``accepts(search)``, when given, picks the last-level nodes that end a
-    run.  One budget tick per automaton edge."""
+    Every pair reached in the last round ends a run.  One budget tick per
+    automaton edge."""
     if horizon < 0:
         raise InputError("horizon must be non-negative")
     budget = ensure(budget)
@@ -454,8 +455,7 @@ def explore(
             rows.append(dict(sorted(row, key=_state)))
         children.append(rows)
         level = nxt
-    final = [accepts is None or accepts(search) for _, search in level]
-    return RunAutomaton(agents, roots, children, final, budget)
+    return RunAutomaton(agents, roots, children, budget)
 
 
 def generate_system(
@@ -512,10 +512,12 @@ class EqualityReport(NamedTuple):
 def _only_in(x: RunAutomaton, y: RunAutomaton) -> RunAutomaton:
     """The runs of x that are not runs of y, from the product of the two:
     each node of x paired with the node of y that the same prefix
-    reaches, or None once y has no such prefix."""
+    reaches, or None once y has no such prefix.  Every node of y's last
+    level ends a run of y, so the last round keeps only the states that
+    y's paired node lacks (at horizon 0, the roots y lacks)."""
 
     def paired(d: int, xs: dict[GlobalState, int], ys: dict[GlobalState, int]):
-        return [(g, (d, i, ys.get(g))) for g, i in xs.items()]
+        return [(g, (d, i, ys.get(g))) for g, i in xs.items() if d < x.horizon or g not in ys]
 
     def successors(g: GlobalState, node: tuple):
         d, i, j = node
@@ -527,7 +529,6 @@ def _only_in(x: RunAutomaton, y: RunAutomaton) -> RunAutomaton:
         x.agents,
         x.horizon,
         x.budget,
-        accepts=lambda node: x.accepts[node[1]] and (node[2] is None or not y.accepts[node[2]]),
     )
 
 
@@ -542,8 +543,6 @@ def systems_equal(a: RunAutomaton, b: RunAutomaton) -> EqualityReport:
         raise InputError(f"horizon mismatch: {sorted({a.horizon, b.horizon})}")
     if a.agents != b.agents:
         raise InputError(f"agent mismatch: first {list(a.agents)}, second {list(b.agents)}")
-    if not a or not b:
-        return EqualityReport(equal=not a and not b, only_in_a=a, only_in_b=b)
     only_a, only_b = _only_in(a, b), _only_in(b, a)
     return EqualityReport(equal=not only_a and not only_b, only_in_a=only_a, only_in_b=only_b)
 

@@ -108,6 +108,11 @@ def cases() -> list[list[str]]:
         ["check", "--theorem", "7", _file("collide-protocol")],
         ["validate", _file("spaced-agent")],
         ["check", "--theorem", "5", _file("spaced-agent")],
+        # chains steps that extend an agent twice or an undeclared one, and
+        # a witness mapping that sends two strands to one
+        ["validate", _file("chains-agent-twice")],
+        ["validate", _file("chains-undeclared-agent")],
+        ["validate", _file("chains-f-collides")],
         # a protocol whose agent spec is a union
         ["validate", _file("union-protocol")],
         ["check", "--theorem", "6", _file("union-protocol")],

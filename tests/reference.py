@@ -206,7 +206,7 @@ def reference_message_equivalent(space, g, bundle) -> bool:
     height equals its history's length and each event is the term at its
     node.  Assumes an identity-assigned space and a state over its strands."""
     for sid, history in g.items():
-        if bundle.height(sid) != len(history):
+        if bundle.height_map.get(sid, 0) != len(history):
             return False
         for i, event in enumerate(history, start=1):
             if event_to_term(event) != term_of(space, Node(sid, i)):
@@ -218,13 +218,12 @@ def hist(chain: ChainPrefix, agent: str, m: int) -> History:
     """The history agent has accumulated after the first m steps."""
     if agent not in chain.agents:
         raise InputError(f"unknown agent: {agent!r}")
-    if not 0 <= m <= chain.length:
-        raise InputError(f"step index {m} out of range 0..{chain.length}")
+    steps = len(chain.witnesses)
+    if not 0 <= m <= steps:
+        raise InputError(f"step index {m} out of range 0..{steps}")
     events: list[Event] = []
     for witness in chain.witnesses[:m]:
-        event = witness.event_map().get(agent)
-        if event is not None:
-            events.append(event)
+        events += [event for a, _, event in witness.extensions if a == agent]
     return tuple(events)
 
 
@@ -232,7 +231,7 @@ def run_from_chain(chain: ChainPrefix) -> RunPrefix:
     """The run prefix reading off each agent's events along the chain."""
     states = [GlobalState.empty(chain.agents)]
     for witness in chain.witnesses:
-        states.append(states[-1].extend(witness.event_map()))
+        states.append(states[-1].extend({a: e for a, _, e in witness.extensions}))
     return RunPrefix.of(states)
 
 

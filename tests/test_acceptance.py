@@ -90,7 +90,7 @@ def test_criterion_03_chain_height_bound(r1_space, r1_t5_space, nack_space, ping
         (ping_space, 2),
     ):
         for chain in enumerate_chain_prefixes(space, 5, max_nodes):
-            n = chain.length
+            n = len(chain.witnesses)
             ok = ok and bundle_height(space, chain.final()) <= 2 * n
     report(3, "chain of length n never exceeds height 2n", ok)
 

@@ -153,9 +153,9 @@ class TestHeights:
 
     def test_strand_height(self):
         bundle = r1_exchange_bundle()
-        assert EMPTY_BUNDLE.height("s12") == 0
-        assert bundle.height("s12") == 2
-        assert bundle.height("s23") == 0
+        assert EMPTY_BUNDLE.heights == ()
+        assert bundle.height_map["s12"] == 2
+        assert "s23" not in bundle.height_map
 
 
 class TestEnumerateBundles:

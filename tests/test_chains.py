@@ -47,6 +47,19 @@ def r1_exchange_chain(space) -> ChainPrefix:
     return build_chain(space, [EMPTY_BUNDLE, b1, b2, b3, b4])
 
 
+def extension_agents_in_order(graph) -> int:
+    """Assert that every witness of the step graph lists its extensions in
+    increasing agent order; the number of witnesses extending several
+    agents."""
+    several = 0
+    for succ in graph.successors.values():
+        for _, witness in succ:
+            agents = [a for a, _, _ in witness.extensions]
+            assert agents == sorted(set(agents)), witness
+            several += len(agents) > 1
+    return several
+
+
 class TestCheckStep:
     def test_stuttering_step(self, r1_space):
         # [TRIVIAL] every bundle steps to itself with no extensions
@@ -135,6 +148,7 @@ class TestStepGraph:
             assert tuple(graph.successors) == enumerate_bundles(space, max_nodes)
             assert graph.successors == pairwise_step_graph(space, max_nodes)
             assert graph.distance == bfs_distances(graph)
+            extension_agents_in_order(graph)
 
     @given(twin_spaces())
     @settings(max_examples=80, deadline=None)
@@ -147,6 +161,17 @@ class TestStepGraph:
         assert tuple(graph.successors) == enumerate_bundles(space, max_nodes)
         assert graph.successors == pairwise_step_graph(space, max_nodes)
         assert graph.distance == bfs_distances(graph)
+
+    def test_extensions_in_agent_order(self, r1_space, r1_t5_space, nack_space, ping_space):
+        # translate reads a step's moves off its extensions as they stand,
+        # so each witness lists its extending agents in increasing order;
+        # the rings step on several agents at once
+        spaces = [r1_space, r1_t5_space, nack_space, ping_space]
+        spaces += [relay_space(k) for k in range(2, 5)] + [ring_space(n) for n in range(3, 7)]
+        several = 0
+        for space in spaces:
+            several += extension_agents_in_order(step_graph(space, space.node_count()))
+        assert several
 
     def test_witness_map_onto_a_conflicting_pair(self, cold_cache):
         # from {s1:1, s3:1} the map s1 -> s2 moves the +u prefix onto s2,
@@ -232,7 +257,7 @@ class TestChainEnumeration:
     def test_per_step_growth_bounds(self, nack_space):
         space = nack_space
         for chain in enumerate_chain_prefixes(space, 3, 6):
-            for m in range(chain.length):
+            for m in range(len(chain.witnesses)):
                 for agent in space.agents:
                     before = hist(chain, agent, m)
                     after = hist(chain, agent, m + 1)

@@ -32,7 +32,7 @@ class TestExtendedSpaceFromSystem:
         assert len(space.strands) == 1
         strand = space.strands[0]
         assert strand.trace == (positive("u"),)
-        assert space.agent_of(strand.id) == "a"
+        assert space.assignment == ((strand.id, "a"),)
         assert space.conflicts == frozenset()
 
     def test_relay_system_shape(self, r1_system):
@@ -40,7 +40,7 @@ class TestExtendedSpaceFromSystem:
         # agent 2's strands are pairwise conflicting
         space = extended_space_from_system(r1_system)
         by_agent = {
-            a: sorted(s.id for s in space.strands_of(a))
+            a: sorted(s for s, b in space.assignment if b == a)
             for a in space.agents
         }
         assert [len(by_agent[a]) for a in ("1", "2", "3")] == [2, 4, 2]
@@ -55,8 +55,9 @@ class TestExtendedSpaceFromSystem:
         # conflict pairs each join two strands of one agent
         for hs in (r1_system, nack_system):
             space = extended_space_from_system(hs)
+            agent = dict(space.assignment)
             assert space.conflicts
-            assert all(space.agent_of(a) == space.agent_of(b) for a, b in space.conflicts)
+            assert all(agent[a] == agent[b] for a, b in space.conflicts)
 
     def test_non_prefix_closed_input_rejected(self):
         # such a history set cannot be built, so it never reaches the

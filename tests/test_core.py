@@ -102,9 +102,9 @@ class TestTermOf:
 
     def test_total_on_node_set(self, r1_space):
         space = r1_space
-        for node in space.nodes():
-            expected = space.strand(node.strand).trace[node.index - 1]
-            assert term_of(space, node) == expected
+        for s in space.strands:
+            for i, term in enumerate(s.trace, start=1):
+                assert term_of(space, Node(s.id, i)) == term
 
 
 class TestValidateSpace:

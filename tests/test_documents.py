@@ -380,6 +380,31 @@ class TestSchemaErrors:
         assert str(raised.value) == message
 
     @pytest.mark.parametrize(
+        "step,message",
+        [
+            (
+                {"f": {}, "extensions": [SENT_U_ON_S, {**SENT_U_ON_S, "strand": "t"}]},
+                "step extends agent a twice",
+            ),
+            (
+                {"f": {}, "extensions": [{**SENT_U_ON_S, "agent": "b"}]},
+                "step extends undeclared agent b",
+            ),
+            (
+                {"f": {"s": "t", "t": "t"}, "extensions": []},
+                "witness mapping sends two strands to t",
+            ),
+        ],
+        ids=["agent-twice", "undeclared-agent", "f-not-injective"],
+    )
+    def test_bad_chains_steps(self, step, message):
+        chain = {"bundles": [EMPTY, {"heights": {"s": 1}, "edges": []}], "steps": [step]}
+        text = json.dumps({"kind": "chains", "agents": ["a"], "chains": [chain]})
+        with pytest.raises(SchemaError) as raised:
+            parse_document(text)
+        assert str(raised.value) == message
+
+    @pytest.mark.parametrize(
         "spec,message",
         [
             (

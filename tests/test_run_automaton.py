@@ -21,7 +21,7 @@ import strandlab
 from strandlab.chains import translate
 from strandlab.checks import _describe_state, theorem_3
 from strandlab.constructions import extended_space_from_system, space_from_monotone
-from strandlab.core import GlobalState
+from strandlab.core import GlobalState, sent
 from strandlab.errors import InputError
 from strandlab.protocols import generate_runs
 from strandlab.systems import RunAutomaton, RunPrefix, generate_system, systems_equal
@@ -105,6 +105,18 @@ class TestRunAutomaton:
         assert empty.least() is None and not empty.occurring_states()
         for derived in (empty.restrict(), systems_equal(empty, empty).only_in_a):
             assert (derived.agents, derived.horizon, len(derived)) == (("a", "b"), 3, 0)
+        # against an empty set, either way round, the product keeps every run
+        g = GlobalState.empty(["a", "b"])
+        runs = frozenset({
+            RunPrefix.of([g, g, g.extend({"a": sent("u")}), g.extend({"a": sent("u")})]),
+            RunPrefix.of([g, g.extend({"b": sent("v")})] + [g.extend({"b": sent("v")})] * 2),
+        })
+        full = RunAutomaton.of(runs, ["a", "b"], 3)
+        ab, ba = systems_equal(full, empty), systems_equal(empty, full)
+        assert not ab.equal and not ba.equal
+        assert set(ab.only_in_a) == set(ba.only_in_b) == runs
+        assert not ab.only_in_b and not ba.only_in_a
+        assert ab.witness() == ba.witness() == min(runs)
 
     def test_run_of_another_horizon_rejected(self):
         run = RunPrefix.of([GlobalState.empty(["a"])] * 3)
@@ -149,7 +161,8 @@ def assert_is_the_set(automaton, runs, outside):
 @given(run_sets(max_runs=8), st.data())
 def test_automata_match_plain_sets(drawn, data):
     """The prefix tree of a drawn set, and the difference automaton of two
-    overlapping sets, whose last level has nodes that accept no run."""
+    overlapping sets, whose earlier levels can have nodes that no run
+    passes through."""
     agents, horizon, runs = drawn
     side = st.sampled_from(["a", "b", "both"])
     sides = {r: data.draw(side) for r in sorted(runs)}
@@ -228,7 +241,8 @@ class TestSystemsEqualReference:
         eq = systems_equal(tree_a, tree_b)
         assert list(eq.only_in_a) == sorted(sub_a - sub_b)
         assert list(eq.only_in_a.restrict()) == sorted(sub_a - sub_b)
-        # a difference automaton accepts only some of its last-level nodes
+        # a difference automaton can hold nodes from which no run reaches
+        # the last level
         sub_c, tree_c = subset()
         assert reported(eq.only_in_a, tree_c) == reference_equal(sub_a - sub_b, sub_c)
         assert reported(tree_c, eq.only_in_a) == reference_equal(sub_c, sub_a - sub_b)
